@@ -9,8 +9,6 @@ from .field import (
     field_new,
     lagrange_interpolate,
     minimal_poly_over_base,
-    poly_eval,
-    poly_mul,
     quadratic_extension,
 )
 from .matrix import (
@@ -23,15 +21,9 @@ from .matrix import (
 from .code import (
     LinearCode,
     code_from_generator,
-    dual,
     extend_g,
-    extend_u,
     extension_parity_check,
     full_code,
-    is_mds,
-    min_distance,
-    same_code,
-    weight_enumerator,
     zero_code,
 )
 from .covering import (
@@ -55,10 +47,8 @@ from .constructions import (
     cyclic_spec,
     deep_hole_family_rs,
     egrs,
-    egrs_code,
     egrs_dual_code,
     grs,
-    grs_code,
     grs_dual_weights,
     nk_delta_set_check,
     prs,

@@ -8,12 +8,11 @@ idempotent.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 
 from . import kernels
 from .errors import (
     BadDims,
-    BudgetExceeded,
     ContextMismatch,
     LengthMismatch,
     RankDeficient,
@@ -21,7 +20,7 @@ from .errors import (
 )
 from .field import FieldCtx
 from .kernels import DEFAULT_BUDGET
-from .matrix import Matrix
+from .matrix import Matrix, _of, first_dependent_columns
 
 
 class LinearCode:
@@ -58,8 +57,7 @@ class LinearCode:
         return self.generator == other.generator
 
     def contains(self, v) -> bool:
-        v = self._vec(v)
-        return all(e.value == 0 for e in self.parity.mat_vec(v))
+        return not any(self.parity._dot_rows(self._vec(v)))
 
     def codewords(self):
         """All codewords (desk scale only)."""
@@ -75,7 +73,8 @@ class LinearCode:
             yield tuple(w)
 
     def _vec(self, v) -> tuple:
-        v = tuple(self.ctx.elem(x) for x in v)
+        """Encodings of a length-n vector of ints or field elements."""
+        v = tuple(map(self.ctx.encode, v))
         if len(v) != self.n:
             raise LengthMismatch(f"expected length {self.n}, got {len(v)}")
         return v
@@ -100,13 +99,11 @@ class LinearCode:
 
     def _min_distance_by_supports(self) -> int:
         # smallest d such that some d columns of the parity check are
-        # dependent; exact, no codeword enumeration
-        h = self.parity
-        for d in range(1, self.n - self.k + 2):
-            for cols in combinations(range(self.n), d):
-                if h.select_cols(cols).rank() < d:
-                    return d
-        raise BudgetExceeded("distance exceeds Singleton range")  # unreachable
+        # dependent; any n-k+1 columns of its n-k rows are (Singleton)
+        for d in range(1, self.n - self.k + 1):
+            if first_dependent_columns(self.parity, d) is not None:
+                return d
+        return self.n - self.k + 1
 
     def weight_enumerator(self, budget=DEFAULT_BUDGET) -> list[int]:
         if self.k == 0:
@@ -123,8 +120,7 @@ class LinearCode:
 
     def extend_u(self, u) -> "LinearCode":
         """Append the inner product <u, c> as coordinate n+1."""
-        u = self._vec(u)
-        col = self.generator.mat_vec(u)
+        col = self.generator._dot_rows(self._vec(u))
         return code_from_generator(self.generator.with_col(col),
                                    allow_zero=self.k == 0)
 
@@ -137,7 +133,7 @@ class LinearCode:
 
 
 # ---------------------------------------------------------------------------
-# Constructors and free functions
+# Constructors
 # ---------------------------------------------------------------------------
 
 def code_from_generator(g: Matrix, allow_zero: bool = False) -> LinearCode:
@@ -145,9 +141,7 @@ def code_from_generator(g: Matrix, allow_zero: bool = False) -> LinearCode:
     red, pivots = g.rref()
     if not pivots and not allow_zero:
         raise ZeroMatrix("generator spans nothing")
-    canon = Matrix(g.ctx, [red.row(i) for i in range(len(pivots))],
-                   cols=g.cols)
-    return LinearCode(g.ctx, canon)
+    return LinearCode(g.ctx, _of(g.ctx, red._rows[:len(pivots)], g.cols))
 
 
 def zero_code(ctx: FieldCtx, n: int) -> LinearCode:
@@ -160,19 +154,11 @@ def full_code(ctx: FieldCtx, n: int) -> LinearCode:
                       parity=Matrix(ctx, [], cols=n))
 
 
-def dual(c: LinearCode) -> LinearCode:
-    return c.dual()
-
-
-def extend_u(c: LinearCode, u) -> LinearCode:
-    return c.extend_u(u)
-
-
 def extend_g(g: Matrix, vec) -> LinearCode:
     """Code generated by g with the column vec appended."""
     if g.rank() < g.rows:
         raise RankDeficient("generator rows are dependent")
-    vec = [g.ctx.elem(x) for x in vec]
+    vec = list(vec)
     if len(vec) != g.rows:
         raise BadDims(f"expected length {g.rows}, got {len(vec)}")
     return code_from_generator(g.with_col(vec))
@@ -181,24 +167,8 @@ def extend_g(g: Matrix, vec) -> LinearCode:
 def extension_parity_check(h: Matrix, u) -> Matrix:
     """Parity check of the inner-product extension: h bordered by a zero
     column, with bottom row (u | -1)."""
-    u = [h.ctx.elem(x) for x in u]
+    u = list(u)
     if len(u) != h.cols:
         raise LengthMismatch(f"expected length {h.cols}, got {len(u)}")
     bordered = h.with_col([0] * h.rows)
-    return bordered.with_row(list(u) + [-h.ctx.one])
-
-
-def same_code(c1: LinearCode, c2: LinearCode) -> bool:
-    return c1.same_code(c2)
-
-
-def min_distance(c: LinearCode, budget=DEFAULT_BUDGET) -> int:
-    return c.min_distance(budget)
-
-
-def weight_enumerator(c: LinearCode, budget=DEFAULT_BUDGET) -> list[int]:
-    return c.weight_enumerator(budget)
-
-
-def is_mds(c: LinearCode, budget=DEFAULT_BUDGET) -> bool:
-    return c.is_mds(budget)
+    return bordered.with_row(u + [h.ctx.neg_i(1)])

@@ -81,14 +81,6 @@ def egrs(spec: GrsSpec) -> LinearCode:
     return code_from_generator(egrs_generator(spec.a, spec.v, spec.k))
 
 
-def grs_code(ctx, nodes, multipliers, k) -> LinearCode:
-    return grs(GrsSpec.make(ctx, nodes, multipliers, k))
-
-
-def egrs_code(ctx, nodes, multipliers, k) -> LinearCode:
-    return egrs(GrsSpec.make(ctx, nodes, multipliers, k))
-
-
 def grs_dual_weights(a, v) -> tuple:
     """The column multipliers w making the w-twisted evaluation code on the
     same nodes the dual: w_i = 1 / (v_i * prod_{j != i} (a_i - a_j))."""

@@ -26,29 +26,25 @@ from .errors import (
 )
 from .code import LinearCode
 from .kernels import DEFAULT_BUDGET
-from .matrix import Matrix, all_k_columns_independent
+from .matrix import Matrix, _box, all_k_columns_independent
 
 
 class CoveringReport:
     """Coset-leader weights of a code, indexed by packed syndrome."""
 
-    __slots__ = ("code", "rho", "_leader", "_H_int", "_reps")
+    __slots__ = ("code", "rho", "_leader", "_reps")
 
-    def __init__(self, code: LinearCode, rho: int, leader, H_int):
+    def __init__(self, code: LinearCode, rho: int, leader):
         self.code = code
         self.rho = rho
         self._leader = leader
-        self._H_int = H_int
         self._reps = None
 
     def leader_weight(self, v) -> int:
         """Coset-leader weight of the coset of v (= distance from v to the
         code)."""
-        v = [self.code.ctx.elem(x) for x in v]
-        if len(v) != self.code.n:
-            raise LengthMismatch(f"expected length {self.code.n}")
         packed = kernels.syndrome_pack_of(
-            self._H_int, [e.value for e in v], self.code.ctx)
+            self.code.parity._rows, self.code._vec(v), self.code.ctx)
         return int(self._leader[packed])
 
     @property
@@ -73,10 +69,9 @@ class CoveringReport:
             if limit is not None:
                 targets = targets[:limit]
             found = _lex_first_weight_vectors(
-                self._H_int, self.code.n, self.code.ctx, self.rho,
-                set(targets))
-            ctx = self.code.ctx
-            reps = [tuple(ctx.elem(x) for x in found[t]) for t in targets]
+                self.code.parity._rows, self.code.n, self.code.ctx,
+                self.rho, set(targets))
+            reps = [_box(self.code.ctx, found[t]) for t in targets]
             if limit is None:
                 self._reps = reps
             return reps
@@ -100,26 +95,22 @@ def covering_radius(code: LinearCode, budget=DEFAULT_BUDGET) -> CoveringReport:
     """Exact covering radius via the coset-leader sweep (cached per code)."""
     if code._covering is not None:
         return code._covering
-    H_int = code.parity.to_int_rows()
-    leader, rho = kernels.coset_leader_weights(H_int, code.n, code.ctx,
-                                               budget)
-    report = CoveringReport(code, rho, leader, H_int)
+    leader, rho = kernels.coset_leader_weights(code.parity._rows, code.n,
+                                               code.ctx, budget)
+    report = CoveringReport(code, rho, leader)
     code._covering = report
     return report
 
 
 def distance_to_code(code: LinearCode, v, budget=DEFAULT_BUDGET) -> int:
     """Exact Hamming distance from v to the nearest codeword."""
-    v = [code.ctx.elem(x) for x in v]
-    if len(v) != code.n:
-        raise LengthMismatch(f"expected length {code.n}, got {len(v)}")
+    v = code._vec(v)
     if code._covering is not None:
         return code._covering.leader_weight(v)
     q = code.ctx.q
     if code.k > 0 and q ** code.k <= min(budget, q ** (code.n - code.k)):
-        return kernels.min_distance_to_vector(
-            code.generator.to_int_rows(), [e.value for e in v],
-            code.ctx, budget)
+        return kernels.min_distance_to_vector(code.generator._rows, v,
+                                              code.ctx, budget)
     return covering_radius(code, budget).leader_weight(v)
 
 
@@ -141,10 +132,7 @@ def is_deep_hole_via_mds(code: LinearCode, u, budget=DEFAULT_BUDGET) -> bool:
     if report.rho != code.n - code.k:
         raise CoveringRadiusDeficient(
             f"covering radius {report.rho} < n-k = {code.n - code.k}")
-    u = [code.ctx.elem(x) for x in u]
-    if len(u) != code.n:
-        raise LengthMismatch(f"expected length {code.n}")
-    stacked = code.generator.with_row(u)
+    stacked = code.generator.with_row(code._vec(u))
     return all_k_columns_independent(stacked, code.k + 1)
 
 
@@ -153,12 +141,12 @@ def syndrome_criterion(h: Matrix, u, rho: int) -> bool:
     columns of h."""
     if not isinstance(rho, int) or rho < 0 or rho > h.cols:
         raise BadRho(f"rho = {rho} out of range")
-    u = [h.ctx.elem(x) for x in u]
+    u = tuple(map(h.ctx.encode, u))
     if len(u) != h.cols:
         raise LengthMismatch(f"expected length {h.cols}, got {len(u)}")
-    s = list(h.mat_vec(u))
+    s = h._dot_rows(u)
     if rho == 0:
-        return all(e.value == 0 for e in s)
+        return not any(s)
     for cols in combinations(range(h.cols), rho - 1):
         sub = h.select_cols(cols)
         if sub.rank() == sub.with_col(s).rank():
@@ -178,14 +166,13 @@ def full_radius_witness(code: LinearCode, budget=DEFAULT_BUDGET):
         return None
     targets = {int(s) for s in report.deep_hole_syndromes}
     found = _lex_first_weight_vectors(
-        report._H_int, code.n, code.ctx, report.rho, targets,
+        code.parity._rows, code.n, code.ctx, report.rho, targets,
         stop_after_first=True)
     packed, vec = next(iter(found.items()))
-    witness = tuple(code.ctx.elem(x) for x in vec)
-    stacked = code.generator.with_row(witness)
+    stacked = code.generator.with_row(vec)
     if not all_k_columns_independent(stacked, code.k + 1):
         raise InvariantViolation("deep-hole witness failed the minor check")
-    return witness
+    return _box(code.ctx, vec)
 
 
 @dataclass(frozen=True)
@@ -217,7 +204,7 @@ def verify_theorem6(code: LinearCode, u, budget=DEFAULT_BUDGET) -> Theorem6Check
     if not check.consistent:
         raise InvariantViolation(
             f"extension-MDS biconditional failed: {check} for u = "
-            f"{[int(code.ctx.elem(x)) for x in u]}")
+            f"{list(code._vec(u))}")
     return check
 
 

@@ -280,12 +280,16 @@ class FieldCtx:
 
     # -- elements ------------------------------------------------------------
 
-    def elem(self, v) -> "FieldElement":
+    def encode(self, v) -> int:
+        """Integer encoding of an int or of an element of this field."""
         if isinstance(v, FieldElement):
             if v.ctx is not self:
                 raise ContextMismatch(f"element of {v.ctx!r} used in {self!r}")
-            return v
-        return FieldElement(int(v) % self.q, self)
+            return v.value
+        return int(v) % self.q
+
+    def elem(self, v) -> "FieldElement":
+        return FieldElement(self.encode(v), self)
 
     @property
     def zero(self) -> "FieldElement":
@@ -657,14 +661,6 @@ class Poly:
             else:
                 parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "Poly(" + " + ".join(parts) + ")"
-
-
-def poly_eval(f: Poly, x) -> FieldElement:
-    return f(x)
-
-
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    return f * g
 
 
 def lagrange_interpolate(points) -> Poly:

@@ -1,6 +1,7 @@
 """Dense exact linear algebra over a finite field.
 
-Plain Gaussian elimination throughout; matrices are immutable values.
+Plain Gaussian elimination on the integer encodings of the entries;
+matrices are immutable values.
 """
 
 from __future__ import annotations
@@ -19,12 +20,28 @@ from .errors import (
 from .field import FieldCtx, FieldElement
 
 
+def _of(ctx: FieldCtx, rows: tuple, cols: int) -> "Matrix":
+    """A matrix on rows that are already tuples of encodings (no coercion)."""
+    m = object.__new__(Matrix)
+    m.ctx = ctx
+    m._rows = rows
+    m._cols = cols
+    return m
+
+
+def _box(ctx: FieldCtx, values) -> tuple:
+    return tuple(FieldElement(v, ctx) for v in values)
+
+
 class Matrix:
+    """Rows are tuples of integer encodings in [0, q); the methods that
+    return field values box them into FieldElements."""
+
     __slots__ = ("ctx", "_rows", "_cols")
 
     def __init__(self, ctx: FieldCtx, rows, cols: int | None = None):
         self.ctx = ctx
-        self._rows = tuple(tuple(ctx.elem(e) for e in row) for row in rows)
+        self._rows = tuple(tuple(map(ctx.encode, row)) for row in rows)
         if self._rows:
             w = len(self._rows[0])
             if any(len(r) != w for r in self._rows):
@@ -59,16 +76,16 @@ class Matrix:
         return self._cols
 
     def row(self, i) -> tuple:
-        return self._rows[i]
+        return _box(self.ctx, self._rows[i])
 
     def entry(self, i, j) -> FieldElement:
-        return self._rows[i][j]
+        return FieldElement(self._rows[i][j], self.ctx)
 
     def row_list(self):
-        return [list(r) for r in self._rows]
+        return [list(_box(self.ctx, r)) for r in self._rows]
 
     def to_int_rows(self) -> list[list[int]]:
-        return [[e.value for e in r] for r in self._rows]
+        return [list(r) for r in self._rows]
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.ctx is self.ctx
@@ -78,8 +95,7 @@ class Matrix:
         return hash((id(self.ctx), self._rows))
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(e.value) for e in r)
-                         for r in self._rows)
+        body = "; ".join(" ".join(map(str, r)) for r in self._rows)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     # -- algebra ---------------------------------------------------------------
@@ -88,96 +104,104 @@ class Matrix:
         if other.ctx is not self.ctx:
             raise ContextMismatch("matrices over different fields")
 
+    def _dot_rows(self, v) -> tuple:
+        """M v^T on an encoded vector, as encodings."""
+        add, mul = self.ctx.add_i, self.ctx.mul_i
+        out = []
+        for r in self._rows:
+            acc = 0
+            for a, b in zip(r, v):
+                if a and b:
+                    acc = add(acc, mul(a, b))
+            out.append(acc)
+        return tuple(out)
+
     def transpose(self) -> "Matrix":
-        return Matrix(self.ctx,
-                      [[self._rows[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)],
-                      cols=self.rows)
+        return _of(self.ctx,
+                   tuple(tuple(r[j] for r in self._rows)
+                         for j in range(self.cols)),
+                   self.rows)
 
     def mul(self, other: "Matrix") -> "Matrix":
         self._check_ctx(other)
         if self.cols != other.rows:
             raise BadDims(f"{self.rows}x{self.cols} times "
                           f"{other.rows}x{other.cols}")
-        zero = self.ctx.zero
         ot = other.transpose()
-        out = []
-        for r in self._rows:
-            out.append([sum((a * b for a, b in zip(r, c)), zero)
-                        for c in ot._rows])
-        return Matrix(self.ctx, out, cols=other.cols)
+        return _of(self.ctx,
+                   tuple(ot._dot_rows(r) for r in self._rows), other.cols)
 
     def mat_vec(self, v) -> tuple:
-        v = [self.ctx.elem(x) for x in v]
+        v = tuple(map(self.ctx.encode, v))
         if len(v) != self.cols:
             raise BadDims("vector length does not match column count")
-        zero = self.ctx.zero
-        return tuple(sum((a * b for a, b in zip(r, v)), zero)
-                     for r in self._rows)
+        return _box(self.ctx, self._dot_rows(v))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         self._check_ctx(other)
         if self.rows != other.rows:
             raise BadDims("row counts differ")
-        return Matrix(self.ctx,
-                      [list(a) + list(b)
-                       for a, b in zip(self._rows, other._rows)],
-                      cols=self.cols + other.cols)
+        return _of(self.ctx,
+                   tuple(a + b for a, b in zip(self._rows, other._rows)),
+                   self.cols + other.cols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         self._check_ctx(other)
         if self.rows and other.rows and self.cols != other.cols:
             raise BadDims("column counts differ")
-        return Matrix(self.ctx, list(self._rows) + list(other._rows),
-                      cols=self.cols if self.rows else other.cols)
+        return _of(self.ctx, self._rows + other._rows,
+                   self.cols if self.rows else other.cols)
 
     def with_row(self, v) -> "Matrix":
-        v = [self.ctx.elem(x) for x in v]
+        v = tuple(map(self.ctx.encode, v))
         if self.rows and len(v) != self.cols:
             raise BadDims("row length does not match")
-        return Matrix(self.ctx, list(self._rows) + [v])
+        return _of(self.ctx, self._rows + (v,), len(v))
 
     def with_col(self, v) -> "Matrix":
-        v = [self.ctx.elem(x) for x in v]
+        v = tuple(map(self.ctx.encode, v))
         if len(v) != self.rows:
             raise BadDims("column length does not match")
-        return Matrix(self.ctx,
-                      [list(r) + [e] for r, e in zip(self._rows, v)],
-                      cols=self.cols + 1)
+        return _of(self.ctx,
+                   tuple(r + (e,) for r, e in zip(self._rows, v)),
+                   self.cols + 1)
 
     def select_cols(self, idx) -> "Matrix":
         idx = list(idx)
-        return Matrix(self.ctx, [[r[j] for j in idx] for r in self._rows],
-                      cols=len(idx))
+        return _of(self.ctx, tuple(tuple(r[j] for j in idx)
+                                   for r in self._rows), len(idx))
 
     # -- elimination -------------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns (zero rows kept)."""
-        rows = [list(r) for r in self._rows]
+        ctx = self.ctx
+        sub, mul = ctx.sub_i, ctx.mul_i
+        rows = list(self._rows)
         nr, nc = self.rows, self.cols
         pivots = []
         pr = 0
         for pc in range(nc):
             pivot = None
             for i in range(pr, nr):
-                if rows[i][pc].value:
+                if rows[i][pc]:
                     pivot = i
                     break
             if pivot is None:
                 continue
             rows[pr], rows[pivot] = rows[pivot], rows[pr]
-            inv = rows[pr][pc].inv()
-            rows[pr] = [e * inv for e in rows[pr]]
+            inv = ctx.inv_i(rows[pr][pc])
+            prow = rows[pr] = tuple(mul(e, inv) for e in rows[pr])
             for i in range(nr):
-                if i != pr and rows[i][pc].value:
-                    f = rows[i][pc]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
+                f = rows[i][pc]
+                if i != pr and f:
+                    rows[i] = tuple(sub(a, mul(f, b))
+                                    for a, b in zip(rows[i], prow))
             pivots.append(pc)
             pr += 1
             if pr == nr:
                 break
-        return Matrix(self.ctx, rows, cols=nc), tuple(pivots)
+        return _of(ctx, tuple(rows), nc), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -185,27 +209,30 @@ class Matrix:
     def det(self) -> FieldElement:
         if self.rows != self.cols:
             raise NotSquare(f"{self.rows}x{self.cols} matrix")
-        rows = [list(r) for r in self._rows]
+        ctx = self.ctx
+        sub, mul = ctx.sub_i, ctx.mul_i
+        rows = list(self._rows)
         n = self.rows
-        det = self.ctx.one
+        det = 1
         for c in range(n):
             pivot = None
             for i in range(c, n):
-                if rows[i][c].value:
+                if rows[i][c]:
                     pivot = i
                     break
             if pivot is None:
-                return self.ctx.zero
+                return ctx.zero
             if pivot != c:
                 rows[c], rows[pivot] = rows[pivot], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = rows[c][c].inv()
+                det = ctx.neg_i(det)
+            det = mul(det, rows[c][c])
+            inv = ctx.inv_i(rows[c][c])
             for i in range(c + 1, n):
-                if rows[i][c].value:
-                    f = rows[i][c] * inv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return det
+                if rows[i][c]:
+                    f = mul(rows[i][c], inv)
+                    rows[i] = tuple(sub(a, mul(f, b))
+                                    for a, b in zip(rows[i], rows[c]))
+        return FieldElement(det, ctx)
 
     def nullspace(self) -> "Matrix":
         """Rows form a basis of the right kernel {x : M x^T = 0}, in RREF."""
@@ -214,28 +241,26 @@ class Matrix:
         free = [j for j in range(nc) if j not in pivots]
         basis = []
         for f in free:
-            v = [self.ctx.zero] * nc
-            v[f] = self.ctx.one
+            v = [0] * nc
+            v[f] = 1
             for r, pc in enumerate(pivots):
-                v[pc] = -red.entry(r, f)
-            basis.append(v)
-        return Matrix(self.ctx, basis, cols=nc).rref()[0] if basis \
-            else Matrix(self.ctx, [], cols=nc)
+                v[pc] = self.ctx.neg_i(red._rows[r][f])
+            basis.append(tuple(v))
+        return _of(self.ctx, tuple(basis), nc).rref()[0] if basis \
+            else _of(self.ctx, (), nc)
 
     def solve(self, b) -> tuple:
         """One solution of M x^T = b (free variables set to zero)."""
-        b = [self.ctx.elem(x) for x in b]
+        b = list(b)
         if len(b) != self.rows:
             raise BadDims("rhs length does not match row count")
-        aug = Matrix(self.ctx,
-                     [list(r) + [e] for r, e in zip(self._rows, b)])
-        red, pivots = aug.rref()
+        red, pivots = self.with_col(b).rref()
         if self.cols in pivots:
             raise InconsistentSystem("no solution")
-        x = [self.ctx.zero] * self.cols
+        x = [0] * self.cols
         for r, pc in enumerate(pivots):
-            x[pc] = red.entry(r, self.cols)
-        return tuple(x)
+            x[pc] = red._rows[r][self.cols]
+        return _box(self.ctx, x)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +309,12 @@ def grs_generator(a, v, k: int) -> Matrix:
     n = len(a)
     if not 1 <= k <= n:
         raise BadDims(f"need 1 <= k <= n, got k = {k}, n = {n}")
+    a = [x.value for x in a]
     rows = []
-    cur = list(v)
+    cur = [x.value for x in v]
     for _ in range(k):
-        rows.append(list(cur))
-        cur = [c * x for c, x in zip(cur, a)]
+        rows.append(cur)
+        cur = [ctx.mul_i(c, x) for c, x in zip(cur, a)]
     return Matrix(ctx, rows)
 
 

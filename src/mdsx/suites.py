@@ -39,18 +39,21 @@ from .constructions import (
     thm7_u,
 )
 from .errors import UnknownSuite
-from .field import field_new
+from .field import _prime_factors, field_new
 from .kernels import DEFAULT_BUDGET
 from .matrix import egrs_generator, grs_generator
 
-_FIELD_BY_Q = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1),
-               8: (2, 3), 9: (3, 2), 11: (11, 1), 13: (13, 1), 16: (2, 4)}
-
 
 def _ctx_for_q(q: int):
-    if q not in _FIELD_BY_Q:
-        raise UnknownSuite(f"no field catalogued for q = {q}")
-    return field_new(*_FIELD_BY_Q[q])
+    """GF(q), with the characteristic p and degree m read off q = p^m."""
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise UnknownSuite(f"q = {q} is not a prime power")
+    p = factors[0]
+    m = 1
+    while p ** m < q:
+        m += 1
+    return field_new(p, m)
 
 
 def _grs_spec_dict(ctx, nodes, mult, k, u=None, extended=False):

@@ -49,3 +49,97 @@ def brute_deep_holes(code):
         dist[tuple(e.value for e in v)] = min(hamming(v, c) for c in words)
     rho = max(dist.values())
     return rho, {v for v, d in dist.items() if d == rho}
+
+
+# ---------------------------------------------------------------------------
+# Boxed Gaussian elimination: the slow twin of the int-backed Matrix.  It
+# reads a Matrix through its public, element-returning API and computes with
+# FieldElement arithmetic only.
+# ---------------------------------------------------------------------------
+
+def ref_rref(m):
+    """RREF rows (lists of FieldElements, zero rows kept) and pivots."""
+    return _rref_rows(m.row_list(), m.cols)
+
+
+def _rref_rows(rows, nc):
+    nr = len(rows)
+    pivots = []
+    pr = 0
+    for pc in range(nc):
+        pivot = None
+        for i in range(pr, nr):
+            if rows[i][pc].value:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[pr], rows[pivot] = rows[pivot], rows[pr]
+        inv = rows[pr][pc].inv()
+        rows[pr] = [e * inv for e in rows[pr]]
+        for i in range(nr):
+            if i != pr and rows[i][pc].value:
+                f = rows[i][pc]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == nr:
+            break
+    return rows, tuple(pivots)
+
+
+def ref_rank(m):
+    return len(ref_rref(m)[1])
+
+
+def ref_det(m):
+    rows = m.row_list()
+    n = m.rows
+    det = m.ctx.one
+    for c in range(n):
+        pivot = None
+        for i in range(c, n):
+            if rows[i][c].value:
+                pivot = i
+                break
+        if pivot is None:
+            return m.ctx.zero
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det = det * rows[c][c]
+        inv = rows[c][c].inv()
+        for i in range(c + 1, n):
+            if rows[i][c].value:
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+def ref_nullspace(m):
+    """Basis rows of {x : M x^T = 0} in RREF, as lists of FieldElements."""
+    red, pivots = ref_rref(m)
+    ctx, nc = m.ctx, m.cols
+    basis = []
+    for f in range(nc):
+        if f in pivots:
+            continue
+        v = [ctx.zero] * nc
+        v[f] = ctx.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][f]
+        basis.append(v)
+    return _rref_rows(basis, nc)[0]
+
+
+def ref_solve(m, b):
+    """One solution of M x^T = b with free variables zero; None if none."""
+    ctx, nc = m.ctx, m.cols
+    aug = [r + [ctx.elem(e)] for r, e in zip(m.row_list(), b)]
+    red, pivots = _rref_rows(aug, nc + 1)
+    if nc in pivots:
+        return None
+    x = [ctx.zero] * nc
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][nc]
+    return tuple(x)

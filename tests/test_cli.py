@@ -230,6 +230,20 @@ class TestVerify:
         with _pytest.raises(UnknownSuite):
             run_suite("no-such-suite")
 
+    def test_non_prime_power_q_exits_2(self, capsys):
+        from mdsx.errors import UnknownSuite
+        from mdsx.suites import run_suite
+        rc, _, _ = run(capsys, ["verify", "thm7-identity", "--qs", "6"])
+        assert rc == 2
+        with pytest.raises(UnknownSuite):
+            run_suite("thm7-identity", {"qs": [6]})
+
+    def test_field_derived_from_any_prime_power_q(self):
+        from mdsx.suites import run_suite
+        report = run_suite("thm7-identity", {"qs": [17], "samples": 1})
+        assert report["passed"] is True
+        assert report["cases"][0]["q"] == 17
+
     def test_reports_are_byte_stable(self, capsys):
         _, out1, _ = run(capsys, ["verify", "prs-conjecture", "--qs", "4,5",
                                   "--json"])
