@@ -68,7 +68,7 @@ class CoveringReport:
             targets = [int(s) for s in self.deep_hole_syndromes]
             if limit is not None:
                 targets = targets[:limit]
-            found = _lex_first_weight_vectors(
+            found = kernels.lex_first_weight_vectors(
                 self.code.parity._rows, self.code.n, self.code.ctx,
                 self.rho, set(targets))
             reps = [_box(self.code.ctx, found[t]) for t in targets]
@@ -148,8 +148,8 @@ def syndrome_criterion(h: Matrix, u, rho: int) -> bool:
     if rho == 0:
         return not any(s)
     for cols in combinations(range(h.cols), rho - 1):
-        sub = h.select_cols(cols)
-        if sub.rank() == sub.with_col(s).rank():
+        # s lies in the span of the columns iff it adds no pivot
+        if rho - 1 not in h.select_cols(cols).with_col(s).rref()[1]:
             return False
     return True
 
@@ -165,7 +165,7 @@ def full_radius_witness(code: LinearCode, budget=DEFAULT_BUDGET):
     if report.rho != code.n - code.k:
         return None
     targets = {int(s) for s in report.deep_hole_syndromes}
-    found = _lex_first_weight_vectors(
+    found = kernels.lex_first_weight_vectors(
         code.parity._rows, code.n, code.ctx, report.rho, targets,
         stop_after_first=True)
     packed, vec = next(iter(found.items()))
@@ -206,64 +206,3 @@ def verify_theorem6(code: LinearCode, u, budget=DEFAULT_BUDGET) -> Theorem6Check
             f"extension-MDS biconditional failed: {check} for u = "
             f"{list(code._vec(u))}")
     return check
-
-
-# ---------------------------------------------------------------------------
-# Lexicographically-first fixed-weight coset leaders
-# ---------------------------------------------------------------------------
-
-def _lex_first_weight_vectors(H_int, n, ctx, weight, targets,
-                              stop_after_first=False):
-    """First weight-`weight` vector, in global lexicographic order, whose
-    packed syndrome lies in `targets`; one entry per target unless
-    stop_after_first."""
-    q = ctx.q
-    r = len(H_int)
-    contrib = [[kernels.pack_syndrome(
-        [ctx.mul_i(c, H_int[i][j]) for i in range(r)], q)
-        for c in range(q)] for j in range(n)]
-
-    if ctx.p == 2:
-        def padd(a, b):
-            return a ^ b
-    else:
-        def padd(a, b):
-            out = 0
-            mult = 1
-            for _ in range(r):
-                out += ctx.add_i(a % q, b % q) * mult
-                a //= q
-                b //= q
-                mult *= q
-            return out
-
-    remaining = set(targets)
-    found = {}
-
-    def rec(pos, acc, left, prefix):
-        if not remaining:
-            return
-        if left == 0:
-            if acc in remaining:
-                found[acc] = tuple(prefix + [0] * (n - pos))
-                if stop_after_first:
-                    remaining.clear()
-                else:
-                    remaining.discard(acc)
-            return
-        if n - pos < left:
-            return
-        if n - pos - 1 >= left:
-            rec(pos + 1, acc, left, prefix + [0])
-            if not remaining:
-                return
-        for c in range(1, q):
-            rec(pos + 1, padd(acc, contrib[pos][c]), left - 1, prefix + [c])
-            if not remaining:
-                return
-
-    rec(0, 0, weight, [])
-    if remaining:
-        raise InvariantViolation("no fixed-weight vector reaches some "
-                                 "target syndrome")
-    return found

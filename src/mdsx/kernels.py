@@ -1,15 +1,19 @@
 """Vectorized enumeration kernels for the exhaustive searches.
 
 Codewords and error vectors are enumerated as numpy arrays of integer
-encodings.  In characteristic 2 the encoding makes field addition a plain
-XOR, so syndromes pack into single integers and accumulate with bitwise ops;
-odd characteristic goes through a q x q addition-table gather instead.
+encodings by one chunked fold, `_fold`, which sums one row from each of a
+list of tables.  Field addition on arrays is chosen once per field, in
+`_np_add`: XOR in characteristic 2, a gather from the addition table, or
+a sum mod p in a prime field too large for a table.  Every table of field
+multiples comes from `_multiples`.  In characteristic 2 the encoding makes
+XOR field addition on packed syndromes too, so the syndrome sweep packs
+before it sums; other fields sum digit rows and pack the sums.
 Everything here is deterministic; chunking only bounds memory.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -23,18 +27,32 @@ def _dtype_for(q: int):
     return np.uint8 if q <= 256 else np.uint16
 
 
-def _np_add_table(ctx):
-    if ctx._add is None:
-        raise BudgetExceeded(
-            f"no addition table for {ctx!r}; enumeration kernels support "
-            "characteristic 2 or q <= 1024")
-    return np.array(ctx._add, dtype=_dtype_for(ctx.q))
+def _np_add(ctx):
+    """Elementwise field addition on arrays of encodings."""
+    if ctx.p == 2:
+        return np.bitwise_xor
+    dt = _dtype_for(ctx.q)
+    if ctx._add is not None:
+        table = np.array(ctx._add, dtype=dt)
+        return lambda a, b: table[a, b]
+    if ctx.m == 1:
+        p = ctx.p
+        return lambda a, b: (np.add(a, b, dtype=np.uint32) % p).astype(dt)
+    raise BudgetExceeded(
+        f"no addition table for {ctx!r}; enumeration kernels support "
+        "characteristic 2, prime q, or q <= 1024")
 
 
-def _np_sub_table(ctx):
+def _multiples(ctx, vectors):
+    """out[i, c] = c * vectors[i] for every field element c, from the
+    log/exp tables."""
     q = ctx.q
-    return np.array([[ctx.sub_i(a, b) for b in range(q)] for a in range(q)],
-                    dtype=_dtype_for(q))
+    log = np.array(ctx._log, dtype=np.int64)
+    exp = np.array(ctx._exp, dtype=_dtype_for(q))
+    v = np.asarray(vectors, dtype=np.int64)
+    out = exp[(log[:, None] + log[v][:, None, :]) % (q - 1)]
+    out[:, 0] = 0
+    return out * (v != 0)[:, None, :]
 
 
 def pack_syndrome(digits, q: int) -> int:
@@ -55,17 +73,52 @@ def syndrome_pack_of(H_int, v_int, ctx) -> int:
     return pack_syndrome(digs, ctx.q)
 
 
+def _outer_sum(parts, add):
+    """Every sum of one row from each part, the first part slowest."""
+    acc = parts[0]
+    for nxt in parts[1:]:
+        acc = add(acc[:, None], nxt[None, :]).reshape(-1, *acc.shape[1:])
+    return acc
+
+
+def _fold(parts, add):
+    """Yield, in index order and in chunks, every sum of one row from each
+    part, the first part varying slowest.
+
+    The trailing parts whose row counts multiply to at most _CHUNK_ROWS
+    (at least the last part) are summed once into a block; each sum of the
+    leading parts is then added to that block as an offset.  Parts are 1-D
+    (packed syndromes) or 2-D (rows of digits).
+    """
+    split = len(parts) - 1
+    rows = parts[split].shape[0]
+    while split > 0 and rows * parts[split - 1].shape[0] <= _CHUNK_ROWS:
+        split -= 1
+        rows *= parts[split].shape[0]
+    block = _outer_sum(parts[split:], add)
+    if split == 0:
+        yield block
+        return
+    for offset in _outer_sum(parts[:split], add):
+        yield add(block, offset)
+
+
+def _syndrome_table(H_int, n: int, ctx):
+    """Syndromes of c * e_j as table[j, c], the add that sums them and the
+    map from sums to packed syndromes (digit i times q^i)."""
+    r = len(H_int)
+    radix = ctx.q ** np.arange(r, dtype=np.int64)
+    add = _np_add(ctx)
+    table = _multiples(ctx, np.array(H_int, dtype=np.int64).reshape(r, n).T)
+    if ctx.p == 2:
+        # XOR on the packing is field addition: pack once, sum packed ints
+        return table.astype(np.int64) @ radix, add, lambda s: s
+    return table, add, lambda s: s.astype(np.int64) @ radix
+
+
 # ---------------------------------------------------------------------------
 # Codeword enumeration
 # ---------------------------------------------------------------------------
-
-def _scaled_rows(G_int, ctx):
-    """scaled[i][c] = c * (row i), one (q, n) array per generator row."""
-    q = ctx.q
-    dt = _dtype_for(q)
-    return [np.array([[ctx.mul_i(c, g) for g in row] for c in range(q)],
-                     dtype=dt) for row in G_int]
-
 
 def codeword_blocks(G_int, ctx, budget=DEFAULT_BUDGET):
     """Yield (start_index, block) covering all q^k codewords in index order.
@@ -81,45 +134,11 @@ def codeword_blocks(G_int, ctx, budget=DEFAULT_BUDGET):
     if k == 0:
         yield 0, np.zeros((1, n), dtype=_dtype_for(q))
         return
-    scaled = _scaled_rows(G_int, ctx)
-    char2 = ctx.p == 2
-    add = None if char2 else _np_add_table(ctx)
-
-    inner = 0
-    while inner < k and q ** (inner + 1) <= _CHUNK_ROWS:
-        inner += 1
-    inner = max(inner, 1)
-
-    block = np.zeros((1, n), dtype=_dtype_for(q))
-    for i in range(inner):
-        s = scaled[i]
-        if char2:
-            block = np.bitwise_xor(s[:, None, :], block[None, :, :])
-        else:
-            block = add[s[:, None, :], block[None, :, :]]
-        block = block.reshape(-1, n)
-
-    if inner == k:
-        yield 0, block
-        return
-
-    outer_rows = G_int[inner:]
-    stride = q ** inner
-    idx = 0
-    # outer digits vary slowest; product(... reversed) keeps global index order
-    for digits in product(range(q), repeat=k - inner):
-        digits = digits[::-1]
-        off = [0] * n
-        for d, row in zip(digits, outer_rows):
-            if d:
-                for j, g in enumerate(row):
-                    off[j] = ctx.add_i(off[j], ctx.mul_i(d, g))
-        offv = np.array(off, dtype=block.dtype)
-        if char2:
-            yield idx, np.bitwise_xor(block, offv[None, :])
-        else:
-            yield idx, add[block, offv[None, :]]
-        idx += stride
+    start = 0
+    # the last row's coefficient varies slowest, so it leads the fold
+    for block in _fold(_multiples(ctx, G_int)[::-1], _np_add(ctx)):
+        yield start, block
+        start += block.shape[0]
 
 
 def min_weight_nonzero(G_int, ctx, budget=DEFAULT_BUDGET) -> int:
@@ -149,14 +168,11 @@ def weight_counts(G_int, ctx, budget=DEFAULT_BUDGET) -> list[int]:
 
 def min_distance_to_vector(G_int, v_int, ctx, budget=DEFAULT_BUDGET) -> int:
     """Exact min over codewords c of the Hamming distance d(v, c)."""
-    v = np.array(v_int, dtype=_dtype_for(ctx.q))
-    char2 = ctx.p == 2
-    sub = None if char2 else _np_sub_table(ctx)
+    neg_v = np.array([ctx.neg_i(x) for x in v_int], dtype=_dtype_for(ctx.q))
+    add = _np_add(ctx)
     best = None
     for _, block in codeword_blocks(G_int, ctx, budget):
-        diff = np.bitwise_xor(v[None, :], block) if char2 \
-            else sub[v[None, :], block]
-        m = int(np.count_nonzero(diff, axis=1).min())
+        m = int(np.count_nonzero(add(block, neg_v), axis=1).min())
         if best is None or m < best:
             best = m
         if best == 0:
@@ -167,53 +183,6 @@ def min_distance_to_vector(G_int, v_int, ctx, budget=DEFAULT_BUDGET) -> int:
 # ---------------------------------------------------------------------------
 # Coset-leader weights by increasing-weight syndrome sweep
 # ---------------------------------------------------------------------------
-
-def _column_contributions(H_int, ctx):
-    """Per column j: packed (and, for odd p, digit-array) syndromes of c*h_j."""
-    q = ctx.q
-    r = len(H_int)
-    packs = []
-    digs = []
-    for j in range(len(H_int[0])):
-        col = [H_int[i][j] for i in range(r)]
-        mat = [[ctx.mul_i(c, h) for h in col] for c in range(q)]
-        packs.append(np.array([pack_syndrome(row, q) for row in mat],
-                              dtype=np.int64))
-        digs.append(np.array(mat, dtype=_dtype_for(q)))
-    return packs, digs
-
-
-def _fold_packed_char2(parts, offset=0):
-    total = 1
-    for p in parts:
-        total *= p.size
-    if total <= _CHUNK_ROWS or len(parts) == 1:
-        acc = parts[0]
-        for nxt in parts[1:]:
-            acc = np.bitwise_xor(acc[:, None], nxt[None, :]).reshape(-1)
-        yield np.bitwise_xor(acc, offset) if offset else acc
-    else:
-        for v in parts[0]:
-            yield from _fold_packed_char2(parts[1:], offset ^ int(v))
-
-
-def _fold_digits(parts, add, radix, offset=None):
-    total = 1
-    for p in parts:
-        total *= p.shape[0]
-    if total <= _CHUNK_ROWS or len(parts) == 1:
-        acc = parts[0]
-        for nxt in parts[1:]:
-            acc = add[acc[:, None, :], nxt[None, :, :]].reshape(
-                -1, acc.shape[1])
-        if offset is not None:
-            acc = add[acc, offset[None, :]]
-        yield acc.astype(np.int64) @ radix
-    else:
-        for row in parts[0]:
-            off = row if offset is None else add[offset, row]
-            yield from _fold_digits(parts[1:], add, radix, off)
-
 
 def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
     """Leader weight per packed syndrome, plus the covering radius.
@@ -232,21 +201,13 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
     if total == 1:
         return leader, 0
 
-    packs, digs = _column_contributions(H_int, ctx)
-    char2 = ctx.p == 2
-    add = None if char2 else _np_add_table(ctx)
-    radix = q ** np.arange(r, dtype=np.int64)
-
+    table, add, pack = _syndrome_table(H_int, n, ctx)
     covered = 1
     rho = 0
     for w in range(1, n + 1):
         for support in combinations(range(n), w):
-            if char2:
-                chunks = _fold_packed_char2([packs[j][1:] for j in support])
-            else:
-                chunks = _fold_digits([digs[j][1:] for j in support],
-                                      add, radix)
-            for syn in chunks:
+            for chunk in _fold([table[j, 1:] for j in support], add):
+                syn = pack(chunk)
                 fresh = syn[leader[syn] == 0xFF]
                 if fresh.size:
                     uniq = np.unique(fresh)
@@ -261,3 +222,62 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
         raise InvariantViolation("syndrome sweep did not terminate; "
                                  "parity check matrix is rank deficient")
     return leader, rho
+
+
+# ---------------------------------------------------------------------------
+# Lexicographically-first fixed-weight coset leaders
+# ---------------------------------------------------------------------------
+
+def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
+                             stop_after_first=False):
+    """First weight-`weight` vector, in global lexicographic order, whose
+    packed syndrome lies in `targets`; one entry per target unless
+    stop_after_first.
+
+    Depth-first over positions, a zero entry before the nonzero ones; the
+    last nonzero entry is placed in one batch per prefix.
+    """
+    q = ctx.q
+    table, add, pack = _syndrome_table(H_int, n, ctx)
+    wanted = np.zeros(q ** len(H_int), dtype=bool)
+    wanted[list(targets)] = True
+    # weight-one tails in lexicographic order: the last position first,
+    # values ascending; those of positions pos..n-1 are a prefix of this
+    tails = table[::-1, 1:].reshape(n * (q - 1), *table.shape[2:])
+    found = {}
+    remaining = len(targets)
+
+    def rec(pos, acc, left, prefix):
+        nonlocal remaining
+        if not remaining or n - pos < left:
+            return
+        if left == 1:
+            syn = pack(add(acc, tails[:(n - pos) * (q - 1)]))
+            hits = np.flatnonzero(wanted[syn])
+            if not hits.size:
+                return
+            if stop_after_first:
+                hits = hits[:1]
+            new, first = np.unique(syn[hits], return_index=True)
+            for s, i in zip(new.tolist(), hits[first].tolist()):
+                v = prefix + [0] * (n - pos)
+                v[n - 1 - i // (q - 1)] = 1 + i % (q - 1)
+                found[s] = tuple(v)
+            wanted[new] = False
+            remaining = 0 if stop_after_first else remaining - new.size
+            return
+        if n - pos - 1 >= left:
+            rec(pos + 1, acc, left, prefix + [0])
+        for c in range(1, q):
+            rec(pos + 1, add(acc, table[pos, c]), left - 1, prefix + [c])
+
+    if weight == 0:
+        if wanted[0]:
+            found[0] = (0,) * n
+            remaining = 0 if stop_after_first else remaining - 1
+    else:
+        rec(0, table[0, 0], weight, [])
+    if remaining:
+        raise InvariantViolation("no fixed-weight vector reaches some "
+                                 "target syndrome")
+    return found

@@ -98,8 +98,7 @@ def suite_thm6_exhaustive(params):
                         rep = covering_radius(dual, budget)
                         rho_is_k = rep.rho == k
                         checked_codes += 1
-                        for uvals in product(range(q), repeat=n):
-                            u = ctx.vector(uvals)
+                        for u in product(range(q), repeat=n):
                             lhs = code.extend_u(u).is_mds(budget)
                             rhs = (rho_is_k
                                    and rep.leader_weight(u) == rep.rho)
@@ -107,7 +106,7 @@ def suite_thm6_exhaustive(params):
                             if lhs != rhs and counterexample is None:
                                 ok = False
                                 counterexample = _grs_spec_dict(
-                                    ctx, nodes, mult, k, u=uvals)
+                                    ctx, nodes, mult, k, u=u)
                 if counterexample is not None:
                     break
             cases.append({"q": q, "n": n, "codes": checked_codes,
@@ -417,8 +416,7 @@ def _criteria_agreement_cases(budget):
             mds = code.is_mds(budget)
             checked = 0
             agree = True
-            for uvals in product(range(q), repeat=code.n):
-                u = ctx.vector(uvals)
+            for u in product(range(q), repeat=code.n):
                 dh = rep.leader_weight(u) == rep.rho
                 sc = syndrome_criterion(code.parity, u, rep.rho)
                 ok = dh == sc
@@ -428,8 +426,7 @@ def _criteria_agreement_cases(budget):
                 if not ok:
                     agree = False
                     if first_bad is None:
-                        first_bad = {"q": q, "code": name,
-                                     "u": list(uvals)}
+                        first_bad = {"q": q, "code": name, "u": list(u)}
                     break
             cases.append({"q": q, "code": name, "rho": rep.rho,
                           "minor_test_applicable": bool(mds and full
@@ -455,8 +452,7 @@ def _extension_kind_cases():
         for name, code in codes:
             n, k = code.n, code.k
             fibers = {}
-            for uvals in product(range(q), repeat=n):
-                u = ctx.vector(uvals)
+            for u in product(range(q), repeat=n):
                 g = tuple(e.value for e in code.generator.mat_vec(u))
                 fibers.setdefault(g, []).append(u)
             sizes_ok = all(len(v) == q ** (n - k) for v in fibers.values())

@@ -1,6 +1,7 @@
 """Independent brute-force oracles, kept deliberately naive."""
 
 from itertools import product
+from math import comb
 
 
 def all_vectors(ctx, n):
@@ -26,6 +27,13 @@ def brute_min_distance(code):
                if any(e.value for e in c))
 
 
+def brute_weight_enumerator(code):
+    counts = [0] * (code.n + 1)
+    for c in code.codewords():
+        counts[weight(c)] += 1
+    return counts
+
+
 def brute_distance_to_code(code, v):
     return min(hamming(v, c) for c in code.codewords())
 
@@ -39,6 +47,29 @@ def brute_covering_radius(code):
         if d > best:
             best = d
     return best
+
+
+def brute_coset_leader_weight_counts(code):
+    """Cosets per leader weight 0..rho, from the distance of every vector
+    to the code (each coset holds q^k vectors at its leader's distance)."""
+    words = list(code.codewords())
+    counts = [0] * (code.n + 1)
+    for v in all_vectors(code.ctx, code.n):
+        counts[min(hamming(v, c) for c in words)] += 1
+    rho = max(d for d, c in enumerate(counts) if c)
+    return [c // code.ctx.q ** code.k for c in counts[:rho + 1]]
+
+
+def mds_weight_enumerator(n, k, q):
+    """Weight distribution shared by every [n, k] MDS code over GF(q)
+    (closed form)."""
+    d = n - k + 1
+    out = [1] + [0] * n
+    for w in range(d, n + 1):
+        out[w] = comb(n, w) * sum(
+            (-1) ** j * comb(w, j) * (q ** (w - d + 1 - j) - 1)
+            for j in range(w - d + 1))
+    return out
 
 
 def brute_deep_holes(code):

@@ -1,5 +1,6 @@
 """CLI behavior: JSON payloads, exit codes, round-trips, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -250,6 +251,34 @@ class TestVerify:
         _, out2, _ = run(capsys, ["verify", "prs-conjecture", "--qs", "4,5",
                                   "--json"])
         assert out1 == out2
+
+    # sha256 of `mdsx verify <suite> --json --seed 7` stdout (thm6-exhaustive
+    # with --max-n 3): the reports must stay byte-identical, and the same
+    # values gate the verify-suites benchmark (bench/workloads.py).
+    @pytest.mark.parametrize("suite, extra, digest", [
+        ("thm6-exhaustive", ["--max-n", "3"],
+         "6906e7ecaa6675fa41dba280b15113a91dd81c492fc6f135ea18f72ac034bbcb"),
+        ("thm7-identity", [],
+         "3a2aeccdadda097fa2e002c87896125c1550b6693f5d5b406980422e88280271"),
+        ("thm12-identity", [],
+         "f25f52d4eaab1c09b7c985e66bab837bc0f3014f1fce2a25df4797466d260b1f"),
+        ("thm14-consistency", [],
+         "24dde7ea00c8f962c4953965e3164494b5b85bc6212345e7c4d88190013f99bb"),
+        ("examples-1-2-3", [],
+         "eb7b08b3e09794a2b00418859a5069bc2783169433bad0b856f811bfdce801f5"),
+        ("prs-conjecture", [],
+         "246bac7750358430f5121166bfec2484e9830d5518114baebc705e26e4b8427c"),
+        ("cyclic-cu", [],
+         "c50209dcae61a6c3134b9d8468bb044a9c11551822ba9db43c68c356a57c273d"),
+        ("dp-vs-bruteforce", [],
+         "2c5b052317cf32a004988d250991fd47b87105e5d93f424000656d0163cdfac4"),
+    ])
+    def test_reports_match_recorded_digests(self, capsys, suite, extra,
+                                            digest):
+        rc, out, _ = run(capsys, ["verify", suite, "--json", "--seed", "7"]
+                         + extra)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_build_outputs_byte_stable(self, capsys, spec_file):
         path = spec_file(EX1_SPEC)

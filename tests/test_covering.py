@@ -105,10 +105,13 @@ class TestCoveringRadius:
 
 
 class TestRepresentatives:
-    def test_lex_first_leaders(self):
+    # odd characteristic and characteristic 2 (packed syndromes add by XOR)
+    @pytest.mark.parametrize("code", [
+        DUAL42, egrs_dual_code(gf4.vector([0, 1, 2, 3]), 3)],
+        ids=["gf5", "gf4"])
+    def test_lex_first_leaders(self, code):
         # brute force: for each deep-hole coset, the lexicographically
         # smallest minimum-weight vector
-        code = DUAL42
         rep = covering_radius(code)
         rho, holes = helpers.brute_deep_holes(code)
         assert rho == rep.rho
