@@ -8,6 +8,13 @@ a sum mod p in a prime field too large for a table.  Every table of field
 multiples comes from `_multiples`.  In characteristic 2 the encoding makes
 XOR field addition on packed syndromes too, so the syndrome sweep packs
 before it sums; other fields sum digit rows and pack the sums.
+
+The coset-leader sweep works on scalar orbits: c*e has the weight of e and
+the syndrome c*s for every c != 0, so one leader weight holds on all of
+{c*s}.  It folds only error vectors whose first nonzero entry is 1 and
+writes each fresh syndrome's weight to its q-1 multiples.  It writes, then
+counts: each fresh syndrome covers exactly q-1 syndromes, so the count of
+covered syndromes needs no deduplication.
 Everything here is deterministic; chunking only bounds memory.
 """
 
@@ -44,15 +51,19 @@ def _np_add(ctx):
 
 
 def _multiples(ctx, vectors):
-    """out[i, c] = c * vectors[i] for every field element c, from the
-    log/exp tables."""
-    q = ctx.q
+    """out[i, c] = c * vectors[i] for every field element c.
+
+    One log/exp layout, with no modulo: exp runs over two periods, so the
+    sum of two logs never wraps, and log(0) points past them into zeros, so
+    every product with 0 reads a zero.
+    """
+    log_zero = 2 * (ctx.q - 1)
     log = np.array(ctx._log, dtype=np.int64)
-    exp = np.array(ctx._exp, dtype=_dtype_for(q))
+    log[0] = log_zero
+    exp = np.zeros(2 * log_zero + 1, dtype=_dtype_for(ctx.q))
+    exp[:log_zero] = ctx._exp * 2
     v = np.asarray(vectors, dtype=np.int64)
-    out = exp[(log[:, None] + log[v][:, None, :]) % (q - 1)]
-    out[:, 0] = 0
-    return out * (v != 0)[:, None, :]
+    return exp[log[v][:, None, :] + log[:, None]]
 
 
 def pack_syndrome(digits, q: int) -> int:
@@ -190,6 +201,20 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
     Enumerates error vectors by increasing weight and records the first
     weight at which each syndrome appears; stops once every syndrome is
     covered.  The result does not depend on the per-weight visit order.
+
+    For c != 0, c*e has the weight of e and the syndrome c*s, so the leader
+    weight is constant on each orbit {c*s}.  Each support therefore folds
+    only its vectors with a 1 at its first position, and every fresh
+    syndrome s gets the weight written to all q-1 multiples c*s.
+
+    Each fresh syndrome adds exactly q-1 to the covered count.  Syndromes
+    written in earlier chunks are not fresh, and no two fresh syndromes of
+    one chunk share an orbit.  Suppose folded vectors e1 != e2 on support
+    S, |S| = w, have H e1 = c H e2.  Then u = e1 - c*e2 is a codeword
+    inside S; it is nonzero, since its entry at the first position of S is
+    1 - c, and for c = 1 it is e1 - e2.  Pick i with u_i != 0:
+    e1 - (e1_i / u_i)*u lies in the coset of e1 and weighs less than w, so
+    H e1 is not fresh.
     """
     q = ctx.q
     r = len(H_int)
@@ -202,26 +227,25 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
         return leader, 0
 
     table, add, pack = _syndrome_table(H_int, n, ctx)
+    radix = q ** np.arange(r, dtype=np.int64)
+    # expansion batches keep the (batch, q, r) array of logs in _CHUNK_ROWS
+    batch = max(1, _CHUNK_ROWS // (q * r))
     covered = 1
-    rho = 0
     for w in range(1, n + 1):
         for support in combinations(range(n), w):
-            for chunk in _fold([table[j, 1:] for j in support], add):
+            parts = [table[support[0], 1:2]]
+            parts += [table[j, 1:] for j in support[1:]]
+            for chunk in _fold(parts, add):
                 syn = pack(chunk)
                 fresh = syn[leader[syn] == 0xFF]
-                if fresh.size:
-                    uniq = np.unique(fresh)
-                    leader[uniq] = w
-                    covered += uniq.size
+                for i in range(0, fresh.size, batch):
+                    digits = fresh[i:i + batch, None] // radix % q
+                    leader[_multiples(ctx, digits)[:, 1:] @ radix] = w
+                covered += (q - 1) * fresh.size
             if covered == total:
-                break
-        if covered == total:
-            rho = w
-            break
-    if covered != total:
-        raise InvariantViolation("syndrome sweep did not terminate; "
-                                 "parity check matrix is rank deficient")
-    return leader, rho
+                return leader, w
+    raise InvariantViolation("syndrome sweep did not terminate; "
+                             "parity check matrix is rank deficient")
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,26 @@ def brute_coset_leader_weight_counts(code):
     return [c // code.ctx.q ** code.k for c in counts[:rho + 1]]
 
 
+def brute_coset_leaders(code):
+    """Leader weight per packed syndrome (digit i times q^i) and the
+    covering radius, from the syndrome under code.parity of every vector,
+    computed entry by entry with scalar field operations."""
+    ctx, q = code.ctx, code.ctx.q
+    H = code.parity.to_int_rows()
+    leader = [None] * q ** len(H)
+    for v in product(range(q), repeat=code.n):
+        s = 0
+        for i, row in enumerate(H):
+            digit = 0
+            for h, x in zip(row, v):
+                digit = ctx.add_i(digit, ctx.mul_i(h, x))
+            s += digit * q ** i
+        w = sum(1 for x in v if x)
+        if leader[s] is None or w < leader[s]:
+            leader[s] = w
+    return leader, max(leader)
+
+
 def mds_weight_enumerator(n, k, q):
     """Weight distribution shared by every [n, k] MDS code over GF(q)
     (closed form)."""

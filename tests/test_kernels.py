@@ -1,22 +1,37 @@
 """Enumeration kernels against unchunked runs and the brute-force oracles."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from mdsx import kernels
-from mdsx.code import code_from_generator
-from mdsx.constructions import GrsSpec, egrs_dual_code, grs
+from mdsx.code import code_from_generator, full_code, zero_code
+from mdsx.constructions import GrsSpec, egrs_dual_code, grs, prs
 from mdsx.covering import covering_radius, distance_to_code
-from mdsx.errors import BudgetExceeded
+from mdsx.errors import BudgetExceeded, InvariantViolation
 from mdsx.field import field_new
 from mdsx.matrix import Matrix
 
 
 def _small_codes(q):
-    """Codes whose codeword count or sweep layers exceed 16 rows, so a
-    16-row chunk limit splits the fold, with brute force still cheap."""
+    """Codes with brute force still cheap.  For q >= 4 their codeword
+    count or sweep layers exceed 16 rows, so a 16-row chunk limit splits
+    the fold; over GF(2) a syndrome's scalar orbit is itself, over GF(3)
+    it holds two syndromes."""
+    if q == 2:
+        hamming = code_from_generator(Matrix(field_new(2, 1), [
+            [1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1],
+            [0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 1]]))  # [7,4], rho 1
+        return [hamming, hamming.dual()]  # the simplex code has rho 3
+    if q == 3:
+        gf3 = field_new(3, 1)
+        tetracode = code_from_generator(Matrix(gf3, [[1, 0, 1, 1],
+                                                     [0, 1, 1, 2]]))
+        return [tetracode, code_from_generator(Matrix(gf3, [[1, 1, 1, 1]]))]
     if q == 4:
         code = egrs_dual_code(field_new(2, 2).vector(range(4)), 3)  # rho 3
         return [code, code.dual()]
@@ -28,21 +43,29 @@ def _small_codes(q):
     return [code, code.dual()]
 
 
+def _fresh(code):
+    """A copy with nothing cached from an earlier run; its parity check,
+    and so its syndrome packing, is the nullspace of the reduced
+    generator."""
+    return code_from_generator(Matrix(code.ctx, code.generator.to_int_rows()))
+
+
 def _results(code, vectors):
-    # a fresh copy: nothing cached from an earlier run
-    code = code_from_generator(Matrix(code.ctx, code.generator.to_int_rows()))
+    code = _fresh(code)
     rows = code.generator.to_int_rows()
+    report = covering_radius(code)
     return {
         "weights": code.weight_enumerator(),
         "d": code.min_distance(),
         # the codeword route of distance_to_code
         "distances": [kernels.min_distance_to_vector(rows, v, code.ctx)
                       for v in vectors],
-        "leaders": covering_radius(code).coset_leader_weight_counts(),
+        "leaders": (report._leader.tolist(), report.rho),
+        "leader_counts": report.coset_leader_weight_counts(),
     }
 
 
-@pytest.mark.parametrize("q", [4, 5, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_split_fold_matches_unsplit_and_brute_force(q, monkeypatch):
     rng = random.Random(q)
     for code in _small_codes(q):
@@ -54,10 +77,12 @@ def test_split_fold_matches_unsplit_and_brute_force(q, monkeypatch):
             "d": helpers.brute_min_distance(code),
             "distances": [helpers.brute_distance_to_code(
                 code, code.ctx.vector(v)) for v in vectors],
-            "leaders": helpers.brute_coset_leader_weight_counts(code),
+            "leaders": helpers.brute_coset_leaders(_fresh(code)),
+            "leader_counts": helpers.brute_coset_leader_weight_counts(code),
         }
         assert whole == brute
-        # 1 row: every part but the last becomes an offset
+        # 1 row: every part but the last becomes an offset, and the sweep
+        # expands one fresh syndrome's multiples at a time
         for rows in (16, 1):
             monkeypatch.setattr(kernels, "_CHUNK_ROWS", rows)
             assert _results(code, vectors) == whole
@@ -96,3 +121,57 @@ def test_non_prime_field_beyond_the_addition_table_is_refused():
     code = grs(GrsSpec.make(gf, [0, 1], 1, 1))
     with pytest.raises(BudgetExceeded):
         code.weight_enumerator()
+
+
+FIELDS = [field_new(p, m) for p, m in
+          ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+
+
+@st.composite
+def sweep_codes(draw):
+    """Codes with q^n <= 10^4: random generators, reduced (so non-MDS and
+    rank-deficient draws give smaller codes), the zero code (r = n) and the
+    full space (r = 0)."""
+    ctx = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, max(n for n in range(1, 14)
+                                if ctx.q ** n <= 10 ** 4)))
+    kind = draw(st.sampled_from(("random", "random", "zero", "full")))
+    if kind == "zero":
+        return zero_code(ctx, n)
+    if kind == "full":
+        return full_code(ctx, n)
+    # zeros drawn often give codes of small distance; n + 1 rows are
+    # always dependent
+    entry = st.one_of(st.just(0), st.integers(0, ctx.q - 1))
+    rows = [[draw(entry) for _ in range(n)]
+            for _ in range(draw(st.integers(1, n + 1)))]
+    return code_from_generator(Matrix(ctx, rows), allow_zero=True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sweep_codes())
+def test_sweep_matches_syndrome_oracle(code):
+    report = covering_radius(code)
+    assert (report._leader.tolist(), report.rho) \
+        == helpers.brute_coset_leaders(code)
+
+
+@pytest.mark.parametrize("pm", [(2, 1), (3, 1), (2, 2)])
+def test_rank_deficient_parity_check_is_refused(pm):
+    # the repeated row leaves all but q^2 of the q^3 syndromes unreachable
+    H = [[1, 0, 1, 1], [0, 1, 1, 1], [0, 1, 1, 1]]
+    with pytest.raises(InvariantViolation):
+        kernels.coset_leader_weights(H, 4, field_new(*pm))
+
+
+@pytest.mark.parametrize("pm, k, digest", [
+    # characteristic 2, deficient radius: the sweep stops mid-layer
+    ((2, 4), 12,
+     "5cd20403e613205d260c45ecc5acbbb1a670259c4321ecd7b1580d06493c86f5"),
+    # odd q: sums of digit rows
+    ((3, 2), 4,
+     "c7fd7811036a67cd5173bbfbfd9c2eb89c01896a328fd57f6ea75a176c99bf55"),
+], ids=["prs17.12-gf16", "prs10.4-gf9"])
+def test_leader_arrays_match_recorded_digests(pm, k, digest):
+    leader = covering_radius(prs(field_new(*pm), k))._leader
+    assert hashlib.sha256(leader.tobytes()).hexdigest() == digest
