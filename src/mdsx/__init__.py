@@ -13,7 +13,6 @@ from .field import (
 )
 from .matrix import (
     Matrix,
-    all_k_columns_independent,
     egrs_generator,
     first_dependent_columns,
     grs_generator,

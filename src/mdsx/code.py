@@ -8,8 +8,6 @@ idempotent.
 
 from __future__ import annotations
 
-from itertools import product
-
 from . import kernels
 from .errors import (
     BadDims,
@@ -20,7 +18,7 @@ from .errors import (
 )
 from .field import FieldCtx
 from .kernels import DEFAULT_BUDGET
-from .matrix import Matrix, _of, first_dependent_columns
+from .matrix import Matrix, _box, _of, first_dependent_columns
 
 
 class LinearCode:
@@ -60,17 +58,15 @@ class LinearCode:
         return not any(self.parity._dot_rows(self._vec(v)))
 
     def codewords(self):
-        """All codewords (desk scale only)."""
-        rows = self.generator.row_list()
-        zero = tuple([self.ctx.zero] * self.n)
-        for coeffs in product(range(self.ctx.q), repeat=self.k):
-            w = list(zero)
-            for c, row in zip(coeffs, rows):
-                if c:
-                    ce = self.ctx.elem(c)
-                    for j, g in enumerate(row):
-                        w[j] = w[j] + ce * g
-            yield tuple(w)
+        """All codewords, the first row's coefficient slowest (desk scale:
+        at most DEFAULT_BUDGET); the kernel runs its last row slowest."""
+        if self.k == 0:
+            yield _box(self.ctx, [0] * self.n)
+            return
+        for _, block in kernels.codeword_blocks(self.generator._rows[::-1],
+                                                self.ctx):
+            for word in block.tolist():
+                yield _box(self.ctx, word)
 
     def _vec(self, v) -> tuple:
         """Encodings of a length-n vector of ints or field elements."""
@@ -90,8 +86,9 @@ class LinearCode:
             self._d = 1
             return 1
         if self.ctx.q ** self.k <= budget:
-            d = kernels.min_weight_nonzero(self.generator.to_int_rows(),
+            counts = kernels.weight_counts(self.generator.to_int_rows(),
                                            self.ctx, budget)
+            d = next(w for w in range(1, self.n + 1) if counts[w])
         else:
             d = self._min_distance_by_supports()
         self._d = d

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .code import LinearCode
 from .kernels import DEFAULT_BUDGET
-from .matrix import Matrix, _box, all_k_columns_independent
+from .matrix import Matrix, _box, first_dependent_columns
 
 
 class CoveringReport:
@@ -43,8 +43,8 @@ class CoveringReport:
     def leader_weight(self, v) -> int:
         """Coset-leader weight of the coset of v (= distance from v to the
         code)."""
-        packed = kernels.syndrome_pack_of(
-            self.code.parity._rows, self.code._vec(v), self.code.ctx)
+        packed = kernels.pack_syndrome(
+            self.code.parity._dot_rows(self.code._vec(v)), self.code.ctx.q)
         return int(self._leader[packed])
 
     @property
@@ -109,8 +109,9 @@ def distance_to_code(code: LinearCode, v, budget=DEFAULT_BUDGET) -> int:
         return code._covering.leader_weight(v)
     q = code.ctx.q
     if code.k > 0 and q ** code.k <= min(budget, q ** (code.n - code.k)):
-        return kernels.min_distance_to_vector(code.generator._rows, v,
-                                              code.ctx, budget)
+        counts = kernels.weight_counts(code.generator._rows, code.ctx,
+                                       budget, v)
+        return next(w for w, c in enumerate(counts) if c)
     return covering_radius(code, budget).leader_weight(v)
 
 
@@ -133,7 +134,7 @@ def is_deep_hole_via_mds(code: LinearCode, u, budget=DEFAULT_BUDGET) -> bool:
         raise CoveringRadiusDeficient(
             f"covering radius {report.rho} < n-k = {code.n - code.k}")
     stacked = code.generator.with_row(code._vec(u))
-    return all_k_columns_independent(stacked, code.k + 1)
+    return first_dependent_columns(stacked, code.k + 1) is None
 
 
 def syndrome_criterion(h: Matrix, u, rho: int) -> bool:
@@ -170,7 +171,7 @@ def full_radius_witness(code: LinearCode, budget=DEFAULT_BUDGET):
         stop_after_first=True)
     packed, vec = next(iter(found.items()))
     stacked = code.generator.with_row(vec)
-    if not all_k_columns_independent(stacked, code.k + 1):
+    if first_dependent_columns(stacked, code.k + 1) is not None:
         raise InvariantViolation("deep-hole witness failed the minor check")
     return _box(code.ctx, vec)
 

@@ -336,12 +336,6 @@ class FieldCtx:
 
     # -- misc ------------------------------------------------------------------
 
-    def descriptor(self) -> dict:
-        d = {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
-        if self.base is not None:
-            d["base"] = self.base.descriptor()
-        return d
-
     def __repr__(self):
         return f"GF({self.q})"
 

@@ -2,12 +2,14 @@
 
 Codewords and error vectors are enumerated as numpy arrays of integer
 encodings by one chunked fold, `_fold`, which sums one row from each of a
-list of tables.  Field addition on arrays is chosen once per field, in
-`_np_add`: XOR in characteristic 2, a gather from the addition table, or
-a sum mod p in a prime field too large for a table.  Every table of field
-multiples comes from `_multiples`.  In characteristic 2 the encoding makes
-XOR field addition on packed syndromes too, so the syndrome sweep packs
-before it sums; other fields sum digit rows and pack the sums.
+list of tables.  The one codeword scan, `weight_counts`, histograms
+wt(c - v) over all codewords c: the weight enumerator, d and the codeword
+route of the distance to v.  Field addition on arrays is chosen once per
+field, in `_np_add`: XOR in characteristic 2, a gather from the addition
+table, or a sum mod p in a prime field too large for a table.  Every table
+of field multiples comes from `_multiples`.  In characteristic 2 the
+encoding makes XOR field addition on packed syndromes too, so the syndrome
+sweep packs before it sums; other fields sum digit rows and pack the sums.
 
 The coset-leader sweep works on scalar orbits: c*e has the weight of e and
 the syndrome c*s for every c != 0, so one leader weight holds on all of
@@ -71,17 +73,6 @@ def pack_syndrome(digits, q: int) -> int:
     for d in reversed(list(digits)):
         v = v * q + int(d)
     return v
-
-
-def syndrome_pack_of(H_int, v_int, ctx) -> int:
-    """Packed syndrome of a vector under parity rows H_int."""
-    digs = []
-    for row in H_int:
-        acc = 0
-        for h, x in zip(row, v_int):
-            acc = ctx.add_i(acc, ctx.mul_i(h, x))
-        digs.append(acc)
-    return pack_syndrome(digs, ctx.q)
 
 
 def _outer_sum(parts, add):
@@ -152,43 +143,18 @@ def codeword_blocks(G_int, ctx, budget=DEFAULT_BUDGET):
         start += block.shape[0]
 
 
-def min_weight_nonzero(G_int, ctx, budget=DEFAULT_BUDGET) -> int:
-    """Exact minimum Hamming weight over nonzero codewords."""
-    best = None
-    for start, block in codeword_blocks(G_int, ctx, budget):
-        w = np.count_nonzero(block, axis=1)
-        if start == 0:
-            w = w[1:]  # drop the zero message
-        if w.size:
-            m = int(w.min())
-            if best is None or m < best:
-                best = m
-    if best is None:
-        raise InvariantViolation("no nonzero codewords")
-    return best
-
-
-def weight_counts(G_int, ctx, budget=DEFAULT_BUDGET) -> list[int]:
+def weight_counts(G_int, ctx, budget=DEFAULT_BUDGET, v_int=None) -> list[int]:
+    """Histogram over codewords c of wt(c - v); of wt(c) if v_int is None."""
     n = len(G_int[0]) if G_int else 0
     counts = np.zeros(n + 1, dtype=np.int64)
+    if v_int is not None:
+        neg_v = np.array([ctx.neg_i(x) for x in v_int], _dtype_for(ctx.q))
+        add = _np_add(ctx)
     for _, block in codeword_blocks(G_int, ctx, budget):
-        w = np.count_nonzero(block, axis=1)
-        counts += np.bincount(w, minlength=n + 1)
+        if v_int is not None:
+            block = add(block, neg_v)
+        counts += np.bincount(np.count_nonzero(block, axis=1), minlength=n + 1)
     return [int(c) for c in counts]
-
-
-def min_distance_to_vector(G_int, v_int, ctx, budget=DEFAULT_BUDGET) -> int:
-    """Exact min over codewords c of the Hamming distance d(v, c)."""
-    neg_v = np.array([ctx.neg_i(x) for x in v_int], dtype=_dtype_for(ctx.q))
-    add = _np_add(ctx)
-    best = None
-    for _, block in codeword_blocks(G_int, ctx, budget):
-        m = int(np.count_nonzero(add(block, neg_v), axis=1).min())
-        if best is None or m < best:
-            best = m
-        if best == 0:
-            break
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +181,11 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
     1 - c, and for c = 1 it is e1 - e2.  Pick i with u_i != 0:
     e1 - (e1_i / u_i)*u lies in the coset of e1 and weighs less than w, so
     H e1 is not fresh.
+
+    A layer with no fresh syndrome refuses H as rank deficient: if every
+    weight-w syndrome has a lighter vector, so has e = e1 + c*e_j of weight
+    w+1, through a lighter vector in the coset of e1.  A full-rank H never
+    stops there, as its leader weights take every value 0..rho.
     """
     q = ctx.q
     r = len(H_int)
@@ -232,6 +203,7 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
     batch = max(1, _CHUNK_ROWS // (q * r))
     covered = 1
     for w in range(1, n + 1):
+        before = covered
         for support in combinations(range(n), w):
             parts = [table[support[0], 1:2]]
             parts += [table[j, 1:] for j in support[1:]]
@@ -244,6 +216,8 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
                 covered += (q - 1) * fresh.size
             if covered == total:
                 return leader, w
+        if covered == before:
+            break
     raise InvariantViolation("syndrome sweep did not terminate; "
                              "parity check matrix is rank deficient")
 

@@ -279,11 +279,6 @@ def first_dependent_columns(m: Matrix, k: int):
     return None
 
 
-def all_k_columns_independent(m: Matrix, k: int) -> bool:
-    """True iff every choice of k columns has rank k."""
-    return first_dependent_columns(m, k) is None
-
-
 def _normalize_nodes_multipliers(a, v):
     a = list(a)
     if not a:

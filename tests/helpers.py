@@ -17,30 +17,45 @@ def weight(v):
     return sum(1 for a in v if a.value != 0)
 
 
+def span(code):
+    """Every codeword, by direct span enumeration with FieldElement
+    arithmetic (independent of the kernels), the first generator row's
+    coefficient varying slowest."""
+    rows = code.generator.row_list()
+    zero = tuple([code.ctx.zero] * code.n)
+    for coeffs in product(range(code.ctx.q), repeat=code.k):
+        w = list(zero)
+        for c, row in zip(coeffs, rows):
+            if c:
+                ce = code.ctx.elem(c)
+                for j, g in enumerate(row):
+                    w[j] = w[j] + ce * g
+        yield tuple(w)
+
+
 def brute_codewords(code):
     """Codeword set via direct span enumeration (independent of kernels)."""
-    return {tuple(e.value for e in c) for c in code.codewords()}
+    return {tuple(e.value for e in c) for c in span(code)}
 
 
 def brute_min_distance(code):
-    return min(weight(c) for c in code.codewords()
-               if any(e.value for e in c))
+    return min(weight(c) for c in span(code) if any(e.value for e in c))
 
 
 def brute_weight_enumerator(code):
     counts = [0] * (code.n + 1)
-    for c in code.codewords():
+    for c in span(code):
         counts[weight(c)] += 1
     return counts
 
 
 def brute_distance_to_code(code, v):
-    return min(hamming(v, c) for c in code.codewords())
+    return min(hamming(v, c) for c in span(code))
 
 
 def brute_covering_radius(code):
     """Definitional maximum of distance-to-code over the whole space."""
-    words = list(code.codewords())
+    words = list(span(code))
     best = 0
     for v in all_vectors(code.ctx, code.n):
         d = min(hamming(v, c) for c in words)
@@ -52,7 +67,7 @@ def brute_covering_radius(code):
 def brute_coset_leader_weight_counts(code):
     """Cosets per leader weight 0..rho, from the distance of every vector
     to the code (each coset holds q^k vectors at its leader's distance)."""
-    words = list(code.codewords())
+    words = list(span(code))
     counts = [0] * (code.n + 1)
     for v in all_vectors(code.ctx, code.n):
         counts[min(hamming(v, c) for c in words)] += 1
@@ -94,7 +109,7 @@ def mds_weight_enumerator(n, k, q):
 
 def brute_deep_holes(code):
     """All vectors at maximal distance from the code."""
-    words = list(code.codewords())
+    words = list(span(code))
     dist = {}
     for v in all_vectors(code.ctx, code.n):
         dist[tuple(e.value for e in v)] = min(hamming(v, c) for c in words)

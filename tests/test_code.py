@@ -19,8 +19,8 @@ from mdsx.errors import (
     ZeroMatrix,
 )
 from mdsx.field import field_new
-from mdsx.matrix import Matrix, egrs_generator, grs_generator, \
-    all_k_columns_independent
+from mdsx.matrix import Matrix, egrs_generator, first_dependent_columns, \
+    grs_generator
 
 gf2 = field_new(2, 1)
 gf3 = field_new(3, 1)
@@ -167,8 +167,8 @@ class TestIsMds:
                 if all(e.value == 0 for row in m.row_list() for e in row):
                     continue
                 c = code_from_generator(m)
-                assert c.is_mds() == all_k_columns_independent(
-                    c.generator, c.k)
+                assert c.is_mds() == (
+                    first_dependent_columns(c.generator, c.k) is None)
 
 
 class TestExtendU:

@@ -24,7 +24,7 @@ from mdsx.errors import (
     NotMds,
 )
 from mdsx.field import field_new
-from mdsx.matrix import Matrix, all_k_columns_independent
+from mdsx.matrix import Matrix, first_dependent_columns
 
 gf2 = field_new(2, 1)
 gf3 = field_new(3, 1)
@@ -263,7 +263,7 @@ class TestFullRadiusWitness:
         assert w is not None
         assert covering_radius(GRS42).rho == 2
         stacked = GRS42.generator.with_row(w)
-        assert all_k_columns_independent(stacked, 3)
+        assert first_dependent_columns(stacked, 3) is None
 
     def test_deficient_code_has_none(self):
         c = prs(gf5, 4)  # [6,4,3] with radius 1 = q - k < n - k

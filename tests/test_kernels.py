@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from mdsx import kernels
 from mdsx.code import code_from_generator, full_code, zero_code
 from mdsx.constructions import GrsSpec, egrs_dual_code, grs, prs
 from mdsx.covering import covering_radius, distance_to_code
-from mdsx.errors import BudgetExceeded, InvariantViolation
+from mdsx.errors import BadDims, BudgetExceeded, InvariantViolation
 from mdsx.field import field_new
 from mdsx.matrix import Matrix
 
@@ -50,6 +51,10 @@ def _fresh(code):
     return code_from_generator(Matrix(code.ctx, code.generator.to_int_rows()))
 
 
+def _first_bin(counts):
+    return next(w for w, c in enumerate(counts) if c)
+
+
 def _results(code, vectors):
     code = _fresh(code)
     rows = code.generator.to_int_rows()
@@ -57,8 +62,9 @@ def _results(code, vectors):
     return {
         "weights": code.weight_enumerator(),
         "d": code.min_distance(),
-        # the codeword route of distance_to_code
-        "distances": [kernels.min_distance_to_vector(rows, v, code.ctx)
+        # the codeword route of distance_to_code: the first nonzero bin
+        "distances": [_first_bin(kernels.weight_counts(rows, code.ctx,
+                                                       v_int=v))
                       for v in vectors],
         "leaders": (report._leader.tolist(), report.rho),
         "leader_counts": report.coset_leader_weight_counts(),
@@ -164,6 +170,28 @@ def test_rank_deficient_parity_check_is_refused(pm):
         kernels.coset_leader_weights(H, 4, field_new(*pm))
 
 
+@pytest.mark.parametrize("pm, layers", [
+    # weight 1 already reaches the q^2 reachable syndromes over GF(2)
+    ((2, 1), [1, 2]), ((3, 1), [1, 2, 3]), ((2, 2), [1, 2, 3])],
+    ids=["gf2", "gf3", "gf4"])
+def test_rank_deficient_sweep_stops_after_an_empty_layer(pm, layers,
+                                                         monkeypatch):
+    # the two equal rows leave q^2 syndromes reachable, all within weight
+    # 2, so the first layer that adds none ends the sweep, not weight n
+    n = 14
+    H = [[1, 0] + [1] * (n - 2)] + [[0, 1] + [1] * (n - 2)] * 2
+    asked = []
+
+    def recording(pool, w):
+        asked.append(w)
+        return combinations(pool, w)
+
+    monkeypatch.setattr(kernels, "combinations", recording)
+    with pytest.raises(InvariantViolation):
+        kernels.coset_leader_weights(H, n, field_new(*pm))
+    assert asked == layers
+
+
 @pytest.mark.parametrize("pm, k, digest", [
     # characteristic 2, deficient radius: the sweep stops mid-layer
     ((2, 4), 12,
@@ -175,3 +203,50 @@ def test_rank_deficient_parity_check_is_refused(pm):
 def test_leader_arrays_match_recorded_digests(pm, k, digest):
     leader = covering_radius(prs(field_new(*pm), k))._leader
     assert hashlib.sha256(leader.tobytes()).hexdigest() == digest
+
+
+@st.composite
+def span_codes(draw):
+    """Codes with q^n <= 2500 whose dimension is 0, 1, n-1 or n as often as
+    a random k: a reduced generator with random pivot columns and random
+    entries right of each pivot."""
+    ctx = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, max(n for n in range(1, 12)
+                                if ctx.q ** n <= 2500)))
+    k = draw(st.sampled_from((0, 1, n - 1, n, draw(st.integers(0, n)))))
+    pivots = sorted(draw(st.permutations(range(n)))[:k])
+    rows = []
+    for p in pivots:
+        row = [0] * n
+        row[p] = 1
+        for j in range(p + 1, n):
+            if j not in pivots:
+                row[j] = draw(st.integers(0, ctx.q - 1))
+        rows.append(row)
+    return code_from_generator(Matrix(ctx, rows, cols=n), allow_zero=True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(span_codes(), st.data())
+def test_codeword_scan_matches_span_oracle(code, data):
+    ctx, n, k = code.ctx, code.n, code.k
+    words = list(helpers.span(code))
+    assert list(code.codewords()) == words
+    assert code.weight_enumerator() == helpers.brute_weight_enumerator(code)
+    if k == 0:
+        with pytest.raises(BadDims):
+            code.min_distance()
+    else:
+        assert code.min_distance() == helpers.brute_min_distance(code)
+    noise = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=n,
+                               max_size=n))
+    word = [e.value for e in data.draw(st.sampled_from(words))]
+    for v in (noise, word):
+        dists = [helpers.hamming(ctx.vector(v), c) for c in words]
+        if k:
+            assert kernels.weight_counts(code.generator._rows, ctx, v_int=v) \
+                == [dists.count(w) for w in range(n + 1)]
+        assert distance_to_code(code, v) == min(dists)
+        # no report cached: the distance came from the codeword route
+        assert (code._covering is None) == (0 < k <= n - k)
+    assert distance_to_code(code, word) == 0

@@ -13,7 +13,6 @@ from mdsx.errors import (
 from mdsx.field import field_new
 from mdsx.matrix import (
     Matrix,
-    all_k_columns_independent,
     egrs_generator,
     first_dependent_columns,
     grs_generator,
@@ -106,25 +105,25 @@ class TestColumnSubsets:
 
     def test_grs_all_k_independent(self):
         g = grs_generator(self.nodes, 1, 2)
-        assert all_k_columns_independent(g, 2)
+        assert first_dependent_columns(g, 2) is None
 
     def test_repeated_column_dependent(self):
         m = Matrix(gf5, [[1, 1, 2], [3, 3, 0]])
-        assert not all_k_columns_independent(m, 2)
+        assert first_dependent_columns(m, 2) is not None
         assert first_dependent_columns(m, 2) == (0, 1)
 
     def test_codeword_row_breaks_independence(self):
         g = grs_generator(self.nodes, 1, 2)
         codeword = [a + b for a, b in zip(g.row(0), g.row(1))]
         stacked = g.with_row(codeword)
-        assert not all_k_columns_independent(stacked, 3)
+        assert first_dependent_columns(stacked, 3) is not None
         # brute-force witness: any 3 columns are dependent since rank is 2
         assert first_dependent_columns(stacked, 3) == (0, 1, 2)
 
     def test_bad_k(self):
         g = grs_generator(self.nodes, 1, 2)
         with pytest.raises(BadK):
-            all_k_columns_independent(g, 3)
+            first_dependent_columns(g, 3)
 
 
 class TestBuilders:
