@@ -8,6 +8,8 @@ idempotent.
 
 from __future__ import annotations
 
+from math import comb
+
 from . import kernels
 from .errors import (
     BadDims,
@@ -60,11 +62,8 @@ class LinearCode:
     def codewords(self):
         """All codewords, the first row's coefficient slowest (desk scale:
         at most DEFAULT_BUDGET); the kernel runs its last row slowest."""
-        if self.k == 0:
-            yield _box(self.ctx, [0] * self.n)
-            return
         for _, block in kernels.codeword_blocks(self.generator._rows[::-1],
-                                                self.ctx):
+                                                self.n, self.ctx):
             for word in block.tolist():
                 yield _box(self.ctx, word)
 
@@ -78,35 +77,59 @@ class LinearCode:
     # -- parameters ----------------------------------------------------------
 
     def min_distance(self, budget=DEFAULT_BUDGET) -> int:
+        """Exact d.  The codeword scan runs when it fits the budget and
+        either fills one chunk or has no more codewords than the C(n, k)
+        subsets of one column layer; otherwise the column-subset route."""
         if self._d is not None:
             return self._d
         if self.k == 0:
             raise BadDims("zero-dimensional code has no minimum distance")
+        total = self.ctx.q ** self.k
         if self.k == self.n:
-            self._d = 1
-            return 1
-        if self.ctx.q ** self.k <= budget:
-            counts = kernels.weight_counts(self.generator.to_int_rows(),
-                                           self.ctx, budget)
-            d = next(w for w in range(1, self.n + 1) if counts[w])
+            d = 1
+        elif total <= budget and (total <= kernels._CHUNK_ROWS
+                                  or comb(self.n, self.k) >= total):
+            d = self._min_distance_by_codewords(budget)
         else:
-            d = self._min_distance_by_supports()
+            d = self._min_distance_by_supports(budget)
         self._d = d
         return d
 
-    def _min_distance_by_supports(self) -> int:
-        # smallest d such that some d columns of the parity check are
-        # dependent; any n-k+1 columns of its n-k rows are (Singleton)
-        for d in range(1, self.n - self.k + 1):
-            if first_dependent_columns(self.parity, d) is not None:
+    def _min_distance_by_codewords(self, budget) -> int:
+        counts = kernels.weight_counts(self.generator._rows, self.n,
+                                       self.ctx, budget)
+        return next(w for w in range(1, self.n + 1) if counts[w])
+
+    def _min_distance_by_supports(self, budget) -> int:
+        """d from ranks of column subsets.  When the C(n, k) subsets of one
+        layer cost less than both the q^k codewords and the budget, test
+        the MDS layer first: every k columns of the generator, or every
+        n-k of the parity check, whichever has fewer rows, are independent
+        iff d = n-k+1.  If they are not, scan the codewords when the budget
+        allows; otherwise d is the smallest w such that some w columns of
+        the parity check are dependent.  Every subset visited counts
+        against the budget."""
+        n, k = self.n, self.k
+        total = self.ctx.q ** k
+        spent = 0
+        if comb(n, k) < min(total, budget):
+            m = self.generator if k <= n - k else self.parity
+            if first_dependent_columns(m, m.rows, budget) is None:
+                return n - k + 1
+            if total <= budget:
+                return self._min_distance_by_codewords(budget)
+            spent = comb(n, k)
+        # any n-k+1 columns of the n-k rows are dependent (Singleton)
+        for d in range(1, n - k + 1):
+            if first_dependent_columns(self.parity, d,
+                                       budget - spent) is not None:
                 return d
-        return self.n - self.k + 1
+            spent += comb(n, d)
+        return n - k + 1
 
     def weight_enumerator(self, budget=DEFAULT_BUDGET) -> list[int]:
-        if self.k == 0:
-            return [1] + [0] * self.n
-        return kernels.weight_counts(self.generator.to_int_rows(),
-                                     self.ctx, budget)
+        return kernels.weight_counts(self.generator._rows, self.n, self.ctx,
+                                     budget)
 
     def is_mds(self, budget=DEFAULT_BUDGET) -> bool:
         if self.k == 0:

@@ -11,7 +11,6 @@ side by side so they can cross-check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -46,6 +45,14 @@ class CoveringReport:
         packed = kernels.pack_syndrome(
             self.code.parity._dot_rows(self.code._vec(v)), self.code.ctx.q)
         return int(self._leader[packed])
+
+    def leader_weights(self, vectors):
+        """leader_weight of every row of `vectors` (encodings), as an
+        array."""
+        code = self.code
+        s = kernels.mat_vecs(code.parity._rows, code.n, code.ctx, vectors)
+        radix = code.ctx.q ** np.arange(s.shape[1], dtype=np.int64)
+        return self._leader[s @ radix]
 
     @property
     def deep_hole_syndromes(self):
@@ -108,9 +115,9 @@ def distance_to_code(code: LinearCode, v, budget=DEFAULT_BUDGET) -> int:
     if code._covering is not None:
         return code._covering.leader_weight(v)
     q = code.ctx.q
-    if code.k > 0 and q ** code.k <= min(budget, q ** (code.n - code.k)):
-        counts = kernels.weight_counts(code.generator._rows, code.ctx,
-                                       budget, v)
+    if q ** code.k <= min(budget, q ** (code.n - code.k)):
+        counts = kernels.weight_counts(code.generator._rows, code.n,
+                                       code.ctx, budget, v)
         return next(w for w, c in enumerate(counts) if c)
     return covering_radius(code, budget).leader_weight(v)
 
@@ -124,6 +131,15 @@ def is_deep_hole(code: LinearCode, v, budget=DEFAULT_BUDGET) -> bool:
 def is_deep_hole_via_mds(code: LinearCode, u, budget=DEFAULT_BUDGET) -> bool:
     """Minor-based deep-hole test: u is a deep hole of a full-radius MDS
     code iff stacking u under the generator again generates an MDS code."""
+    u = tuple(map(code.ctx.encode, u))
+    return bool(deep_holes_via_mds(code, [u], budget)[0])
+
+
+def deep_holes_via_mds(code: LinearCode, us, budget=DEFAULT_BUDGET):
+    """is_deep_hole_via_mds for every row of `us` (encodings) at once, as a
+    boolean array: every (k+1)-subset of the columns of the generator with
+    u stacked under it is nonsingular.  C(n, k+1) subsets per u count
+    against the budget."""
     if not code.is_mds(budget):
         raise NotMds("the minor criterion requires an MDS code")
     if code.k >= code.n:
@@ -133,26 +149,52 @@ def is_deep_hole_via_mds(code: LinearCode, u, budget=DEFAULT_BUDGET) -> bool:
     if report.rho != code.n - code.k:
         raise CoveringRadiusDeficient(
             f"covering radius {report.rho} < n-k = {code.n - code.k}")
-    stacked = code.generator.with_row(code._vec(u))
-    return first_dependent_columns(stacked, code.k + 1) is None
+    us = _rows_of_length(us, code.n)
+    g = np.array(code.generator._rows, dtype=np.int64)
+    mats = np.concatenate(
+        [np.broadcast_to(g, (len(us), code.k, code.n)), us[:, None]], axis=1)
+    ok = np.ones(len(us), dtype=bool)
+    for _, ranks in kernels.subset_ranks(mats, code.ctx, code.k + 1, budget):
+        ok &= (ranks == code.k + 1).all(axis=0)
+    return ok
 
 
-def syndrome_criterion(h: Matrix, u, rho: int) -> bool:
+def syndrome_criterion(h: Matrix, u, rho: int, budget=DEFAULT_BUDGET) -> bool:
     """True iff h*u^T is outside the span of every (rho-1)-subset of the
     columns of h."""
+    u = tuple(map(h.ctx.encode, u))
+    return bool(syndrome_criteria(h, [u], rho, budget)[0])
+
+
+def syndrome_criteria(h: Matrix, us, rho: int, budget=DEFAULT_BUDGET):
+    """syndrome_criterion for every row of `us` (encodings) at once, as a
+    boolean array.  s = h*u^T lies in the span of the columns S iff
+    rank([h_S | s]) = rank(h_S); one stack holds h_S (beside a zero
+    column) and every [h_S | s], and its C(n, rho-1) subsets per matrix
+    count against the budget."""
     if not isinstance(rho, int) or rho < 0 or rho > h.cols:
         raise BadRho(f"rho = {rho} out of range")
-    u = tuple(map(h.ctx.encode, u))
-    if len(u) != h.cols:
-        raise LengthMismatch(f"expected length {h.cols}, got {len(u)}")
-    s = h._dot_rows(u)
+    n = h.cols
+    s = kernels.mat_vecs(h._rows, n, h.ctx, _rows_of_length(us, n))
     if rho == 0:
-        return not any(s)
-    for cols in combinations(range(h.cols), rho - 1):
-        # s lies in the span of the columns iff it adds no pivot
-        if rho - 1 not in h.select_cols(cols).with_col(s).rref()[1]:
-            return False
-    return True
+        return ~s.any(axis=1)
+    cols = np.array(h._rows, dtype=np.int64).reshape(h.rows, n)
+    syndromes = np.concatenate([np.zeros((1, h.rows), s.dtype), s])
+    mats = np.concatenate(
+        [np.broadcast_to(cols, (len(syndromes), h.rows, n)),
+         syndromes[:, :, None]], axis=2)
+    ok = np.ones(len(s), dtype=bool)
+    for _, ranks in kernels.subset_ranks(mats, h.ctx, rho - 1, budget,
+                                         tail=1):
+        ok &= (ranks[:, 1:] > ranks[:, :1]).all(axis=0)
+    return ok
+
+
+def _rows_of_length(us, n: int):
+    us = np.asarray(us, dtype=np.int64)
+    if us.ndim != 2 or us.shape[1] != n:
+        raise LengthMismatch(f"expected length {n}, got {us.shape[-1]}")
+    return us
 
 
 def full_radius_witness(code: LinearCode, budget=DEFAULT_BUDGET):
@@ -171,7 +213,7 @@ def full_radius_witness(code: LinearCode, budget=DEFAULT_BUDGET):
         stop_after_first=True)
     packed, vec = next(iter(found.items()))
     stacked = code.generator.with_row(vec)
-    if first_dependent_columns(stacked, code.k + 1) is not None:
+    if first_dependent_columns(stacked, code.k + 1, budget) is not None:
         raise InvariantViolation("deep-hole witness failed the minor check")
     return _box(code.ctx, vec)
 

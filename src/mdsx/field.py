@@ -133,7 +133,7 @@ class FieldCtx:
     __slots__ = (
         "p", "m", "q", "modulus", "base", "_primitive_value",
         "_exp", "_log", "_add", "_neg", "_raw_mul", "_quad_ext",
-        "__weakref__",
+        "_arrays", "__weakref__",
     )
 
     def __init__(self, p, m, q, modulus, base, raw_mul):
@@ -144,6 +144,7 @@ class FieldCtx:
         self.base = base
         self._raw_mul = raw_mul
         self._quad_ext = None
+        self._arrays = None  # numpy forms of the tables, built by kernels
         self._build_tables()
 
     # -- construction ------------------------------------------------------

@@ -1,15 +1,20 @@
-"""Vectorized enumeration kernels for the exhaustive searches.
+"""Vectorized kernels for the exhaustive searches.
 
 Codewords and error vectors are enumerated as numpy arrays of integer
 encodings by one chunked fold, `_fold`, which sums one row from each of a
 list of tables.  The one codeword scan, `weight_counts`, histograms
 wt(c - v) over all codewords c: the weight enumerator, d and the codeword
-route of the distance to v.  Field addition on arrays is chosen once per
-field, in `_np_add`: XOR in characteristic 2, a gather from the addition
-table, or a sum mod p in a prime field too large for a table.  Every table
-of field multiples comes from `_multiples`.  In characteristic 2 the
-encoding makes XOR field addition on packed syndromes too, so the syndrome
-sweep packs before it sums; other fields sum digit rows and pack the sums.
+route of the distance to v.  Every kernel takes the code length n
+explicitly, so a generator or check with no rows still has its length.
+
+Each field's numpy arrays are built once, on first use, by `_arrays`: the
+logs (log(0) pointing past two periods of exp into zeros, so no product
+needs a modulo or a zero test) and the array addition: XOR in
+characteristic 2, a gather from the addition table, or a sum mod p in a
+prime field too large for a table.  Every table of field multiples comes
+from `_multiples`.  In characteristic 2 the encoding makes XOR field
+addition on packed syndromes too, so the syndrome sweep packs before it
+sums; other fields sum digit rows and pack the sums.
 
 The coset-leader sweep works on scalar orbits: c*e has the weight of e and
 the syndrome c*s for every c != 0, so one leader weight holds on all of
@@ -17,12 +22,18 @@ the syndrome c*s for every c != 0, so one leader weight holds on all of
 writes each fresh syndrome's weight to its q-1 multiples.  It writes, then
 counts: each fresh syndrome covers exactly q-1 syndromes, so the count of
 covered syndromes needs no deduplication.
+
+Column-subset facts (MDS layers, the minor and column-span deep-hole
+criteria, the support search for d) come from one engine, `subset_ranks`:
+it stacks the column subsets of one or many small matrices into a
+(b, r, w) array and eliminates them all at once.
 Everything here is deterministic; chunking only bounds memory.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 
@@ -36,36 +47,49 @@ def _dtype_for(q: int):
     return np.uint8 if q <= 256 else np.uint16
 
 
+def _arrays(ctx):
+    """(log, exp, add) for the field, built on its first use and kept on
+    it.  log(0) = 2(q-1) and exp runs over two periods and then zeros, so
+    the sum of two logs indexes exp directly; add is None where no array
+    addition exists (odd q > 1024 that is not prime).  The logs are int64,
+    numpy's index type: int32 logs made every gather convert its indices
+    first, about 10 % of a characteristic-2 sweep."""
+    if ctx._arrays is None:
+        q, dt = ctx.q, _dtype_for(ctx.q)
+        log_zero = 2 * (q - 1)
+        log = np.array(ctx._log, dtype=np.int64)
+        log[0] = log_zero
+        exp = np.zeros(2 * log_zero + 1, dtype=dt)
+        exp[:log_zero] = ctx._exp * 2
+        if ctx.p == 2:
+            add = np.bitwise_xor
+        elif ctx._add is not None:
+            table = np.array(ctx._add, dtype=dt)
+            add = lambda a, b: table[a, b]  # noqa: E731
+        elif ctx.m == 1:
+            p = ctx.p
+            add = lambda a, b: (  # noqa: E731
+                np.add(a, b, dtype=np.uint32) % p).astype(dt)
+        else:
+            add = None
+        ctx._arrays = (log, exp, add)
+    return ctx._arrays
+
+
 def _np_add(ctx):
     """Elementwise field addition on arrays of encodings."""
-    if ctx.p == 2:
-        return np.bitwise_xor
-    dt = _dtype_for(ctx.q)
-    if ctx._add is not None:
-        table = np.array(ctx._add, dtype=dt)
-        return lambda a, b: table[a, b]
-    if ctx.m == 1:
-        p = ctx.p
-        return lambda a, b: (np.add(a, b, dtype=np.uint32) % p).astype(dt)
-    raise BudgetExceeded(
-        f"no addition table for {ctx!r}; enumeration kernels support "
-        "characteristic 2, prime q, or q <= 1024")
+    add = _arrays(ctx)[2]
+    if add is None:
+        raise BudgetExceeded(
+            f"no addition table for {ctx!r}; enumeration kernels support "
+            "characteristic 2, prime q, or q <= 1024")
+    return add
 
 
 def _multiples(ctx, vectors):
-    """out[i, c] = c * vectors[i] for every field element c.
-
-    One log/exp layout, with no modulo: exp runs over two periods, so the
-    sum of two logs never wraps, and log(0) points past them into zeros, so
-    every product with 0 reads a zero.
-    """
-    log_zero = 2 * (ctx.q - 1)
-    log = np.array(ctx._log, dtype=np.int64)
-    log[0] = log_zero
-    exp = np.zeros(2 * log_zero + 1, dtype=_dtype_for(ctx.q))
-    exp[:log_zero] = ctx._exp * 2
-    v = np.asarray(vectors, dtype=np.int64)
-    return exp[log[v][:, None, :] + log[:, None]]
+    """out[i, c] = c * vectors[i] for every field element c."""
+    log, exp, _ = _arrays(ctx)
+    return exp[log[np.asarray(vectors)][:, None, :] + log[:, None]]
 
 
 def pack_syndrome(digits, q: int) -> int:
@@ -122,19 +146,18 @@ def _syndrome_table(H_int, n: int, ctx):
 # Codeword enumeration
 # ---------------------------------------------------------------------------
 
-def codeword_blocks(G_int, ctx, budget=DEFAULT_BUDGET):
-    """Yield (start_index, block) covering all q^k codewords in index order.
+def codeword_blocks(G_int, n: int, ctx, budget=DEFAULT_BUDGET):
+    """Yield (start_index, block) covering all q^k codewords of length n in
+    index order; k = 0 gives the zero word alone.
 
     The message with index M has row-i coefficient (M // q^i) % q.
     """
     k = len(G_int)
-    n = len(G_int[0]) if k else 0
-    q = ctx.q
-    total = q ** k
+    total = ctx.q ** k
     if total > budget:
         raise BudgetExceeded(f"q^k = {total} exceeds budget {budget}")
     if k == 0:
-        yield 0, np.zeros((1, n), dtype=_dtype_for(q))
+        yield 0, np.zeros((1, n), dtype=_dtype_for(ctx.q))
         return
     start = 0
     # the last row's coefficient varies slowest, so it leads the fold
@@ -143,18 +166,109 @@ def codeword_blocks(G_int, ctx, budget=DEFAULT_BUDGET):
         start += block.shape[0]
 
 
-def weight_counts(G_int, ctx, budget=DEFAULT_BUDGET, v_int=None) -> list[int]:
+def weight_counts(G_int, n: int, ctx, budget=DEFAULT_BUDGET,
+                  v_int=None) -> list[int]:
     """Histogram over codewords c of wt(c - v); of wt(c) if v_int is None."""
-    n = len(G_int[0]) if G_int else 0
     counts = np.zeros(n + 1, dtype=np.int64)
     if v_int is not None:
         neg_v = np.array([ctx.neg_i(x) for x in v_int], _dtype_for(ctx.q))
         add = _np_add(ctx)
-    for _, block in codeword_blocks(G_int, ctx, budget):
+    for _, block in codeword_blocks(G_int, n, ctx, budget):
         if v_int is not None:
             block = add(block, neg_v)
         counts += np.bincount(np.count_nonzero(block, axis=1), minlength=n + 1)
     return [int(c) for c in counts]
+
+
+def mat_vecs(M_int, n: int, ctx, vectors):
+    """M v^T for every row v of `vectors`, as a (len(vectors), rows)
+    array of encodings."""
+    r = len(M_int)
+    vectors = np.asarray(vectors, dtype=np.int64)
+    table = _multiples(ctx, np.array(M_int, dtype=np.int64).reshape(r, n).T)
+    add = _np_add(ctx)
+    acc = np.zeros((vectors.shape[0], r), dtype=_dtype_for(ctx.q))
+    for j in range(n):
+        acc = add(acc, table[j, vectors[:, j]])
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# Ranks of column subsets
+# ---------------------------------------------------------------------------
+
+def subset_ranks(mats, ctx, w: int, budget=DEFAULT_BUDGET, tail: int = 0):
+    """Yield (subsets, ranks), chunk by chunk: the next w-subsets of the
+    leading columns, in lexicographic order, as a (chunk, w) array, and
+    ranks[i, j], the rank of matrix j on subset i plus its `tail` last
+    columns.
+
+    `mats` is an (m, r, n + tail) stack of encodings.  A chunk stacks its
+    subsets of every matrix into one (b, r, w + tail) array and eliminates
+    them all together; it holds at least one subset, and otherwise its
+    int64 temporaries stay within _CHUNK_ROWS bytes (larger ones, freed,
+    raise the allocator's mmap threshold and with it the peak RSS of the
+    codeword scans that follow).  The C(n, w) * m subsets count against
+    the budget, before anything is built.
+    """
+    mats = np.asarray(mats, dtype=np.int64)
+    m, r, cols = mats.shape
+    n = cols - tail
+    count = comb(n, w)
+    total = count * m
+    if total > budget:
+        raise BudgetExceeded(f"{total} column subsets exceed budget {budget}")
+    mats = mats.astype(_dtype_for(ctx.q))
+    width = w + tail
+    per_chunk = max(1, _CHUNK_ROWS // (8 * max(1, m * r * width)))
+    fixed = np.arange(n, cols)
+    subsets = chain.from_iterable(combinations(range(n), w))
+    for start in range(0, count, per_chunk):
+        s = min(per_chunk, count - start)
+        chunk = np.fromiter(subsets, np.int64, s * w).reshape(s, w)
+        picked = np.hstack([chunk, np.broadcast_to(fixed, (s, tail))])
+        # (m, r, s, width) -> one stack of s * m matrices, subset-major
+        stack = mats[:, :, picked].transpose(2, 0, 1, 3)
+        ranks = _ranks(stack.reshape(s * m, r, width), ctx)
+        yield chunk, ranks.reshape(s, m)
+
+
+def _ranks(A, ctx):
+    """Ranks of a (b, r, w) stack of matrices of encodings, by one batched
+    forward elimination, column by column; A is overwritten.
+
+    A pivot is the first unused row with a nonzero entry in the column;
+    every other unused row i then gains -(a_i / a_p) times the pivot row.
+    Products use the log/exp layout of `_arrays`; the factor's log is
+    reduced mod q-1, and log(0) marks the rows left alone.
+    """
+    b, r, w = A.shape
+    rank = np.zeros(b, dtype=np.int64)
+    if not (b and r and w):
+        return rank
+    log, exp, _ = _arrays(ctx)
+    add = _np_add(ctx)
+    period = ctx.q - 1
+    log_zero = 2 * period
+    # log(-a_i / a_p) = log a_i - log a_p + log(-1), kept nonnegative
+    shift = period + int(log[ctx.neg_i(1)])
+    unused = np.ones((b, r), dtype=bool)
+    every = np.arange(b)
+    for c in range(w):
+        live = unused & (A[:, :, c] != 0)
+        p = live.argmax(axis=1)
+        found = live[every, p]
+        rank += found
+        unused[every, p] &= ~found
+        if c + 1 == w:
+            break
+        live[every, p] = False
+        lf = (log[A[:, :, c]] - log[A[every, p, c]][:, None] + shift) % period
+        lf[~live] = log_zero
+        prow = log[A[every, p, c + 1:]]
+        A[:, :, c + 1:] = add(A[:, :, c + 1:],
+                              exp[lf[:, :, None] + prow[:, None, :]])
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ matrices are immutable values.
 
 from __future__ import annotations
 
-from itertools import combinations
+import numpy as np
 
+from . import kernels
 from .errors import (
     BadDims,
     BadK,
@@ -18,6 +19,7 @@ from .errors import (
     ZeroMultiplier,
 )
 from .field import FieldCtx, FieldElement
+from .kernels import DEFAULT_BUDGET
 
 
 def _of(ctx: FieldCtx, rows: tuple, cols: int) -> "Matrix":
@@ -267,15 +269,17 @@ class Matrix:
 # Column-subset tests and Vandermonde-style builders
 # ---------------------------------------------------------------------------
 
-def first_dependent_columns(m: Matrix, k: int):
-    """Lexicographically first k-subset of columns with rank < k, if any."""
+def first_dependent_columns(m: Matrix, k: int, budget=DEFAULT_BUDGET):
+    """Lexicographically first k-subset of columns with rank < k, if any;
+    the C(cols, k) subsets count against the budget."""
     if k < 0 or k > m.rows or k > m.cols:
         raise BadK(f"k = {k} out of range for {m.rows}x{m.cols}")
     if k == 0:
         return None
-    for idx in combinations(range(m.cols), k):
-        if m.select_cols(idx).rank() < k:
-            return idx
+    for subsets, ranks in kernels.subset_ranks([m._rows], m.ctx, k, budget):
+        hits = np.flatnonzero(ranks[:, 0] < k)
+        if hits.size:
+            return tuple(int(j) for j in subsets[hits[0]])
     return None
 
 

@@ -11,13 +11,15 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
+import numpy as np
+
 from . import serialize
 from .code import extend_g
 from .covering import (
     covering_radius,
+    deep_holes_via_mds,
     is_deep_hole,
-    is_deep_hole_via_mds,
-    syndrome_criterion,
+    syndrome_criteria,
 )
 from .constructions import (
     GrsSpec,
@@ -414,24 +416,21 @@ def _criteria_agreement_cases(budget):
             rep = covering_radius(code, budget)
             full = rep.rho == code.n - code.k
             mds = code.is_mds(budget)
-            checked = 0
-            agree = True
-            for u in product(range(q), repeat=code.n):
-                dh = rep.leader_weight(u) == rep.rho
-                sc = syndrome_criterion(code.parity, u, rep.rho)
-                ok = dh == sc
-                if ok and mds and full and code.k < code.n:
-                    ok = dh == is_deep_hole_via_mds(code, u, budget)
-                checked += 1
-                if not ok:
-                    agree = False
-                    if first_bad is None:
-                        first_bad = {"q": q, "code": name, "u": list(u)}
-                    break
+            applicable = mds and full and code.k < code.n
+            # every u at once, in product order; a verdict that differs
+            # from the leader weight's is a disagreement
+            us = np.array(list(product(range(q), repeat=code.n)))
+            dh = rep.leader_weights(us) == rep.rho
+            bad = dh != syndrome_criteria(code.parity, us, rep.rho, budget)
+            if applicable:
+                bad |= dh != deep_holes_via_mds(code, us, budget)
+            checked = int(bad.argmax()) + 1 if bad.any() else len(us)
+            if bad.any() and first_bad is None:
+                first_bad = {"q": q, "code": name,
+                             "u": us[checked - 1].tolist()}
             cases.append({"q": q, "code": name, "rho": rep.rho,
-                          "minor_test_applicable": bool(mds and full
-                                                        and code.k < code.n),
-                          "checked": checked, "ok": agree})
+                          "minor_test_applicable": bool(applicable),
+                          "checked": checked, "ok": not bad.any()})
     return cases, first_bad
 
 

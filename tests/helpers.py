@@ -1,6 +1,6 @@
 """Independent brute-force oracles, kept deliberately naive."""
 
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 
@@ -156,6 +156,15 @@ def _rref_rows(rows, nc):
 
 def ref_rank(m):
     return len(ref_rref(m)[1])
+
+
+def lex_first_dependent_columns(m, k):
+    """Lexicographically first k-subset of columns of rank < k, one boxed
+    elimination per subset; None if there is none."""
+    for idx in combinations(range(m.cols), k):
+        if ref_rank(m.select_cols(idx)) < k:
+            return idx
+    return None
 
 
 def ref_det(m):

@@ -19,6 +19,7 @@ from mdsx.errors import (
     ZeroMatrix,
 )
 from mdsx.field import field_new
+from mdsx.kernels import DEFAULT_BUDGET
 from mdsx.matrix import Matrix, egrs_generator, first_dependent_columns, \
     grs_generator
 
@@ -97,7 +98,10 @@ class TestMinDistance:
         assert (c.n, c.k, c.min_distance()) == (5, 3, 3)
 
     def test_support_fallback_matches_enumeration(self):
-        # tiny budget forces the parity-support route; results must agree
+        # the column-subset route, called directly (a budget below q^k no
+        # longer forces it: its subsets count against the budget too);
+        # these MDS codes take the layer test or, when C(n, k) >= q^k, the
+        # bottom-up search through every layer
         rng = random.Random(17)
         for _ in range(10):
             n = rng.randint(3, 5)
@@ -105,7 +109,7 @@ class TestMinDistance:
             nodes = gf5.vector(rng.sample(range(5), n))
             c1 = grs(GrsSpec.make(gf5, [e.value for e in nodes], 1, k))
             c2 = grs(GrsSpec.make(gf5, [e.value for e in nodes], 1, k))
-            assert c2.min_distance(budget=1 if k > 0 else 1) \
+            assert c2._min_distance_by_supports(DEFAULT_BUDGET) \
                 == c1.min_distance()
 
     def test_singleton_bound(self):

@@ -63,8 +63,8 @@ def _results(code, vectors):
         "weights": code.weight_enumerator(),
         "d": code.min_distance(),
         # the codeword route of distance_to_code: the first nonzero bin
-        "distances": [_first_bin(kernels.weight_counts(rows, code.ctx,
-                                                       v_int=v))
+        "distances": [_first_bin(kernels.weight_counts(rows, code.n,
+                                                       code.ctx, v_int=v))
                       for v in vectors],
         "leaders": (report._leader.tolist(), report.rho),
         "leader_counts": report.coset_leader_weight_counts(),
@@ -243,10 +243,9 @@ def test_codeword_scan_matches_span_oracle(code, data):
     word = [e.value for e in data.draw(st.sampled_from(words))]
     for v in (noise, word):
         dists = [helpers.hamming(ctx.vector(v), c) for c in words]
-        if k:
-            assert kernels.weight_counts(code.generator._rows, ctx, v_int=v) \
-                == [dists.count(w) for w in range(n + 1)]
+        assert kernels.weight_counts(code.generator._rows, n, ctx, v_int=v) \
+            == [dists.count(w) for w in range(n + 1)]
         assert distance_to_code(code, v) == min(dists)
         # no report cached: the distance came from the codeword route
-        assert (code._covering is None) == (0 < k <= n - k)
+        assert (code._covering is None) == (k <= n - k)
     assert distance_to_code(code, word) == 0
