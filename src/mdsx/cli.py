@@ -82,7 +82,7 @@ def cmd_covering(args) -> int:
     t0 = time.monotonic()
     report = covering_radius(code, args.budget)
     payload = report.to_dict(include_representatives=args.deep_holes,
-                             limit=args.limit)
+                             limit=args.limit, budget=args.budget)
     _emit(payload,
           f"rho = {report.rho} for [{code.n},{code.k}] over GF({ctx.q}) "
           f"({report.num_deep_hole_cosets} deep-hole cosets, "
@@ -102,7 +102,8 @@ def cmd_deep_holes(args) -> int:
         _emit(payload, f"distance {dist} vs rho {report.rho}: "
                        f"deep hole = {payload['is_deep_hole']}", args)
         return EXIT_OK
-    payload = report.to_dict(include_representatives=True, limit=args.limit)
+    payload = report.to_dict(include_representatives=True, limit=args.limit,
+                             budget=args.budget)
     _emit(payload, f"rho = {report.rho}, "
                    f"{payload['num_deep_hole_cosets']} deep-hole cosets",
           args)
@@ -127,11 +128,12 @@ def cmd_extend(args) -> int:
 
 def cmd_set_check(args) -> int:
     ctx = field_new(args.field[0], args.field[1])
-    if args.elements:
-        vals = [int(x) for x in args.elements.split(",")]
-    else:
-        vals = list(range(ctx.q))
-    s = ctx.vector(vals)
+    s = (serialize.parse_vector_arg(ctx, args.elements) if args.elements
+         else ctx.vector(range(ctx.q)))
+    vals = [e.value for e in s]
+    if any(v is not None and not 0 <= v < ctx.q for v in (args.delta,
+                                                          args.pi)):
+        raise ParseError(f"--delta and --pi must lie in [0, {ctx.q})")
     deltas = [args.delta] if args.delta is not None else list(range(ctx.q))
     if args.pi is not None:
         # pole form: delta passes iff it avoids the reciprocal k-products
@@ -154,9 +156,9 @@ def cmd_set_check(args) -> int:
 def cmd_verify(args) -> int:
     params = {}
     if args.qs:
-        params["qs"] = [int(x) for x in args.qs.split(",")]
+        params["qs"] = serialize.parse_int_list(args.qs, "--qs")
     if args.ms:
-        params["ms"] = [int(x) for x in args.ms.split(",")]
+        params["ms"] = serialize.parse_int_list(args.ms, "--ms")
     if args.max_n is not None:
         params["max_n"] = args.max_n
     if args.samples is not None:

@@ -68,23 +68,24 @@ class CoveringReport:
         counts = np.bincount(self._leader, minlength=self.rho + 1)
         return [int(c) for c in counts[: self.rho + 1]]
 
-    def representatives(self, limit=None) -> list[tuple]:
+    def representatives(self, limit=None,
+                        budget=DEFAULT_BUDGET) -> list[tuple]:
         """Canonical deep-hole representatives: per deep-hole coset, the
-        lexicographically first minimum-weight vector (desk scale)."""
+        lexicographically first minimum-weight vector (desk scale: the
+        vectors the search tests count against the budget)."""
         if self._reps is None:
-            targets = [int(s) for s in self.deep_hole_syndromes]
-            if limit is not None:
-                targets = targets[:limit]
+            targets = self.deep_hole_syndromes[:limit].tolist()
             found = kernels.lex_first_weight_vectors(
                 self.code.parity._rows, self.code.n, self.code.ctx,
-                self.rho, set(targets))
+                self.rho, set(targets), budget=budget)
             reps = [_box(self.code.ctx, found[t]) for t in targets]
             if limit is None:
                 self._reps = reps
             return reps
         return self._reps if limit is None else self._reps[:limit]
 
-    def to_dict(self, include_representatives=False, limit=None) -> dict:
+    def to_dict(self, include_representatives=False, limit=None,
+                budget=DEFAULT_BUDGET) -> dict:
         d = {
             "n": self.code.n,
             "k": self.code.k,
@@ -93,8 +94,9 @@ class CoveringReport:
             "coset_leader_weight_counts": self.coset_leader_weight_counts(),
         }
         if include_representatives:
-            d["representatives"] = [[e.value for e in r]
-                                    for r in self.representatives(limit)]
+            d["representatives"] = [
+                [e.value for e in r]
+                for r in self.representatives(limit, budget)]
         return d
 
 
@@ -207,10 +209,10 @@ def full_radius_witness(code: LinearCode, budget=DEFAULT_BUDGET):
     report = covering_radius(code, budget)
     if report.rho != code.n - code.k:
         return None
-    targets = {int(s) for s in report.deep_hole_syndromes}
+    targets = set(report.deep_hole_syndromes.tolist())
     found = kernels.lex_first_weight_vectors(
         code.parity._rows, code.n, code.ctx, report.rho, targets,
-        stop_after_first=True)
+        stop_after_first=True, budget=budget)
     packed, vec = next(iter(found.items()))
     stacked = code.generator.with_row(vec)
     if first_dependent_columns(stacked, code.k + 1, budget) is not None:

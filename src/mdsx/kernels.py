@@ -7,14 +7,13 @@ wt(c - v) over all codewords c: the weight enumerator, d and the codeword
 route of the distance to v.  Every kernel takes the code length n
 explicitly, so a generator or check with no rows still has its length.
 
-Each field's numpy arrays are built once, on first use, by `_arrays`: the
-logs (log(0) pointing past two periods of exp into zeros, so no product
-needs a modulo or a zero test) and the array addition: XOR in
-characteristic 2, a gather from the addition table, or a sum mod p in a
-prime field too large for a table.  Every table of field multiples comes
-from `_multiples`.  In characteristic 2 the encoding makes XOR field
-addition on packed syndromes too, so the syndrome sweep packs before it
-sums; other fields sum digit rows and pack the sums.
+The kernels read each field's numpy arrays, `ctx._arrays` = (log, exp,
+add), which the field builds with its tables: log(0) points past two
+periods of exp into zeros, so no product needs a modulo or a zero test,
+and add is the field's array addition, defined for every GF(q).  Every
+table of field multiples comes from `_multiples`.  In characteristic 2 the
+encoding makes XOR field addition on packed syndromes too, so the syndrome
+sweep packs before it sums; other fields sum digit rows and pack the sums.
 
 The coset-leader sweep works on scalar orbits: c*e has the weight of e and
 the syndrome c*s for every c != 0, so one leader weight holds on all of
@@ -38,57 +37,15 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetExceeded, InvariantViolation
+from .field import _dtype_for
 
 DEFAULT_BUDGET = 1 << 24
 _CHUNK_ROWS = 1 << 20
 
 
-def _dtype_for(q: int):
-    return np.uint8 if q <= 256 else np.uint16
-
-
-def _arrays(ctx):
-    """(log, exp, add) for the field, built on its first use and kept on
-    it.  log(0) = 2(q-1) and exp runs over two periods and then zeros, so
-    the sum of two logs indexes exp directly; add is None where no array
-    addition exists (odd q > 1024 that is not prime).  The logs are int64,
-    numpy's index type: int32 logs made every gather convert its indices
-    first, about 10 % of a characteristic-2 sweep."""
-    if ctx._arrays is None:
-        q, dt = ctx.q, _dtype_for(ctx.q)
-        log_zero = 2 * (q - 1)
-        log = np.array(ctx._log, dtype=np.int64)
-        log[0] = log_zero
-        exp = np.zeros(2 * log_zero + 1, dtype=dt)
-        exp[:log_zero] = ctx._exp * 2
-        if ctx.p == 2:
-            add = np.bitwise_xor
-        elif ctx._add is not None:
-            table = np.array(ctx._add, dtype=dt)
-            add = lambda a, b: table[a, b]  # noqa: E731
-        elif ctx.m == 1:
-            p = ctx.p
-            add = lambda a, b: (  # noqa: E731
-                np.add(a, b, dtype=np.uint32) % p).astype(dt)
-        else:
-            add = None
-        ctx._arrays = (log, exp, add)
-    return ctx._arrays
-
-
-def _np_add(ctx):
-    """Elementwise field addition on arrays of encodings."""
-    add = _arrays(ctx)[2]
-    if add is None:
-        raise BudgetExceeded(
-            f"no addition table for {ctx!r}; enumeration kernels support "
-            "characteristic 2, prime q, or q <= 1024")
-    return add
-
-
 def _multiples(ctx, vectors):
     """out[i, c] = c * vectors[i] for every field element c."""
-    log, exp, _ = _arrays(ctx)
+    log, exp, _ = ctx._arrays
     return exp[log[np.asarray(vectors)][:, None, :] + log[:, None]]
 
 
@@ -134,7 +91,7 @@ def _syndrome_table(H_int, n: int, ctx):
     map from sums to packed syndromes (digit i times q^i)."""
     r = len(H_int)
     radix = ctx.q ** np.arange(r, dtype=np.int64)
-    add = _np_add(ctx)
+    add = ctx._arrays[2]
     table = _multiples(ctx, np.array(H_int, dtype=np.int64).reshape(r, n).T)
     if ctx.p == 2:
         # XOR on the packing is field addition: pack once, sum packed ints
@@ -161,7 +118,7 @@ def codeword_blocks(G_int, n: int, ctx, budget=DEFAULT_BUDGET):
         return
     start = 0
     # the last row's coefficient varies slowest, so it leads the fold
-    for block in _fold(_multiples(ctx, G_int)[::-1], _np_add(ctx)):
+    for block in _fold(_multiples(ctx, G_int)[::-1], ctx._arrays[2]):
         yield start, block
         start += block.shape[0]
 
@@ -172,7 +129,7 @@ def weight_counts(G_int, n: int, ctx, budget=DEFAULT_BUDGET,
     counts = np.zeros(n + 1, dtype=np.int64)
     if v_int is not None:
         neg_v = np.array([ctx.neg_i(x) for x in v_int], _dtype_for(ctx.q))
-        add = _np_add(ctx)
+        add = ctx._arrays[2]
     for _, block in codeword_blocks(G_int, n, ctx, budget):
         if v_int is not None:
             block = add(block, neg_v)
@@ -186,7 +143,7 @@ def mat_vecs(M_int, n: int, ctx, vectors):
     r = len(M_int)
     vectors = np.asarray(vectors, dtype=np.int64)
     table = _multiples(ctx, np.array(M_int, dtype=np.int64).reshape(r, n).T)
-    add = _np_add(ctx)
+    add = ctx._arrays[2]
     acc = np.zeros((vectors.shape[0], r), dtype=_dtype_for(ctx.q))
     for j in range(n):
         acc = add(acc, table[j, vectors[:, j]])
@@ -239,15 +196,14 @@ def _ranks(A, ctx):
 
     A pivot is the first unused row with a nonzero entry in the column;
     every other unused row i then gains -(a_i / a_p) times the pivot row.
-    Products use the log/exp layout of `_arrays`; the factor's log is
+    Products use the field's log/exp arrays; the factor's log is
     reduced mod q-1, and log(0) marks the rows left alone.
     """
     b, r, w = A.shape
     rank = np.zeros(b, dtype=np.int64)
     if not (b and r and w):
         return rank
-    log, exp, _ = _arrays(ctx)
-    add = _np_add(ctx)
+    log, exp, add = ctx._arrays
     period = ctx.q - 1
     log_zero = 2 * period
     # log(-a_i / a_p) = log a_i - log a_p + log(-1), kept nonnegative
@@ -341,13 +297,14 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 
 def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
-                             stop_after_first=False):
+                             stop_after_first=False, budget=DEFAULT_BUDGET):
     """First weight-`weight` vector, in global lexicographic order, whose
     packed syndrome lies in `targets`; one entry per target unless
     stop_after_first.
 
     Depth-first over positions, a zero entry before the nonzero ones; the
-    last nonzero entry is placed in one batch per prefix.
+    last nonzero entry is placed in one batch per prefix.  The vectors of
+    every batch count against the budget as they are tested.
     """
     q = ctx.q
     table, add, pack = _syndrome_table(H_int, n, ctx)
@@ -358,12 +315,16 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
     tails = table[::-1, 1:].reshape(n * (q - 1), *table.shape[2:])
     found = {}
     remaining = len(targets)
+    tested = 0
 
     def rec(pos, acc, left, prefix):
-        nonlocal remaining
+        nonlocal remaining, tested
         if not remaining or n - pos < left:
             return
         if left == 1:
+            tested += (n - pos) * (q - 1)
+            if tested > budget:
+                raise BudgetExceeded(f"more than {budget} vectors tested")
             syn = pack(add(acc, tails[:(n - pos) * (q - 1)]))
             hits = np.flatnonzero(wanted[syn])
             if not hits.size:

@@ -148,13 +148,18 @@ def load_spec_file(path) -> tuple[FieldCtx, LinearCode]:
     return code_from_spec(d)
 
 
-def parse_vector_arg(ctx: FieldCtx, text: str, length: int) -> tuple:
-    """Comma-separated element encodings, e.g. '0,3,3,4'."""
+def parse_int_list(text: str, what: str = "vector") -> list[int]:
+    """Comma-separated ints, e.g. '0,3,3,4'."""
     try:
-        vals = [int(x) for x in text.split(",")] if text else []
+        return [int(x) for x in text.split(",")] if text else []
     except ValueError:
-        raise ParseError(f"bad vector {text!r}; want comma-separated ints")
-    if len(vals) != length:
+        raise ParseError(f"bad {what} {text!r}; want comma-separated ints")
+
+
+def parse_vector_arg(ctx: FieldCtx, text: str, length=None) -> tuple:
+    """Comma-separated element encodings, of the given length if any."""
+    vals = parse_int_list(text)
+    if length is not None and len(vals) != length:
         raise ParseError(f"vector has length {len(vals)}, expected {length}")
     if any(not 0 <= v < ctx.q for v in vals):
         raise ParseError(f"vector entries must be encodings in [0, {ctx.q})")

@@ -83,16 +83,34 @@ def brute_coset_leaders(code):
     H = code.parity.to_int_rows()
     leader = [None] * q ** len(H)
     for v in product(range(q), repeat=code.n):
-        s = 0
-        for i, row in enumerate(H):
-            digit = 0
-            for h, x in zip(row, v):
-                digit = ctx.add_i(digit, ctx.mul_i(h, x))
-            s += digit * q ** i
+        s = scalar_syndrome(H, v, ctx)
         w = sum(1 for x in v if x)
         if leader[s] is None or w < leader[s]:
             leader[s] = w
     return leader, max(leader)
+
+
+def scalar_syndrome(H, v, ctx):
+    """Packed syndrome of v under the int rows H (digit i times q^i), entry
+    by entry with scalar field operations."""
+    s = 0
+    for i, row in enumerate(H):
+        digit = 0
+        for h, x in zip(row, v):
+            digit = ctx.add_i(digit, ctx.mul_i(h, x))
+        s += digit * ctx.q ** i
+    return s
+
+
+def brute_lex_first_weight_vectors(H, n, ctx, weight):
+    """Packed syndrome -> the lexicographically first vector of the given
+    weight with that syndrome, over every syndrome such a vector reaches,
+    by scanning all q^n vectors in lexicographic order."""
+    first = {}
+    for v in product(range(ctx.q), repeat=n):
+        if sum(1 for x in v if x) == weight:
+            first.setdefault(scalar_syndrome(H, v, ctx), v)
+    return first
 
 
 def mds_weight_enumerator(n, k, q):
@@ -218,3 +236,84 @@ def ref_solve(m, b):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][nc]
     return tuple(x)
+
+
+# ---------------------------------------------------------------------------
+# Scalar field tables: the slow twin of FieldCtx._build_tables.  The
+# primitive search and one _raw_mul per power of it give exp and log;
+# addition and negation go through the base field's twin in a quadratic
+# extension and digit by digit in a ground field.
+# ---------------------------------------------------------------------------
+
+def _raw_pow(ctx, a, e):
+    r = 1
+    while e:
+        if e & 1:
+            r = ctx._raw_mul(r, a)
+        a = ctx._raw_mul(a, a)
+        e >>= 1
+    return r
+
+
+def scalar_primitive(ctx):
+    """Smallest encoding of order q-1: a^((q-1)/r) != 1 for every prime
+    r dividing q-1."""
+    n = ctx.q - 1
+    primes = [r for r in range(2, n + 1) if n % r == 0
+              and all(r % f for f in range(2, int(r ** 0.5) + 1))]
+    return next(a for a in range(1, ctx.q)
+                if all(_raw_pow(ctx, a, n // r) != 1 for r in primes))
+
+
+def raw_add(ctx, a, b):
+    if ctx.base is not None:
+        q0 = ctx.base.q
+        return (raw_add(ctx.base, a % q0, b % q0)
+                + raw_add(ctx.base, a // q0, b // q0) * q0)
+    p = ctx.p
+    if ctx.m == 1:
+        return (a + b) % p
+    out, mult = 0, 1
+    for _ in range(ctx.m):
+        out += ((a + b) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
+def raw_neg(ctx, a):
+    if ctx.base is not None:
+        q0 = ctx.base.q
+        return raw_neg(ctx.base, a % q0) + raw_neg(ctx.base, a // q0) * q0
+    p = ctx.p
+    if ctx.m == 1:
+        return (-a) % p
+    out, mult = 0, 1
+    for _ in range(ctx.m):
+        out += ((p - a % p) % p) * mult
+        a //= p
+        mult *= p
+    return out
+
+
+def scalar_tables(ctx, add_limit=1024):
+    """(primitive, exp, log, add, neg) of the field, one scalar operation
+    per entry.  log[0] is None; add is None above add_limit, and add and
+    neg are None in characteristic 2 (XOR, and the identity)."""
+    q = ctx.q
+    prim = scalar_primitive(ctx)
+    exp, log = [], [None] * q
+    e = 1
+    for i in range(q - 1):
+        exp.append(e)
+        log[e] = i
+        e = ctx._raw_mul(e, prim)
+    assert e == 1
+    if ctx.p == 2:
+        return prim, exp, log, None, None
+    neg = [raw_neg(ctx, a) for a in range(q)]
+    add = None
+    if q <= add_limit:
+        add = [[raw_add(ctx, a, b) for b in range(q)] for a in range(q)]
+    return prim, exp, log, add, neg

@@ -1,0 +1,131 @@
+"""Standing mutant gate: every mutant below must make its tests fail.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the mutants whose names contain NAME
+
+Each mutant is a text patch to one file of the package: an old text that
+must occur exactly once, and its replacement.  The script copies src/ to a
+temporary directory, applies the patch there and runs pytest, stopping at
+the first failure, on the mutant's tests with that copy on the import path;
+a failing test or a package that no longer imports kills the mutant.
+It exits 1 if the tests pass on some mutant (the mutant survived) or if
+some old text is no longer found once (the patch is stale: update it with
+the code it mutates).  pytest does not collect this file, since its name
+does not start with test_; the whole run takes about a minute.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (name, file under src/mdsx, old text, new text, pytest arguments)
+MUTANTS = [
+    # the field's table build
+    ("digitwise add drops its top digit", "field.py",
+     "    for _ in range(m):\n        out += op(",
+     "    for _ in range(m - 1):\n        out += op(",
+     ["tests/test_field.py"]),
+    ("exp doubling step is not squared", "field.py",
+     "            step = step @ step % p\n", "",
+     ["tests/test_field.py"]),
+    ("neg table off by one", "field.py",
+     "self._neg = [ints[v] for v in neg]",
+     "self._neg = [ints[(v + 1) % q] for v in neg]",
+     ["tests/test_field.py"]),
+    # enumeration and the coset-leader sweep
+    ("_fold without its offset", "kernels.py",
+     "        yield add(block, offset)", "        yield block",
+     ["tests/test_kernels.py"]),
+    ("sweep writes only c = 1", "kernels.py",
+     "[:, 1:] @ radix] = w", "[:, 1:2] @ radix] = w",
+     ["tests/test_kernels.py"]),
+    ("sweep stops one layer early", "kernels.py",
+     "    for w in range(1, n + 1):\n        before = covered",
+     "    for w in range(1, n):\n        before = covered",
+     ["tests/test_kernels.py"]),
+    ("codewords in forward row order", "code.py",
+     "kernels.codeword_blocks(self.generator._rows[::-1],",
+     "kernels.codeword_blocks(self.generator._rows,",
+     ["tests/test_kernels.py"]),
+    ("weight_counts ignores v", "kernels.py",
+     "            block = add(block, neg_v)", "            pass",
+     ["tests/test_kernels.py"]),
+    ("min_distance reads bin 0", "code.py",
+     "next(w for w in range(1, self.n + 1) if counts[w])",
+     "next(w for w in range(0, self.n + 1) if counts[w])",
+     ["tests/test_kernels.py"]),
+    # the representative search
+    ("lex-first search takes a batch's last hit", "kernels.py",
+     "hits = hits[:1]", "hits = hits[-1:]",
+     ["tests/test_kernels.py"]),
+    ("representative search ignores the budget", "kernels.py",
+     "if tested > budget:", "if False:",
+     ["tests/test_kernels.py"]),
+    # the column-subset engine
+    ("_ranks ignores used rows", "kernels.py",
+     "live = unused & (A[:, :, c] != 0)", "live = A[:, :, c] != 0",
+     ["tests/test_subsets.py"]),
+    ("MDS layer skipped", "code.py",
+     "if comb(n, k) < min(total, budget):", "if False:",
+     ["tests/test_subsets.py"]),
+]
+
+
+def run_mutant(path, old, new, tests) -> str:
+    """'killed', 'SURVIVED' or 'STALE'."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "mdsx" / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            return "STALE"
+        target.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONDONTWRITEBYTECODE="1")
+        # the tests must import the mutated copy (found, not imported)
+        where = subprocess.run(
+            [sys.executable, "-c", "import importlib.util; "
+             "print(importlib.util.find_spec('mdsx').origin)"],
+            env=env, cwd=ROOT, capture_output=True, text=True).stdout
+        if not where.startswith(str(src)):
+            raise SystemExit(f"mdsx imported from {where!r}, not the copy")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q",
+             "-p", "no:cacheprovider", *tests],
+            env=env, cwd=ROOT, capture_output=True, text=True)
+        # 1: some test failed; 2: the mutated package failed to import
+        # while the tests were collected.  Anything else (passed, no tests
+        # found, a usage error) leaves the mutant alive.
+        return "killed" if proc.returncode in (1, 2) else "SURVIVED"
+
+
+def main(argv) -> int:
+    chosen = [m for m in MUTANTS
+              if not argv or any(a in m[0] for a in argv)]
+    bad = 0
+    start = time.monotonic()
+    for mutant in chosen:
+        t0 = time.monotonic()
+        verdict = run_mutant(*mutant[1:])
+        bad += verdict != "killed"
+        print(f"{verdict:8s} {time.monotonic() - t0:5.1f}s  {mutant[0]}",
+              flush=True)
+    print(f"{len(chosen) - bad}/{len(chosen)} mutants killed in "
+          f"{time.monotonic() - start:.0f}s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -96,6 +96,17 @@ class TestCovering:
         assert rc == 3
         assert "budget" in err.lower()
 
+    def test_representative_search_honours_budget(self, capsys, spec_file):
+        # PRS [6,3]/GF(5): the sweep fits 150 syndromes, but the search
+        # for its deep-hole representatives tests 160 vectors
+        spec = spec_file({"field": {"p": 5, "m": 1},
+                          "code": {"type": "prs", "k": 3}})
+        for argv in (["covering", spec, "--deep-holes"],
+                     ["deep-holes", spec]):
+            assert run(capsys, argv + ["--budget", "150"])[0] == 3
+            assert run(capsys, argv + ["--budget", "160"])[0] == 0
+        assert run(capsys, ["covering", spec, "--budget", "150"])[0] == 0
+
     def test_full_space_rho_zero(self, capsys, spec_file):
         spec = {"field": {"p": 5, "m": 1},
                 "code": {"type": "generator",
@@ -300,6 +311,28 @@ class TestVerify:
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "thm6-exhaustive", "--qs", "a,b"],
+        ["verify", "thm6-exhaustive", "--qs", "3,"],
+        ["verify", "cyclic-cu", "--ms", "2,x"],
+        ["set-check", "--field", "2", "3", "--k", "1", "--elements", "1,y"],
+    ], ids=["qs-letters", "qs-trailing-comma", "ms", "elements"])
+    def test_non_integer_list_exits_2(self, capsys, argv):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert "comma-separated ints" in err
+
+    @pytest.mark.parametrize("flag", [
+        ["--delta", "9"], ["--delta", "-1"], ["--pi", "8"],
+        ["--elements", "1,8"]], ids=["delta", "negative-delta", "pi",
+                                     "elements"])
+    def test_set_check_value_outside_the_field_exits_2(self, capsys, flag):
+        # GF(8): 9 is no encoding, and was silently read as 1
+        rc, out, err = run(capsys, ["set-check", "--field", "2", "3",
+                                    "--k", "1", *flag])
+        assert (rc, out) == (2, "")
+        assert "[0, 8)" in err
 
     def test_missing_file(self, capsys):
         rc, _, err = run(capsys, ["build", "/nonexistent/path.json"])

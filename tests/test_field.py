@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+
+import helpers
 
 from mdsx.errors import (
     ContextMismatch,
@@ -122,6 +125,50 @@ class TestArithmetic:
                 assert a * b == b * a
                 assert (a + b) + c == a + (b + c)
                 assert a * (b + c) == a * b + a * c
+
+
+# Every field the suites and tests build, the largest of each kind, and
+# odd fields past the addition table, prime and not
+TWIN_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+               (11, 1), (13, 1), (2, 4), (17, 1), (5, 2), (3, 3), (2, 5),
+               (7, 2), (2, 6), (3, 4), (2, 8), (2, 9), (3, 6), (1021, 1),
+               (1031, 1), (3, 7), (5, 5), (65521, 1), (2, 16)]
+TWIN_EXTENSIONS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (7, 1), (3, 2)]
+
+
+def _assert_tables_match_twin(ctx):
+    prim, exp, log, add, neg = helpers.scalar_tables(ctx)
+    q = ctx.q
+    assert ctx.primitive.value == prim
+    assert ctx._exp == exp
+    assert ctx._log[1:] == log[1:]
+    assert ctx._add == add
+    assert ctx._neg == neg
+    # the kernels' arrays: log(0) past two periods of exp, then zeros
+    log_arr, exp_arr, add_arr = ctx._arrays
+    assert log_arr.tolist() == [2 * (q - 1)] + log[1:]
+    assert exp_arr.tolist() == exp * 2 + [0] * (2 * q - 1)
+    rng = np.random.default_rng(q)
+    a, b = rng.integers(0, q, size=(2, 3000))
+    want = [a_ ^ b_ if ctx.p == 2 else helpers.raw_add(ctx, a_, b_)
+            for a_, b_ in zip(a.tolist(), b.tolist())]
+    assert add_arr(a, b).tolist() == want
+    assert [ctx.add_i(a_, b_) for a_, b_ in zip(a.tolist(), b.tolist())] \
+        == want
+
+
+class TestTableTwin:
+    """The numpy table build against the scalar build it replaced."""
+
+    @pytest.mark.parametrize("pm", TWIN_FIELDS,
+                             ids=[f"gf{p ** m}" for p, m in TWIN_FIELDS])
+    def test_ground_field(self, pm):
+        _assert_tables_match_twin(field_new(*pm))
+
+    @pytest.mark.parametrize("pm", TWIN_EXTENSIONS,
+                             ids=[f"gf{p ** m}" for p, m in TWIN_EXTENSIONS])
+    def test_quadratic_extension(self, pm):
+        _assert_tables_match_twin(quadratic_extension(field_new(*pm)))
 
 
 class TestQuadraticExtension:

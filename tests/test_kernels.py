@@ -4,6 +4,7 @@ import hashlib
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,12 @@ import helpers
 from mdsx import kernels
 from mdsx.code import code_from_generator, full_code, zero_code
 from mdsx.constructions import GrsSpec, egrs_dual_code, grs, prs
-from mdsx.covering import covering_radius, distance_to_code
+from mdsx.covering import (
+    covering_radius,
+    deep_holes_via_mds,
+    distance_to_code,
+    syndrome_criteria,
+)
 from mdsx.errors import BadDims, BudgetExceeded, InvariantViolation
 from mdsx.field import field_new
 from mdsx.matrix import Matrix
@@ -122,11 +128,42 @@ def test_prime_field_beyond_the_addition_table():
     assert (rep.rho, rep.coset_leader_weight_counts()) == (1, [1, 1030])
 
 
-def test_non_prime_field_beyond_the_addition_table_is_refused():
-    gf = field_new(3, 7)
-    code = grs(GrsSpec.make(gf, [0, 1], 1, 1))
-    with pytest.raises(BudgetExceeded):
-        code.weight_enumerator()
+@pytest.mark.parametrize("pm", [(3, 7), (5, 5)], ids=["gf2187", "gf3125"])
+def test_non_prime_field_beyond_the_addition_table(pm):
+    # no addition table: the kernels add digit by digit
+    gf = field_new(*pm)
+    q = gf.q
+    code = grs(GrsSpec.make(gf, [0, 1, 2], 1, 1))
+    assert code.weight_enumerator() == helpers.brute_weight_enumerator(code)
+    assert code.min_distance() == helpers.brute_min_distance(code) == 3
+    rng = random.Random(q)
+    vectors = [[rng.randrange(q) for _ in range(3)] for _ in range(4)]
+    vectors.append([5, 5, 5])  # a codeword
+    want = [helpers.brute_distance_to_code(code, gf.vector(v))
+            for v in vectors]
+    assert [distance_to_code(code, v) for v in vectors] == want
+    rep = covering_radius(code)
+    assert [distance_to_code(code, v) for v in vectors] == want
+    # a representative at distance rho = n-k, and d = 3 gives every
+    # weight-1 vector its own coset
+    reps = rep.representatives(limit=2)
+    assert [helpers.brute_distance_to_code(code, r) for r in reps] \
+        == [rep.rho] * 2 == [2, 2]
+    assert rep.coset_leader_weight_counts() \
+        == [1, 3 * (q - 1), q ** 2 - 1 - 3 * (q - 1)]
+    us = vectors + [[e.value for e in r] for r in reps]
+    deep = [helpers.brute_distance_to_code(code, gf.vector(u)) == 2
+            for u in us]
+    assert deep_holes_via_mds(code, us).tolist() == deep
+    assert syndrome_criteria(code.parity, us, 2).tolist() == deep
+    # the subset engine against one boxed elimination per subset
+    m = Matrix(gf, [[rng.randrange(q) for _ in range(5)] for _ in range(2)]
+               ).with_col([3, 7]).with_col([6, 14])
+    for w in (1, 2, 3):
+        got = np.concatenate([r[:, 0] for _, r in
+                              kernels.subset_ranks([m.to_int_rows()], gf, w)])
+        assert got.tolist() == [helpers.ref_rank(m.select_cols(s))
+                                for s in combinations(range(m.cols), w)]
 
 
 FIELDS = [field_new(p, m) for p, m in
@@ -249,3 +286,57 @@ def test_codeword_scan_matches_span_oracle(code, data):
         # no report cached: the distance came from the codeword route
         assert (code._covering is None) == (k <= n - k)
     assert distance_to_code(code, word) == 0
+
+
+LEX_FIELDS = [field_new(p, m) for p, m in
+              ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2))]
+
+
+@st.composite
+def lex_first_cases(draw):
+    """A random check H (zero and repeated rows allowed), a weight from 0
+    to n and a few target syndromes, reachable at that weight or not."""
+    ctx = draw(st.sampled_from(LEX_FIELDS))
+    n = draw(st.integers(1, max(n for n in range(1, 14)
+                                if ctx.q ** n <= 10 ** 4)))
+    r = draw(st.integers(1, min(n, 3)))
+    H = [[draw(st.integers(0, ctx.q - 1)) for _ in range(n)]
+         for _ in range(r)]
+    weight = draw(st.integers(0, n))
+    targets = draw(st.sets(st.integers(0, ctx.q ** r - 1), min_size=1,
+                           max_size=6))
+    return ctx, H, n, weight, targets
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lex_first_cases(), st.booleans())
+def test_lex_first_matches_brute_force(case, stop_after_first):
+    ctx, H, n, weight, targets = case
+    first = helpers.brute_lex_first_weight_vectors(H, n, ctx, weight)
+    reached = {t: first[t] for t in targets if t in first}
+    if stop_after_first and reached:
+        t = min(reached, key=reached.get)
+        want = {t: reached[t]}
+    elif not stop_after_first and len(reached) == len(targets):
+        want = reached
+    else:
+        with pytest.raises(InvariantViolation):
+            kernels.lex_first_weight_vectors(H, n, ctx, weight, targets,
+                                             stop_after_first)
+        return
+    assert kernels.lex_first_weight_vectors(
+        H, n, ctx, weight, targets, stop_after_first) == want
+
+
+def test_lex_first_search_counts_tested_vectors_against_the_budget():
+    # weight 2 in length 4 over GF(3): the prefixes 0 0 1 and 0 0 2 test
+    # 2 vectors each, then the prefix 0 1 tests 4 and finds the target
+    ctx = field_new(3, 1)
+    H = [[1, 1, 1, 1], [0, 1, 2, 0]]
+    target = helpers.scalar_syndrome(H, (0, 1, 1, 0), ctx)
+    tested = 2 + 2 + 4
+    assert kernels.lex_first_weight_vectors(
+        H, 4, ctx, 2, {target}, budget=tested) == {target: (0, 1, 1, 0)}
+    with pytest.raises(BudgetExceeded):
+        kernels.lex_first_weight_vectors(H, 4, ctx, 2, {target},
+                                         budget=tested - 1)

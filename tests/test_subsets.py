@@ -28,7 +28,7 @@ from mdsx.covering import (
     syndrome_criterion,
 )
 from mdsx.errors import BudgetExceeded
-from mdsx.field import field_new
+from mdsx.field import FieldCtx, field_new
 from mdsx.matrix import Matrix, first_dependent_columns
 
 FIELDS = [field_new(p, m) for p, m in
@@ -347,12 +347,17 @@ def test_cli_mindist_refuses_a_search_past_the_budget(capsys, tmp_path):
 # Field arrays and the length of row-free generators
 # ---------------------------------------------------------------------------
 
-def test_field_arrays_are_built_once():
+def test_field_arrays_are_built_once(monkeypatch):
+    # the field builds its arrays with its tables; the kernels only read
+    # them, and the memoized field never builds them again
     gf = field_new(1021, 1)
-    add = kernels._np_add(gf)
-    log, exp, _ = gf._arrays
-    assert kernels._np_add(gf) is add
-    assert kernels._arrays(gf) is gf._arrays
+    arrays = gf._arrays
+    log, exp, _ = arrays
+    monkeypatch.setattr(FieldCtx, "_build_tables", None)
+    code = grs(GrsSpec.make(gf, [0, 1, 2], 1, 1))
+    assert code.weight_enumerator() == [1, 0, 0, 1020]
+    assert covering_radius(code).rho == 2
+    assert field_new(1021, 1)._arrays is arrays
     assert gf._arrays[0] is log and gf._arrays[1] is exp
     assert (log.dtype, exp.dtype) == (np.int64, np.uint16)
     assert exp.size == 4 * 1020 + 1
