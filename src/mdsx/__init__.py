@@ -7,7 +7,6 @@ from .field import (
     FieldElement,
     Poly,
     field_new,
-    lagrange_interpolate,
     minimal_poly_over_base,
     quadratic_extension,
 )
@@ -27,14 +26,13 @@ from .code import (
 )
 from .covering import (
     CoveringReport,
-    Theorem6Check,
     covering_radius,
     distance_to_code,
+    extensions_mds,
     full_radius_witness,
     is_deep_hole,
     is_deep_hole_via_mds,
     syndrome_criterion,
-    verify_theorem6,
 )
 from .constructions import (
     CuExtensionFacts,
@@ -44,7 +42,6 @@ from .constructions import (
     cu_extension_facts,
     cyclic_cu,
     cyclic_spec,
-    deep_hole_family_rs,
     egrs,
     egrs_dual_code,
     grs,

@@ -228,27 +228,6 @@ class DeepHoleCandidate:
     valid: bool = True
 
 
-def deep_hole_family_rs(a, k: int, v=None) -> list[DeepHoleCandidate]:
-    """Candidate deep holes of the k-dimensional evaluation code on nodes a
-    (multipliers v, default 1): the degree-k monomial vector and one simple
-    pole per point outside the node set.  The pole family is empty when the
-    nodes exhaust the field."""
-    ctx, a, v = _normalize_nodes_multipliers(a, 1 if v is None else v)
-    n = len(a)
-    if not 1 <= k < n:
-        raise BadK(f"need 1 <= k < n = {n}, got {k}")
-    out = [DeepHoleCandidate(
-        "monomial", tuple(vi * (ai ** k) for ai, vi in zip(a, v)))]
-    used = {x.value for x in a}
-    for pv in range(ctx.q):
-        if pv in used:
-            continue
-        pi = ctx.elem(pv)
-        out.append(DeepHoleCandidate(
-            "pole", tuple(vi / (ai - pi) for ai, vi in zip(a, v)), pi=pi))
-    return out
-
-
 def egrs_dual_code(a, k: int) -> LinearCode:
     """The dual of the coefficient-extended code on nodes a with unit
     multipliers; target of the thm14 candidates."""

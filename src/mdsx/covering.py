@@ -5,12 +5,13 @@ vectors are enumerated by increasing weight and each syndrome records the
 first weight that reaches it.  Deep-hole checks then reduce to a leader
 weight lookup.  Two further, independent characterizations (the minor test
 on a stacked generator and the parity-column-span test) are implemented
-side by side so they can cross-check each other.
+side by side so they can cross-check each other.  `extensions_mds` decides
+the other side of the extension theorem, whether the inner-product
+extension by u stays MDS, for many u at once from the code's light
+codewords.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,12 +74,18 @@ class CoveringReport:
         """Canonical deep-hole representatives: per deep-hole coset, the
         lexicographically first minimum-weight vector (desk scale: the
         vectors the search tests count against the budget)."""
+        return [_box(self.code.ctx, r)
+                for r in self._representative_ints(limit, budget)]
+
+    def _representative_ints(self, limit, budget) -> list[tuple]:
+        """representatives as tuples of encodings; the full list is
+        cached."""
         if self._reps is None:
             targets = self.deep_hole_syndromes[:limit].tolist()
             found = kernels.lex_first_weight_vectors(
                 self.code.parity._rows, self.code.n, self.code.ctx,
                 self.rho, set(targets), budget=budget)
-            reps = [_box(self.code.ctx, found[t]) for t in targets]
+            reps = [found[t] for t in targets]
             if limit is None:
                 self._reps = reps
             return reps
@@ -95,8 +102,7 @@ class CoveringReport:
         }
         if include_representatives:
             d["representatives"] = [
-                [e.value for e in r]
-                for r in self.representatives(limit, budget)]
+                list(r) for r in self._representative_ints(limit, budget)]
         return d
 
 
@@ -199,6 +205,30 @@ def _rows_of_length(us, n: int):
     return us
 
 
+def extensions_mds(code: LinearCode, us, budget=DEFAULT_BUDGET):
+    """Whether the inner-product extension by u (`extend_u`) is MDS, for
+    every row u of `us` (encodings) at once, as a boolean array.
+
+    It has the codewords (c, <u, c>), so its distance is the least
+    wt(c) + [<u, c> != 0] over codewords c != 0, and it is MDS iff that
+    reaches n-k+2.  Only codewords of weight <= n-k+1 can stay below it:
+    one of weight <= n-k rules out every u, and one of weight n-k+1 rules
+    out the u orthogonal to it.  At k = 0 no extension is MDS, as in
+    `LinearCode.is_mds`.  The q^k codewords count against the budget.
+    """
+    n, k = code.n, code.k
+    us = _rows_of_length(us, n)
+    light = []
+    for _, block in kernels.codeword_blocks(code.generator._rows, n,
+                                            code.ctx, budget):
+        wt = np.count_nonzero(block, axis=1)
+        light.append(block[(wt > 0) & (wt <= n - k + 1)])
+    light = np.concatenate(light)
+    if k == 0 or (np.count_nonzero(light, axis=1) <= n - k).any():
+        return np.zeros(len(us), dtype=bool)
+    return (kernels.mat_vecs(light, n, code.ctx, us) != 0).all(axis=1)
+
+
 def full_radius_witness(code: LinearCode, budget=DEFAULT_BUDGET):
     """A vector whose stacking under the generator stays MDS, if the
     covering radius is full (n-k); None when it is n-k-1."""
@@ -218,36 +248,3 @@ def full_radius_witness(code: LinearCode, budget=DEFAULT_BUDGET):
     if first_dependent_columns(stacked, code.k + 1, budget) is not None:
         raise InvariantViolation("deep-hole witness failed the minor check")
     return _box(code.ctx, vec)
-
-
-@dataclass(frozen=True)
-class Theorem6Check:
-    extended_mds: bool
-    rho_dual_is_k: bool
-    u_deep_hole_dual: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.extended_mds == (self.rho_dual_is_k
-                                     and self.u_deep_hole_dual)
-
-
-def verify_theorem6(code: LinearCode, u, budget=DEFAULT_BUDGET) -> Theorem6Check:
-    """Evaluate, independently, whether the inner-product extension by u is
-    MDS, whether the dual has full covering radius k, and whether u is a
-    deep hole of the dual; the first must equal the conjunction of the
-    other two."""
-    if not code.is_mds(budget):
-        raise NotMds("the biconditional is about MDS codes")
-    ext = code.extend_u(u)
-    extended_mds = ext.is_mds(budget)
-    d = code.dual()
-    report = covering_radius(d, budget)
-    rho_is_k = report.rho == code.k
-    u_dh = report.leader_weight(u) == report.rho
-    check = Theorem6Check(extended_mds, rho_is_k, u_dh)
-    if not check.consistent:
-        raise InvariantViolation(
-            f"extension-MDS biconditional failed: {check} for u = "
-            f"{list(code._vec(u))}")
-    return check

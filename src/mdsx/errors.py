@@ -27,10 +27,6 @@ class NoBaseField(MdsxError):
     pass
 
 
-class DuplicateAbscissa(MdsxError):
-    pass
-
-
 # -- linear algebra ----------------------------------------------------------
 
 class NotSquare(MdsxError):

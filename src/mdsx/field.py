@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     ContextMismatch,
     DivisionByZero,
-    DuplicateAbscissa,
     NoBaseField,
     NonPrimeCharacteristic,
     SizeBudgetExceeded,
@@ -351,11 +350,6 @@ class FieldCtx:
             raise ValueError(f"{e!r} is not in the base field")
         return FieldElement(e.value, self.base)
 
-    def in_base(self, e: "FieldElement") -> bool:
-        if self.base is None:
-            raise NoBaseField(f"{self!r} has no base field")
-        return self.pow_i(e.value, self.base.q) == e.value
-
     # -- misc ------------------------------------------------------------------
 
     def __repr__(self):
@@ -677,31 +671,6 @@ class Poly:
             else:
                 parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "Poly(" + " + ".join(parts) + ")"
-
-
-def lagrange_interpolate(points) -> Poly:
-    """Unique polynomial of degree < n through the given (x, y) pairs."""
-    points = list(points)
-    if not points:
-        raise ValueError("need at least one point")
-    ctx = points[0][0].ctx
-    xs = [ctx.elem(x) for x, _ in points]
-    ys = [ctx.elem(y) for _, y in points]
-    if len({x.value for x in xs}) != len(xs):
-        raise DuplicateAbscissa("interpolation abscissae must be distinct")
-    acc = Poly.zero(ctx)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi.value == 0:
-            continue
-        num = Poly.one(ctx)
-        den = ctx.one
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = num * Poly(ctx, (-xj, ctx.one))
-            den = den * (xi - xj)
-        acc = acc + num * (yi / den)
-    return acc
 
 
 def minimal_poly_over_base(e: FieldElement) -> Poly:

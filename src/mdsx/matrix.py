@@ -63,10 +63,6 @@ class Matrix:
         return cls(ctx, [[1 if i == j else 0 for j in range(n)]
                          for i in range(n)])
 
-    @classmethod
-    def zeros(cls, ctx, r, c):
-        return cls(ctx, [[0] * c for _ in range(r)], cols=c)
-
     # -- shape / access --------------------------------------------------------
 
     @property

@@ -18,6 +18,7 @@ from .code import extend_g
 from .covering import (
     covering_radius,
     deep_holes_via_mds,
+    extensions_mds,
     is_deep_hole,
     syndrome_criteria,
 )
@@ -44,6 +45,9 @@ from .errors import UnknownSuite
 from .field import _prime_factors, field_new
 from .kernels import DEFAULT_BUDGET
 from .matrix import egrs_generator, grs_generator
+
+# vectors u per thm6-exhaustive batch: bounds the u-by-codeword arrays
+_U_CHUNK = 1 << 16
 
 
 def _ctx_for_q(q: int):
@@ -76,6 +80,15 @@ def _grs_spec_dict(ctx, nodes, mult, k, u=None, extended=False):
 # covering radius and u is one of its deep holes, for every single u.
 # ---------------------------------------------------------------------------
 
+def _product_rows(q: int, n: int):
+    """Every vector of length n over range(q), in itertools.product order,
+    as chunks of rows."""
+    radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    for start in range(0, q ** n, _U_CHUNK):
+        index = np.arange(start, min(start + _U_CHUNK, q ** n))
+        yield index[:, None] // radix % q
+
+
 def suite_thm6_exhaustive(params):
     qs = params.get("qs", [3, 4, 5])
     max_n = params.get("max_n", 5)
@@ -96,19 +109,18 @@ def suite_thm6_exhaustive(params):
                 for mult in mults:
                     for k in range(1, n):
                         code = grs(GrsSpec.make(ctx, nodes, mult, k))
-                        dual = code.dual()
-                        rep = covering_radius(dual, budget)
-                        rho_is_k = rep.rho == k
+                        rep = covering_radius(code.dual(), budget)
                         checked_codes += 1
-                        for u in product(range(q), repeat=n):
-                            lhs = code.extend_u(u).is_mds(budget)
-                            rhs = (rho_is_k
-                                   and rep.leader_weight(u) == rep.rho)
-                            checked_u += 1
-                            if lhs != rhs and counterexample is None:
+                        for us in _product_rows(q, n):
+                            lhs = extensions_mds(code, us, budget)
+                            rhs = (rep.rho == k) & (rep.leader_weights(us)
+                                                    == rep.rho)
+                            checked_u += len(us)
+                            bad = np.flatnonzero(lhs != rhs)
+                            if bad.size and counterexample is None:
                                 ok = False
                                 counterexample = _grs_spec_dict(
-                                    ctx, nodes, mult, k, u=u)
+                                    ctx, nodes, mult, k, u=us[bad[0]])
                 if counterexample is not None:
                     break
             cases.append({"q": q, "n": n, "codes": checked_codes,

@@ -1,7 +1,15 @@
 """Independent brute-force oracles, kept deliberately naive."""
 
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
+
+from mdsx.constructions import DeepHoleCandidate
+from mdsx.covering import covering_radius
+from mdsx.errors import BadK, InvariantViolation, NoBaseField, NotMds
+from mdsx.field import Poly
+from mdsx.kernels import DEFAULT_BUDGET
+from mdsx.matrix import Matrix, _normalize_nodes_multipliers
 
 
 def all_vectors(ctx, n):
@@ -317,3 +325,103 @@ def scalar_tables(ctx, add_limit=1024):
     if q <= add_limit:
         add = [[raw_add(ctx, a, b) for b in range(q)] for a in range(q)]
     return prim, exp, log, add, neg
+
+
+# ---------------------------------------------------------------------------
+# Theorem 6 one u at a time: the per-u twin of covering.extensions_mds and
+# the suite's batched check.  Each u builds the extension with extend_u and
+# settles its MDS status by elimination and a codeword scan.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Theorem6Check:
+    extended_mds: bool
+    rho_dual_is_k: bool
+    u_deep_hole_dual: bool
+
+    @property
+    def consistent(self) -> bool:
+        return self.extended_mds == (self.rho_dual_is_k
+                                     and self.u_deep_hole_dual)
+
+
+def verify_theorem6(code, u, budget=DEFAULT_BUDGET) -> Theorem6Check:
+    """Evaluate, independently, whether the inner-product extension by u is
+    MDS, whether the dual has full covering radius k, and whether u is a
+    deep hole of the dual; the first must equal the conjunction of the
+    other two."""
+    if not code.is_mds(budget):
+        raise NotMds("the biconditional is about MDS codes")
+    ext = code.extend_u(u)
+    extended_mds = ext.is_mds(budget)
+    d = code.dual()
+    report = covering_radius(d, budget)
+    rho_is_k = report.rho == code.k
+    u_dh = report.leader_weight(u) == report.rho
+    check = Theorem6Check(extended_mds, rho_is_k, u_dh)
+    if not check.consistent:
+        raise InvariantViolation(
+            f"extension-MDS biconditional failed: {check} for u = "
+            f"{list(code._vec(u))}")
+    return check
+
+
+# ---------------------------------------------------------------------------
+# Small field, polynomial and matrix oracles with no caller in the package.
+# ---------------------------------------------------------------------------
+
+def in_base(ext, e):
+    """e lies in the base field of the quadratic extension ext: e^q0 = e."""
+    if ext.base is None:
+        raise NoBaseField(f"{ext!r} has no base field")
+    return ext.pow_i(e.value, ext.base.q) == e.value
+
+
+def lagrange_interpolate(points):
+    """Unique polynomial of degree < n through the given (x, y) pairs."""
+    points = list(points)
+    if not points:
+        raise ValueError("need at least one point")
+    ctx = points[0][0].ctx
+    xs = [ctx.elem(x) for x, _ in points]
+    ys = [ctx.elem(y) for _, y in points]
+    if len({x.value for x in xs}) != len(xs):
+        raise ValueError("interpolation abscissae must be distinct")
+    acc = Poly.zero(ctx)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        if yi.value == 0:
+            continue
+        num = Poly.one(ctx)
+        den = ctx.one
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            num = num * Poly(ctx, (-xj, ctx.one))
+            den = den * (xi - xj)
+        acc = acc + num * (yi / den)
+    return acc
+
+
+def zeros(ctx, r, c):
+    return Matrix(ctx, [[0] * c for _ in range(r)], cols=c)
+
+
+def deep_hole_family_rs(a, k, v=None):
+    """Candidate deep holes of the k-dimensional evaluation code on nodes a
+    (multipliers v, default 1): the degree-k monomial vector and one simple
+    pole per point outside the node set.  The pole family is empty when the
+    nodes exhaust the field."""
+    ctx, a, v = _normalize_nodes_multipliers(a, 1 if v is None else v)
+    n = len(a)
+    if not 1 <= k < n:
+        raise BadK(f"need 1 <= k < n = {n}, got {k}")
+    out = [DeepHoleCandidate(
+        "monomial", tuple(vi * (ai ** k) for ai, vi in zip(a, v)))]
+    used = {x.value for x in a}
+    for pv in range(ctx.q):
+        if pv in used:
+            continue
+        pi = ctx.elem(pv)
+        out.append(DeepHoleCandidate(
+            "pole", tuple(vi / (ai - pi) for ai, vi in zip(a, v)), pi=pi))
+    return out

@@ -13,7 +13,7 @@ a failing test or a package that no longer imports kills the mutant.
 It exits 1 if the tests pass on some mutant (the mutant survived) or if
 some old text is no longer found once (the patch is stale: update it with
 the code it mutates).  pytest does not collect this file, since its name
-does not start with test_; the whole run takes about a minute.
+does not start with test_; the whole run takes about two minutes.
 """
 
 from __future__ import annotations
@@ -78,6 +78,23 @@ MUTANTS = [
     ("MDS layer skipped", "code.py",
      "if comb(n, k) < min(total, budget):", "if False:",
      ["tests/test_subsets.py"]),
+    # elimination and the field's log array
+    ("det keeps its sign on a row swap", "matrix.py",
+     "                det = ctx.neg_i(det)\n", "",
+     ["tests/test_matrix_twin.py", "tests/test_matrix.py"]),
+    ("rref stops one pivot early", "matrix.py",
+     "            if pr == nr:\n", "            if pr + 1 == nr:\n",
+     ["tests/test_matrix_twin.py", "tests/test_matrix.py"]),
+    ("log(0) one period short", "field.py",
+     "log[0] = 2 * (q - 1)", "log[0] = q - 1",
+     ["tests/test_field.py", "tests/test_kernels.py"]),
+    # the batched left side of Theorem 6
+    ("extension test drops weight n-k+1", "covering.py",
+     "(wt <= n - k + 1)", "(wt < n - k + 1)",
+     ["tests/test_covering.py"]),
+    ("extension test misses weight n-k", "covering.py",
+     "<= n - k).any()", "< n - k).any()",
+     ["tests/test_covering.py"]),
 ]
 
 

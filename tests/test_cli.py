@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import time
+from math import comb
 
 import pytest
 
@@ -106,6 +108,24 @@ class TestCovering:
             assert run(capsys, argv + ["--budget", "150"])[0] == 3
             assert run(capsys, argv + ["--budget", "160"])[0] == 0
         assert run(capsys, ["covering", spec, "--budget", "150"])[0] == 0
+
+    # sha256 of the JSON stdout on PRS [6,3]/GF(5): the representatives
+    # are read as encodings, with no field elements in between
+    @pytest.mark.parametrize("argv, digest", [
+        (["covering", "--deep-holes"],
+         "0971e8fd7438eb2cbcef528f905308a250c37408f1157ed08c761ea75379ed45"),
+        (["deep-holes"],
+         "0971e8fd7438eb2cbcef528f905308a250c37408f1157ed08c761ea75379ed45"),
+        (["deep-holes", "--limit", "3"],
+         "7737d6a35f419adb060cbc17e206fc55b9550fd2cc44de599c59ccaa359b2da4"),
+    ])
+    def test_representatives_json_unchanged(self, capsys, spec_file, argv,
+                                            digest):
+        spec = spec_file({"field": {"p": 5, "m": 1},
+                          "code": {"type": "prs", "k": 3}})
+        rc, out, _ = run(capsys, argv[:1] + [spec, "--json"] + argv[1:])
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_full_space_rho_zero(self, capsys, spec_file):
         spec = {"field": {"p": 5, "m": 1},
@@ -283,6 +303,8 @@ class TestVerify:
          "c50209dcae61a6c3134b9d8468bb044a9c11551822ba9db43c68c356a57c273d"),
         ("dp-vs-bruteforce", [],
          "2c5b052317cf32a004988d250991fd47b87105e5d93f424000656d0163cdfac4"),
+        ("thm6-exhaustive", [],
+         "9e8228b37a3214d274665d1cb39a74a1737ce2f8126f7971c779ea84433bb1f2"),
     ])
     def test_reports_match_recorded_digests(self, capsys, suite, extra,
                                             digest):
@@ -290,6 +312,21 @@ class TestVerify:
                          + extra)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_thm6_at_q7_checks_every_u_in_seconds(self, capsys):
+        # 392 GRS codes of length 2..4 over GF(7) (two multiplier sets per
+        # node set), every one of their 7^n vectors u
+        t0 = time.monotonic()
+        rc, out, _ = run(capsys, ["verify", "thm6-exhaustive", "--qs", "7",
+                                  "--max-n", "4", "--json"])
+        elapsed = time.monotonic() - t0
+        assert rc == 0 and elapsed < 10
+        cases = json.loads(out)["cases"]
+        assert [(c["n"], c["codes"]) for c in cases] \
+            == [(n, comb(7, n) * 2 * (n - 1)) for n in (2, 3, 4)]
+        assert [c["u_checked"] for c in cases] \
+            == [c["codes"] * 7 ** c["n"] for c in cases]
+        assert all(c["ok"] for c in cases)
 
     def test_build_outputs_byte_stable(self, capsys, spec_file):
         path = spec_file(EX1_SPEC)

@@ -50,7 +50,7 @@ class TestConstruction:
 
     def test_zero_generator_rejected(self):
         with pytest.raises(ZeroMatrix):
-            code_from_generator(Matrix.zeros(gf5, 2, 3))
+            code_from_generator(helpers.zeros(gf5, 2, 3))
 
     def test_generator_parity_orthogonal(self):
         for c in (GRS42, EGRS52, GRS42.dual()):

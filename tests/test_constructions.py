@@ -11,7 +11,6 @@ from mdsx.constructions import (
     cu_extension_facts,
     cyclic_cu,
     cyclic_spec,
-    deep_hole_family_rs,
     egrs,
     egrs_dual_code,
     grs,
@@ -266,23 +265,23 @@ class TestSetOperations:
 
 class TestDeepHoleFamily:
     def test_monomial_vector_q5(self):
-        fam = deep_hole_family_rs(gf5.vector(range(5)), 2)
+        fam = helpers.deep_hole_family_rs(gf5.vector(range(5)), 2)
         assert fam[0].kind == "monomial"
         assert [e.value for e in fam[0].vector] == [0, 1, 4, 4, 1]
 
     def test_pole_family_empty_when_nodes_exhaust_field(self):
-        fam = deep_hole_family_rs(gf5.vector(range(5)), 2)
+        fam = helpers.deep_hole_family_rs(gf5.vector(range(5)), 2)
         assert [c.kind for c in fam] == ["monomial"]
 
     def test_pole_family_present_otherwise(self):
-        fam = deep_hole_family_rs(gf5.vector([0, 1, 2]), 1)
+        fam = helpers.deep_hole_family_rs(gf5.vector([0, 1, 2]), 1)
         assert [c.kind for c in fam] == ["monomial", "pole", "pole"]
         assert [c.pi.value for c in fam[1:]] == [3, 4]
 
     def test_candidates_are_deep_holes_q5(self):
         a = gf5.vector(range(5))
         code = grs(GrsSpec.make(gf5, list(range(5)), 1, 2))
-        for cand in deep_hole_family_rs(a, 2):
+        for cand in helpers.deep_hole_family_rs(a, 2):
             assert is_deep_hole(code, cand.vector)
 
     def test_family_is_complete_at_q5(self):
@@ -293,7 +292,7 @@ class TestDeepHoleFamily:
         assert rho == covering_radius(code).rho == 3
         orbit = set()
         words = list(code.codewords())
-        for cand in deep_hole_family_rs(gf5.vector(range(5)), 2):
+        for cand in helpers.deep_hole_family_rs(gf5.vector(range(5)), 2):
             for s in range(1, 5):
                 se = gf5.elem(s)
                 scaled = [se * e for e in cand.vector]
@@ -305,7 +304,7 @@ class TestDeepHoleFamily:
     def test_twisted_multipliers(self):
         a = gf5.vector([0, 1, 2, 3])
         w = grs_dual_weights(a, 1)
-        fam = deep_hole_family_rs(a, 2, v=w)
+        fam = helpers.deep_hole_family_rs(a, 2, v=w)
         code = grs(GrsSpec.make(gf5, [0, 1, 2, 3],
                                 [e.value for e in w], 2))
         for cand in fam:

@@ -1,20 +1,24 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
+from helpers import verify_theorem6
+from mdsx import serialize, suites
 from mdsx.code import code_from_generator, full_code
 from mdsx.constructions import GrsSpec, egrs, egrs_dual_code, grs, prs, \
     thm7_u
 from mdsx.covering import (
     covering_radius,
     distance_to_code,
+    extensions_mds,
     full_radius_witness,
     is_deep_hole,
     is_deep_hole_via_mds,
     syndrome_criterion,
-    verify_theorem6,
 )
 from mdsx.errors import (
     BadRho,
@@ -294,6 +298,94 @@ class TestVerifyTheorem6:
         assert chk.consistent
 
     def test_exhaustive_small(self):
-        c = egrs(GrsSpec.make(gf4, [0, 1, 2, 3], 1, 2))
-        for vals in product(range(4), repeat=5):
-            assert verify_theorem6(c, gf4.vector(vals)).consistent
+        # the batched left side against the per-u twin, every u, on every
+        # evaluation and coefficient-extended code of every node set at
+        # q <= 4; multipliers v only rename u (the extension of the code
+        # with multipliers v by u is that of the plain code by u * v,
+        # coordinatewise), so unit multipliers cover every verdict
+        for ctx in (gf2, gf3, gf4):
+            q = ctx.q
+            for n in range(2, q + 1):
+                for nodes in combinations(range(q), n):
+                    codes = [grs(GrsSpec.make(ctx, nodes, 1, k))
+                             for k in range(1, n)]
+                    codes += [egrs(GrsSpec.make(ctx, nodes, 1, k))
+                              for k in range(1, n + 1)]
+                    for c in codes:
+                        us = list(product(range(q), repeat=c.n))
+                        want = [verify_theorem6(c, u).extended_mds
+                                for u in us]
+                        assert extensions_mds(c, us).tolist() == want
+
+
+@st.composite
+def generators(draw):
+    """A generator over GF(2..5) with 0 to n rows, n = 1 to 4, whose
+    columns may repeat (rescaled) or vanish, so its code may be non-MDS,
+    the whole space, or the zero code."""
+    ctx = draw(st.sampled_from([gf2, gf3, gf4, gf5]))
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(0, n))
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("random", "random", "zero", "repeat")))
+        if kind == "zero":
+            cols.append([0] * r)
+        elif kind == "repeat" and cols:
+            c = draw(st.integers(1, ctx.q - 1))
+            cols.append([ctx.mul_i(c, x)
+                         for x in draw(st.sampled_from(cols))])
+        else:
+            cols.append([draw(st.integers(0, ctx.q - 1)) for _ in range(r)])
+    return Matrix(ctx, [[c[i] for c in cols] for i in range(r)], cols=n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(generators())
+def test_extensions_mds_matches_extend_u(g):
+    code = code_from_generator(g, allow_zero=True)
+    us = list(product(range(g.ctx.q), repeat=code.n))
+    want = [code.extend_u(u).is_mds() for u in us]
+    assert extensions_mds(code, us).tolist() == want
+
+
+def test_extensions_mds_rules_out_a_light_codeword():
+    # d = n-k = 2: the weight-4 extensions of the two weight-2 words are
+    # not enough, whatever u
+    code = code_from_generator(Matrix(gf2, [[1, 1, 0, 0], [0, 0, 1, 1]]))
+    assert not extensions_mds(code, [[1, 0, 1, 0], [0, 1, 0, 1]]).any()
+
+
+def test_extensions_mds_budget_and_length():
+    with pytest.raises(BudgetExceeded):
+        extensions_mds(GRS42, [[0] * 4], budget=24)
+    with pytest.raises(LengthMismatch):
+        extensions_mds(GRS42, [[0] * 5])
+
+
+def test_thm6_suite_reports_the_first_disagreement(monkeypatch):
+    # flip the left side at the fifth and the eighth u of every code: the
+    # first code, eval[2,1] on nodes (0, 1) over GF(3), fails at its fifth
+    # u, (1, 1), in product order
+    real = suites.extensions_mds
+
+    def flipped(code, us, budget):
+        out = real(code, us, budget)
+        out[[4, 7]] ^= True
+        return out
+
+    monkeypatch.setattr(suites, "extensions_mds", flipped)
+    rep = suites.run_suite("thm6-exhaustive", {"qs": [3], "max_n": 3})
+    assert not rep["passed"]
+    assert [c["ok"] for c in rep["cases"]] == [False, True]
+    assert [c["u_checked"] for c in rep["cases"]] == [9 * 2, 27 * 4]
+    cx = rep["counterexample"]
+    assert cx["code"]["u"] == [1, 1]
+    assert cx["code"]["inner"] == {"type": "grs", "nodes": [0, 1],
+                                   "multipliers": [1, 1], "k": 1}
+    # the spec replays to the extension, and its verdict is the unflipped
+    # one
+    ctx, ext = serialize.code_from_spec(cx)
+    base = grs(GrsSpec.make(ctx, [0, 1], [1, 1], 1))
+    assert ext.same_code(base.extend_u([1, 1]))
+    assert ext.is_mds() == verify_theorem6(base, [1, 1]).extended_mds
