@@ -2,8 +2,8 @@
 
 A code's identity is the reduced row echelon form of its generator, so
 codeword-set equality is plain matrix equality.  The only mutable state is
-the lazily computed distance / parity / covering caches, whose fills are
-idempotent.
+the lazily computed distance / parity / covering / dual caches, whose fills
+are idempotent.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from .matrix import Matrix, _box, _of, first_dependent_columns
 
 
 class LinearCode:
-    __slots__ = ("ctx", "n", "k", "generator", "_parity", "_d", "_covering")
+    __slots__ = ("ctx", "n", "k", "generator", "_parity", "_d", "_covering",
+                 "_dual")
 
     def __init__(self, ctx: FieldCtx, generator: Matrix, parity=None):
         # generator must already be in RREF with no zero rows
@@ -35,6 +36,7 @@ class LinearCode:
         self._parity = parity
         self._d = None
         self._covering = None
+        self._dual = None
 
     # -- structure -------------------------------------------------------------
 
@@ -45,7 +47,13 @@ class LinearCode:
         return self._parity
 
     def dual(self) -> "LinearCode":
-        return LinearCode(self.ctx, self.parity, parity=self.generator)
+        """The dual code, made once, so its caches persist; its dual is
+        this code."""
+        if self._dual is None:
+            self._dual = LinearCode(self.ctx, self.parity,
+                                    parity=self.generator)
+            self._dual._dual = self
+        return self._dual
 
     def same_code(self, other: "LinearCode") -> bool:
         if not isinstance(other, LinearCode):

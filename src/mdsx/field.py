@@ -152,7 +152,7 @@ class FieldCtx:
     __slots__ = (
         "p", "m", "q", "modulus", "base", "_primitive_value",
         "_exp", "_log", "_add", "_neg", "_raw_mul", "_quad_ext",
-        "_arrays", "__weakref__",
+        "_arrays", "_elems", "__weakref__",
     )
 
     def __init__(self, p, m, q, modulus, base, raw_mul):
@@ -163,6 +163,7 @@ class FieldCtx:
         self.base = base
         self._raw_mul = raw_mul
         self._quad_ext = None
+        self._elems = _Elements(self)
         self._build_tables()
 
     # -- construction ------------------------------------------------------
@@ -310,26 +311,26 @@ class FieldCtx:
         return int(v) % self.q
 
     def elem(self, v) -> "FieldElement":
-        return FieldElement(self.encode(v), self)
+        return self._elems[self.encode(v)]
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
+        return self._elems[0]
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(1, self)
+        return self._elems[1]
 
     @property
     def primitive(self) -> "FieldElement":
-        return FieldElement(self._primitive_value, self)
+        return self._elems[self._primitive_value]
 
     def elements(self):
         """All field elements in encoding order."""
-        return [FieldElement(v, self) for v in range(self.q)]
+        return list(map(self._elems.__getitem__, range(self.q)))
 
     def vector(self, values) -> tuple:
-        return tuple(self.elem(v) for v in values)
+        return tuple(map(self._elems.__getitem__, map(self.encode, values)))
 
     # -- extension-specific helpers ------------------------------------------
 
@@ -339,7 +340,7 @@ class FieldCtx:
             raise NoBaseField(f"{self!r} has no base field")
         if e.ctx is not self.base:
             raise ContextMismatch("embed expects a base-field element")
-        return FieldElement(e.value, self)
+        return self._elems[e.value]
 
     def to_base(self, e: "FieldElement") -> "FieldElement":
         if self.base is None:
@@ -348,7 +349,7 @@ class FieldCtx:
             raise ContextMismatch("to_base expects an element of this field")
         if e.value >= self.base.q:
             raise ValueError(f"{e!r} is not in the base field")
-        return FieldElement(e.value, self.base)
+        return self.base._elems[e.value]
 
     # -- misc ------------------------------------------------------------------
 
@@ -356,14 +357,39 @@ class FieldCtx:
         return f"GF({self.q})"
 
 
+class _Elements(dict):
+    """A field's elements by encoding, each made on its first lookup, so
+    one value is always one object; a lazy dict, since a run may box only
+    a few of the 2^16 elements of the largest field."""
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: FieldCtx):
+        super().__init__()
+        self.ctx = ctx
+
+    def __missing__(self, v) -> "FieldElement":
+        v = int(v)
+        e = self[v] = FieldElement(v, self.ctx)
+        return e
+
+
 class FieldElement:
-    """An element of a fixed FieldCtx; immutable, hashable."""
+    """An element of a fixed FieldCtx; immutable, hashable.  The field
+    boxes each encoding into one shared instance (`FieldCtx._elems`), so
+    an assignment to an attribute raises."""
 
     __slots__ = ("value", "ctx")
 
     def __init__(self, value: int, ctx: FieldCtx):
-        self.value = value
-        self.ctx = ctx
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "ctx", ctx)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _coerce(self, other) -> int:
         if isinstance(other, FieldElement):
@@ -379,7 +405,7 @@ class FieldElement:
         v = self._coerce(other)
         if v is NotImplemented:
             return NotImplemented
-        return FieldElement(self.ctx.add_i(self.value, v), self.ctx)
+        return self.ctx._elems[self.ctx.add_i(self.value, v)]
 
     __radd__ = __add__
 
@@ -387,19 +413,19 @@ class FieldElement:
         v = self._coerce(other)
         if v is NotImplemented:
             return NotImplemented
-        return FieldElement(self.ctx.sub_i(self.value, v), self.ctx)
+        return self.ctx._elems[self.ctx.sub_i(self.value, v)]
 
     def __rsub__(self, other):
         v = self._coerce(other)
         if v is NotImplemented:
             return NotImplemented
-        return FieldElement(self.ctx.sub_i(v, self.value), self.ctx)
+        return self.ctx._elems[self.ctx.sub_i(v, self.value)]
 
     def __mul__(self, other):
         v = self._coerce(other)
         if v is NotImplemented:
             return NotImplemented
-        return FieldElement(self.ctx.mul_i(self.value, v), self.ctx)
+        return self.ctx._elems[self.ctx.mul_i(self.value, v)]
 
     __rmul__ = __mul__
 
@@ -407,22 +433,22 @@ class FieldElement:
         v = self._coerce(other)
         if v is NotImplemented:
             return NotImplemented
-        return FieldElement(self.ctx.div_i(self.value, v), self.ctx)
+        return self.ctx._elems[self.ctx.div_i(self.value, v)]
 
     def __rtruediv__(self, other):
         v = self._coerce(other)
         if v is NotImplemented:
             return NotImplemented
-        return FieldElement(self.ctx.div_i(v, self.value), self.ctx)
+        return self.ctx._elems[self.ctx.div_i(v, self.value)]
 
     def __neg__(self):
-        return FieldElement(self.ctx.neg_i(self.value), self.ctx)
+        return self.ctx._elems[self.ctx.neg_i(self.value)]
 
     def __pow__(self, e: int):
-        return FieldElement(self.ctx.pow_i(self.value, e), self.ctx)
+        return self.ctx._elems[self.ctx.pow_i(self.value, e)]
 
     def inv(self) -> "FieldElement":
-        return FieldElement(self.ctx.inv_i(self.value), self.ctx)
+        return self.ctx._elems[self.ctx.inv_i(self.value)]
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):

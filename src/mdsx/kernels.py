@@ -26,6 +26,12 @@ Column-subset facts (MDS layers, the minor and column-span deep-hole
 criteria, the support search for d) come from one engine, `subset_ranks`:
 it stacks the column subsets of one or many small matrices into a
 (b, r, w) array and eliminates them all at once.
+
+The lexicographically first vectors of a weight per syndrome (deep-hole
+representatives) come from `lex_first_weight_vectors`: a depth-first
+search over prefixes that tests all completions of a prefix with its last
+few nonzero entries in one batch, cut from one table of syndromes in
+lexicographic order, and unranks each hit's vector from its batch index.
 Everything here is deterministic; chunking only bounds memory.
 """
 
@@ -302,18 +308,40 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
     packed syndrome lies in `targets`; one entry per target unless
     stop_after_first.
 
-    Depth-first over positions, a zero entry before the nonzero ones; the
-    last nonzero entry is placed in one batch per prefix.  The vectors of
+    Depth-first over positions, a zero entry before the nonzero ones, down
+    to the prefixes that leave b nonzero entries to place; each of them
+    tests all its completions in one batch.  b is the largest value up to
+    `weight` such that no batch of any weight up to b holds more than
+    _CHUNK_ROWS bytes of int64 syndromes (at least 1 if weight is).
+
+    The batches come from one table per call.  T(pos, j), the syndromes of
+    the weight-j vectors on positions pos..n-1 in lexicographic order, is
+    [T(pos+1, j); c*e_pos + T(pos+1, j-1) for c = 1..q-1], so it is the
+    first N(n-pos, j) = C(n-pos, j)(q-1)^j rows of T(0, j), and a hit's
+    vector is unranked from its index by the same counts.  The vectors of
     every batch count against the budget as they are tested.
     """
     q = ctx.q
     table, add, pack = _syndrome_table(H_int, n, ctx)
     wanted = np.zeros(q ** len(H_int), dtype=bool)
     wanted[list(targets)] = True
-    # weight-one tails in lexicographic order: the last position first,
-    # values ascending; those of positions pos..n-1 are a prefix of this
-    tails = table[::-1, 1:].reshape(n * (q - 1), *table.shape[2:])
-    found = {}
+    b = min(weight, 1)
+    while b < weight and 8 * comb(n, b + 1) * (q - 1) ** (b + 1) \
+            <= _CHUNK_ROWS:
+        b += 1
+    # count[l, j] = N(l, j), the number of weight-j vectors of length l
+    count = np.array([[comb(rest, j) * (q - 1) ** j for j in range(b + 1)]
+                      for rest in range(n + 1)], dtype=np.int64)
+    zero = np.zeros(table.shape[2:], table.dtype)
+    levels = [zero[None]] + [table[:0, 0]] * b
+    for pos in range(n - 1, -1, -1):
+        for j in range(min(b, n - pos), 0, -1):
+            heavier = add(table[pos, 1:, None], levels[j - 1][None])
+            levels[j] = np.concatenate(
+                [levels[j], heavier.reshape(-1, *zero.shape)])
+    batch = levels[b]
+    del levels
+    found = []  # (prefix, indices of first hits in its batch, syndromes)
     remaining = len(targets)
     tested = 0
 
@@ -321,21 +349,19 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
         nonlocal remaining, tested
         if not remaining or n - pos < left:
             return
-        if left == 1:
-            tested += (n - pos) * (q - 1)
+        if left == b:
+            rows = int(count[n - pos, b])
+            tested += rows
             if tested > budget:
                 raise BudgetExceeded(f"more than {budget} vectors tested")
-            syn = pack(add(acc, tails[:(n - pos) * (q - 1)]))
+            syn = pack(add(acc, batch[:rows]))
             hits = np.flatnonzero(wanted[syn])
             if not hits.size:
                 return
             if stop_after_first:
                 hits = hits[:1]
             new, first = np.unique(syn[hits], return_index=True)
-            for s, i in zip(new.tolist(), hits[first].tolist()):
-                v = prefix + [0] * (n - pos)
-                v[n - 1 - i // (q - 1)] = 1 + i % (q - 1)
-                found[s] = tuple(v)
+            found.append((prefix, hits[first], new))
             wanted[new] = False
             remaining = 0 if stop_after_first else remaining - new.size
             return
@@ -344,13 +370,38 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
         for c in range(1, q):
             rec(pos + 1, add(acc, table[pos, c]), left - 1, prefix + [c])
 
-    if weight == 0:
-        if wanted[0]:
-            found[0] = (0,) * n
-            remaining = 0 if stop_after_first else remaining - 1
-    else:
-        rec(0, table[0, 0], weight, [])
+    rec(0, zero, weight, [])
     if remaining:
         raise InvariantViolation("no fixed-weight vector reaches some "
                                  "target syndrome")
-    return found
+    if not found:
+        return {}
+    vecs = _unrank(found, count, n)
+    syndromes = np.concatenate([new for _, _, new in found])
+    return dict(zip(syndromes.tolist(), map(tuple, vecs.tolist())))
+
+
+def _unrank(found, count, n: int):
+    """The vectors of the search's hits, as an (hits, n) array: each
+    prefix, then its batch index unranked on the positions after it."""
+    index = np.concatenate([hits for _, hits, _ in found])
+    vecs = np.zeros((index.size, n), dtype=np.int64)
+    row = 0
+    for prefix, hits, _ in found:
+        vecs[row:row + hits.size, :len(prefix)] = prefix
+        row += hits.size
+    start = np.repeat([len(prefix) for prefix, _, _ in found],
+                      [hits.size for _, hits, _ in found])
+    left = np.full(index.size, count.shape[1] - 1)
+    for j in range(n):
+        # T(j, left): N(rest, left) rows with a zero at j, then one block
+        # of N(rest, left - 1) rows per nonzero value
+        rest = n - j - 1
+        zeros = count[rest, left]
+        nonzero = (start <= j) & (index >= zeros)
+        per_value = count[rest, left[nonzero] - 1]
+        past = index[nonzero] - zeros[nonzero]
+        vecs[nonzero, j] = 1 + past // per_value
+        index[nonzero] = past % per_value
+        left[nonzero] -= 1
+    return vecs

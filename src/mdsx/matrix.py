@@ -32,7 +32,7 @@ def _of(ctx: FieldCtx, rows: tuple, cols: int) -> "Matrix":
 
 
 def _box(ctx: FieldCtx, values) -> tuple:
-    return tuple(FieldElement(v, ctx) for v in values)
+    return tuple(map(ctx._elems.__getitem__, values))
 
 
 class Matrix:
@@ -77,7 +77,7 @@ class Matrix:
         return _box(self.ctx, self._rows[i])
 
     def entry(self, i, j) -> FieldElement:
-        return FieldElement(self._rows[i][j], self.ctx)
+        return self.ctx._elems[self._rows[i][j]]
 
     def row_list(self):
         return [list(_box(self.ctx, r)) for r in self._rows]
@@ -230,7 +230,7 @@ class Matrix:
                     f = mul(rows[i][c], inv)
                     rows[i] = tuple(sub(a, mul(f, b))
                                     for a, b in zip(rows[i], rows[c]))
-        return FieldElement(det, ctx)
+        return ctx._elems[det]
 
     def nullspace(self) -> "Matrix":
         """Rows form a basis of the right kernel {x : M x^T = 0}, in RREF."""

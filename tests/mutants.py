@@ -71,6 +71,17 @@ MUTANTS = [
     ("representative search ignores the budget", "kernels.py",
      "if tested > budget:", "if False:",
      ["tests/test_kernels.py"]),
+    ("lex table puts the zero branch last", "kernels.py",
+     "[levels[j], heavier.reshape(-1, *zero.shape)]",
+     "[heavier.reshape(-1, *zero.shape), levels[j]]",
+     ["tests/test_kernels.py"]),
+    ("unranking off by one", "kernels.py",
+     "(index >= zeros)", "(index > zeros)",
+     ["tests/test_kernels.py"]),
+    # one FieldElement per value
+    ("interned element keeps a numpy value", "field.py",
+     "        v = int(v)\n", "",
+     ["tests/test_field.py"]),
     # the column-subset engine
     ("_ranks ignores used rows", "kernels.py",
      "live = unused & (A[:, :, c] != 0)", "live = A[:, :, c] != 0",

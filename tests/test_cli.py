@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from mdsx import kernels
 from mdsx.cli import main
 from mdsx.serialize import code_from_spec
 
@@ -98,15 +99,24 @@ class TestCovering:
         assert rc == 3
         assert "budget" in err.lower()
 
-    def test_representative_search_honours_budget(self, capsys, spec_file):
-        # PRS [6,3]/GF(5): the sweep fits 150 syndromes, but the search
-        # for its deep-hole representatives tests 160 vectors
+    def test_representative_search_honours_budget(self, capsys, spec_file,
+                                                  monkeypatch):
+        # PRS [6,3]/GF(5), rho = 2: the sweep fits 150 syndromes, but the
+        # search for its deep-hole representatives tests more vectors
         spec = spec_file({"field": {"p": 5, "m": 1},
                           "code": {"type": "prs", "k": 3}})
-        for argv in (["covering", spec, "--deep-holes"],
-                     ["deep-holes", spec]):
-            assert run(capsys, argv + ["--budget", "150"])[0] == 3
-            assert run(capsys, argv + ["--budget", "160"])[0] == 0
+        for rows, tested in (
+                # 16 bytes force batches of one nonzero entry: 160 vectors
+                (16, 160),
+                # by default one batch of all C(6, 2) * 4^2 vectors
+                (kernels._CHUNK_ROWS, 240)):
+            monkeypatch.setattr(kernels, "_CHUNK_ROWS", rows)
+            for argv in (["covering", spec, "--deep-holes"],
+                         ["deep-holes", spec]):
+                assert run(capsys, argv + ["--budget", "150"])[0] == 3
+                assert run(capsys,
+                           argv + ["--budget", str(tested - 1)])[0] == 3
+                assert run(capsys, argv + ["--budget", str(tested)])[0] == 0
         assert run(capsys, ["covering", spec, "--budget", "150"])[0] == 0
 
     # sha256 of the JSON stdout on PRS [6,3]/GF(5): the representatives

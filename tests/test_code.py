@@ -82,6 +82,14 @@ class TestDual:
         for c in (GRS42, EGRS52, GRS42.dual()):
             assert c.k + c.dual().k == c.n
 
+    def test_dual_is_made_once(self):
+        # one dual object, so its covering and distance caches persist
+        c = grs(GrsSpec.make(gf5, [0, 1, 2, 3], 1, 2))
+        assert c.dual() is c.dual()
+        assert c.dual().dual() is c
+        d = full_code(gf5, 3).dual()
+        assert d.dual().dual() is d
+
 
 class TestMinDistance:
     def test_grs(self):

@@ -5,6 +5,8 @@ import pytest
 
 import helpers
 
+from mdsx import matrix
+from mdsx.constructions import GrsSpec, grs
 from mdsx.errors import (
     ContextMismatch,
     DivisionByZero,
@@ -13,11 +15,13 @@ from mdsx.errors import (
     SizeBudgetExceeded,
 )
 from mdsx.field import (
+    FieldElement,
     Poly,
     field_new,
     minimal_poly_over_base,
     quadratic_extension,
 )
+from mdsx.matrix import Matrix
 
 gf2 = field_new(2, 1)
 gf4 = field_new(2, 2)
@@ -167,6 +171,89 @@ class TestTableTwin:
                              ids=[f"gf{p ** m}" for p, m in TWIN_EXTENSIONS])
     def test_quadratic_extension(self, pm):
         _assert_tables_match_twin(quadratic_extension(field_new(*pm)))
+
+
+class TestInterning:
+    """Each field boxes one value into one shared FieldElement."""
+
+    def test_every_boxing_path_gives_one_object_per_value(self):
+        ext = quadratic_extension(gf4)
+        for ctx in (gf5, gf9, ext):
+            for v in range(ctx.q):
+                e = ctx.elem(v)
+                assert e == FieldElement(v, ctx) and e.ctx is ctx
+                m = Matrix(ctx, [[v]])
+                boxed = [ctx.elem(e), ctx.elem(v + ctx.q), ctx.elements()[v],
+                         ctx.vector([v])[0], matrix._box(ctx, [v])[0],
+                         m.entry(0, 0), m.row(0)[0], m.row_list()[0][0],
+                         m.det(), m.mat_vec([1])[0],
+                         ctx._elems[np.int64(v)]]
+                assert all(x is e for x in boxed)
+            assert ctx.zero is ctx.elem(0) and ctx.one is ctx.elem(1)
+            assert ctx.primitive is ctx.elem(ctx._primitive_value)
+        assert ext.embed(gf4.elem(3)) is ext.elem(3)
+        assert ext.to_base(ext.elem(3)) is gf4.elem(3)
+
+    def test_arithmetic_results_are_interned(self):
+        for ctx in (gf5, gf8, gf9):
+            for a in ctx.elements():
+                for b in ctx.elements()[1:]:
+                    x, y = a.value, b.value
+                    results = {
+                        ctx.add_i(x, y): (a + b, b + a, a + y, y + a),
+                        ctx.sub_i(x, y): (a - b, a - y),
+                        ctx.sub_i(y, x): (y - a,),
+                        ctx.mul_i(x, y): (a * b, a * y, y * a),
+                        ctx.div_i(x, y): (a / b, a / y),
+                        ctx.neg_i(x): (-a,),
+                        ctx.pow_i(x, y): (a ** y,),
+                        ctx.inv_i(y): (b.inv(),),
+                    }
+                    if x:
+                        results[ctx.div_i(y, x)] = (y / a,)
+                    for value, outs in results.items():
+                        assert all(o is ctx.elem(value) for o in outs)
+
+    def test_numpy_ints_box_to_python_ints(self):
+        # a fresh lookup of a numpy integer stores and returns an int value
+        fresh = type(gf9._elems)(gf9)
+        e = fresh[np.int64(4)]
+        assert type(e.value) is int and e == gf9.elem(4)
+        assert fresh[4] is e and list(fresh) == [4]
+        assert all(type(k) is int for k in fresh)
+        big = field_new(2, 16)
+        v = next(v for v in range(big.q) if v not in big._elems)
+        e = matrix._box(big, np.array([v]))[0]
+        assert type(e.value) is int and e.value == v
+        assert big.elem(v) is e
+
+    def test_shared_elements_are_immutable(self):
+        e = gf9.elem(4)
+        for attr, value in (("value", 5), ("ctx", gf5)):
+            with pytest.raises(AttributeError):
+                setattr(e, attr, value)
+            with pytest.raises(AttributeError):
+                delattr(e, attr)
+        assert e.value == 4 and e.ctx is gf9 and gf9.elem(4) is e
+
+    def test_no_element_is_shared_between_fields(self):
+        ext = quadratic_extension(gf4)
+        for a, b in ((gf4, gf8), (gf4, ext), (gf2, gf4), (gf5, gf9)):
+            for v in range(min(a.q, b.q)):
+                x, y = a.elem(v), b.elem(v)
+                assert x is not y and x != y
+                assert x.ctx is a and y.ctx is b
+        assert ext.embed(gf4.elem(2)) is not gf4.elem(2)
+
+    def test_elements_are_made_on_demand(self):
+        # no table of all q elements: one entry of a GF(2^16) code boxes
+        # at most one new element
+        big = field_new(2, 16)
+        code = grs(GrsSpec.make(big, range(6), 1, 1)).dual()
+        before = len(big._elems)
+        e = code.generator.entry(0, 1)
+        assert len(big._elems) <= before + 1 < 1000
+        assert e is big.elem(code.generator.to_int_rows()[0][1])
 
 
 class TestQuadraticExtension:

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -293,24 +294,30 @@ LEX_FIELDS = [field_new(p, m) for p, m in
 
 
 @st.composite
-def lex_first_cases(draw):
-    """A random check H (zero and repeated rows allowed), a weight from 0
-    to n and a few target syndromes, reachable at that weight or not."""
+def lex_first_cases(draw, min_weight=0):
+    """A random check H (zero and repeated rows allowed), a weight from
+    min_weight to n and a few target syndromes, reachable at that weight
+    or not."""
     ctx = draw(st.sampled_from(LEX_FIELDS))
-    n = draw(st.integers(1, max(n for n in range(1, 14)
-                                if ctx.q ** n <= 10 ** 4)))
+    n = draw(st.integers(max(1, min_weight),
+                         max(n for n in range(1, 14)
+                             if ctx.q ** n <= 10 ** 4)))
     r = draw(st.integers(1, min(n, 3)))
     H = [[draw(st.integers(0, ctx.q - 1)) for _ in range(n)]
          for _ in range(r)]
-    weight = draw(st.integers(0, n))
+    weight = draw(st.integers(min_weight, n))
     targets = draw(st.sets(st.integers(0, ctx.q ** r - 1), min_size=1,
                            max_size=6))
     return ctx, H, n, weight, targets
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(lex_first_cases(), st.booleans())
-def test_lex_first_matches_brute_force(case, stop_after_first):
+# The search batches the last b nonzero entries, b the largest weight
+# whose batches fit _CHUNK_ROWS bytes: the default lets b reach the weight
+# on these small cases, 256 and 16 stop it in between, 1 forces b = 1.
+LEX_CHUNK_ROWS = (kernels._CHUNK_ROWS, 256, 16, 1)
+
+
+def _check_lex_first(case, stop_after_first):
     ctx, H, n, weight, targets = case
     first = helpers.brute_lex_first_weight_vectors(H, n, ctx, weight)
     reached = {t: first[t] for t in targets if t in first}
@@ -320,23 +327,47 @@ def test_lex_first_matches_brute_force(case, stop_after_first):
     elif not stop_after_first and len(reached) == len(targets):
         want = reached
     else:
-        with pytest.raises(InvariantViolation):
-            kernels.lex_first_weight_vectors(H, n, ctx, weight, targets,
-                                             stop_after_first)
-        return
-    assert kernels.lex_first_weight_vectors(
-        H, n, ctx, weight, targets, stop_after_first) == want
+        want = None
+    for rows in LEX_CHUNK_ROWS:
+        with mock.patch.object(kernels, "_CHUNK_ROWS", rows):
+            if want is None:
+                with pytest.raises(InvariantViolation):
+                    kernels.lex_first_weight_vectors(
+                        H, n, ctx, weight, targets, stop_after_first)
+            else:
+                assert kernels.lex_first_weight_vectors(
+                    H, n, ctx, weight, targets, stop_after_first) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lex_first_cases(), st.booleans())
+def test_lex_first_matches_brute_force(case, stop_after_first):
+    _check_lex_first(case, stop_after_first)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lex_first_cases(min_weight=3), st.booleans())
+def test_lex_first_matches_brute_force_at_weight_3_and_up(
+        case, stop_after_first):
+    _check_lex_first(case, stop_after_first)
 
 
 def test_lex_first_search_counts_tested_vectors_against_the_budget():
-    # weight 2 in length 4 over GF(3): the prefixes 0 0 1 and 0 0 2 test
-    # 2 vectors each, then the prefix 0 1 tests 4 and finds the target
+    # weight 2 in length 4 over GF(3)
     ctx = field_new(3, 1)
     H = [[1, 1, 1, 1], [0, 1, 2, 0]]
     target = helpers.scalar_syndrome(H, (0, 1, 1, 0), ctx)
-    tested = 2 + 2 + 4
-    assert kernels.lex_first_weight_vectors(
-        H, 4, ctx, 2, {target}, budget=tested) == {target: (0, 1, 1, 0)}
-    with pytest.raises(BudgetExceeded):
-        kernels.lex_first_weight_vectors(H, 4, ctx, 2, {target},
-                                         budget=tested - 1)
+    for rows, tested in (
+            # 16 bytes hold no batch of weight 2 (24 syndromes), so b = 1:
+            # the prefixes 0 0 1 and 0 0 2 test 2 vectors each, then the
+            # prefix 0 1 tests 4 and finds the target
+            (16, 2 + 2 + 4),
+            # by default b = 2: one batch of all C(4, 2) * 2^2 vectors
+            (kernels._CHUNK_ROWS, 24)):
+        with mock.patch.object(kernels, "_CHUNK_ROWS", rows):
+            assert kernels.lex_first_weight_vectors(
+                H, 4, ctx, 2, {target}, budget=tested) \
+                == {target: (0, 1, 1, 0)}
+            with pytest.raises(BudgetExceeded):
+                kernels.lex_first_weight_vectors(H, 4, ctx, 2, {target},
+                                                 budget=tested - 1)
