@@ -27,12 +27,12 @@ from .code import (
 from .covering import (
     CoveringReport,
     covering_radius,
+    deep_holes_via_mds,
     distance_to_code,
     extensions_mds,
     full_radius_witness,
     is_deep_hole,
-    is_deep_hole_via_mds,
-    syndrome_criterion,
+    syndrome_criteria,
 )
 from .constructions import (
     CuExtensionFacts,

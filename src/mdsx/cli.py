@@ -32,10 +32,6 @@ def _emit(payload: dict, summary: str, args) -> None:
         sys.stderr.write(summary + "\n")
 
 
-def _load(args):
-    return serialize.load_spec_file(args.spec)
-
-
 def _code_payload(ctx, code, budget) -> dict:
     payload = serialize.code_to_spec_dict(code)
     payload["n"] = code.n
@@ -46,7 +42,7 @@ def _code_payload(ctx, code, budget) -> dict:
 
 
 def cmd_build(args) -> int:
-    ctx, code = _load(args)
+    ctx, code = serialize.load_spec_file(args.spec)
     payload = _code_payload(ctx, code, args.budget)
     _emit(payload, f"[{code.n},{code.k},{payload['d']}] over GF({ctx.q}) "
                    f"MDS={payload['mds']}", args)
@@ -54,7 +50,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_mindist(args) -> int:
-    ctx, code = _load(args)
+    ctx, code = serialize.load_spec_file(args.spec)
     d = code.min_distance(args.budget)
     _emit({"n": code.n, "k": code.k, "d": d},
           f"d = {d} for [{code.n},{code.k}] over GF({ctx.q})", args)
@@ -62,7 +58,7 @@ def cmd_mindist(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    ctx, code = _load(args)
+    ctx, code = serialize.load_spec_file(args.spec)
     wts = code.weight_enumerator(args.budget)
     _emit({"n": code.n, "k": code.k, "weights": wts},
           f"weight enumerator of [{code.n},{code.k}] over GF({ctx.q})", args)
@@ -70,7 +66,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    ctx, code = _load(args)
+    ctx, code = serialize.load_spec_file(args.spec)
     payload = _code_payload(ctx, code.dual(), args.budget)
     _emit(payload, f"dual is [{payload['n']},{payload['k']},{payload['d']}] "
                    f"over GF({ctx.q})", args)
@@ -78,7 +74,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_covering(args) -> int:
-    ctx, code = _load(args)
+    ctx, code = serialize.load_spec_file(args.spec)
     t0 = time.monotonic()
     report = covering_radius(code, args.budget)
     payload = report.to_dict(include_representatives=args.deep_holes,
@@ -91,7 +87,7 @@ def cmd_covering(args) -> int:
 
 
 def cmd_deep_holes(args) -> int:
-    ctx, code = _load(args)
+    ctx, code = serialize.load_spec_file(args.spec)
     report = covering_radius(code, args.budget)
     if args.vector is not None:
         v = serialize.parse_vector_arg(ctx, args.vector, code.n)
@@ -111,7 +107,7 @@ def cmd_deep_holes(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    ctx, code = _load(args)
+    ctx, code = serialize.load_spec_file(args.spec)
     if (args.u is None) == (args.g is None):
         raise ParseError("extend needs exactly one of --u or --g")
     if args.u is not None:

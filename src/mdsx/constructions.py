@@ -42,11 +42,10 @@ from .matrix import Matrix, egrs_generator, grs_generator, \
 @dataclass(frozen=True)
 class GrsSpec:
     """Evaluation-code parameters: distinct nodes a, nonzero multipliers v,
-    dimension k, optionally with the coefficient coordinate appended."""
+    dimension k."""
     a: tuple
     v: tuple
     k: int
-    extended: bool = False
 
     def __post_init__(self):
         ctx, a, v = _normalize_nodes_multipliers(self.a, self.v)
@@ -56,13 +55,13 @@ class GrsSpec:
             raise BadDims(f"need 1 <= k <= {len(a)}, got {self.k}")
 
     @classmethod
-    def make(cls, ctx: FieldCtx, nodes, multipliers=1, k=1, extended=False):
+    def make(cls, ctx: FieldCtx, nodes, multipliers=1, k=1):
         a = tuple(ctx.elem(x) for x in nodes)
         if isinstance(multipliers, (int, FieldElement)):
             v = tuple([ctx.elem(multipliers)] * len(a))
         else:
             v = tuple(ctx.elem(x) for x in multipliers)
-        return cls(a, v, k, extended)
+        return cls(a, v, k)
 
     @property
     def n(self) -> int:
@@ -103,30 +102,18 @@ def prs(ctx: FieldCtx, k: int) -> LinearCode:
         raise BadK(f"need 1 <= k <= q+1 = {q + 1}, got {k}")
     if k == q + 1:
         return full_code(ctx, q + 1)
-    return egrs(GrsSpec.make(ctx, list(range(q)), 1, k, extended=True))
+    return egrs(GrsSpec.make(ctx, list(range(q)), 1, k))
 
 
 def roth_lempel(a, k: int, delta) -> LinearCode:
-    """[n+2, k] code: Vandermonde rows on the nodes, one column supported on
-    the last row, and one column (0,..,0,1,delta)^T."""
-    a = list(a)
-    ctx = a[0].ctx
-    a = [ctx.elem(x) for x in a]
-    if len({x.value for x in a}) != len(a):
-        raise DuplicateNode("nodes must be pairwise distinct")
+    """[n+2, k] code: the coefficient-extended evaluation code on the nodes
+    with unit multipliers, and one more column (0,..,0,1,delta)^T."""
+    _, a, _ = _normalize_nodes_multipliers(a, 1)
     n = len(a)
-    delta = ctx.elem(delta)
     if not 4 <= k + 1 <= n:
         raise BadDims(f"need 4 <= k+1 <= n, got k = {k}, n = {n}")
-    rows = []
-    cur = [ctx.one] * n
-    for i in range(k):
-        tail_1 = ctx.one if i == k - 1 else ctx.zero
-        tail_2 = delta if i == k - 1 else (
-            ctx.one if i == k - 2 else ctx.zero)
-        rows.append(list(cur) + [tail_1, tail_2])
-        cur = [c * x for c, x in zip(cur, a)]
-    return code_from_generator(Matrix(ctx, rows))
+    return code_from_generator(
+        egrs_generator(a, 1, k).with_col([0] * (k - 2) + [1, delta]))
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +178,7 @@ def subset_sums(s, m: int) -> set:
 def nk_delta_set_check(s, k: int, delta) -> bool:
     """True iff no k-element subset of s sums to delta."""
     sums = subset_sums(s, k)
-    ctx = next(iter(sums)).ctx if sums else None
-    if ctx is None:
-        return True
-    return ctx.elem(delta) not in sums
+    return next(iter(sums)).ctx.elem(delta) not in sums
 
 
 def t_set(a, pi, m: int) -> set:
@@ -231,7 +215,7 @@ class DeepHoleCandidate:
 def egrs_dual_code(a, k: int) -> LinearCode:
     """The dual of the coefficient-extended code on nodes a with unit
     multipliers; target of the thm14 candidates."""
-    return egrs(GrsSpec.make(a[0].ctx, a, 1, k, extended=True)).dual()
+    return egrs(GrsSpec.make(a[0].ctx, a, 1, k)).dual()
 
 
 def thm14_vector(kind: str, a, k: int, delta, pi=None) -> DeepHoleCandidate:

@@ -43,9 +43,7 @@ class CoveringReport:
     def leader_weight(self, v) -> int:
         """Coset-leader weight of the coset of v (= distance from v to the
         code)."""
-        packed = kernels.pack_syndrome(
-            self.code.parity._dot_rows(self.code._vec(v)), self.code.ctx.q)
-        return int(self._leader[packed])
+        return int(self.leader_weights([self.code._vec(v)])[0])
 
     def leader_weights(self, vectors):
         """leader_weight of every row of `vectors` (encodings), as an
@@ -120,10 +118,9 @@ def covering_radius(code: LinearCode, budget=DEFAULT_BUDGET) -> CoveringReport:
 def distance_to_code(code: LinearCode, v, budget=DEFAULT_BUDGET) -> int:
     """Exact Hamming distance from v to the nearest codeword."""
     v = code._vec(v)
-    if code._covering is not None:
-        return code._covering.leader_weight(v)
     q = code.ctx.q
-    if q ** code.k <= min(budget, q ** (code.n - code.k)):
+    if code._covering is None and q ** code.k <= min(budget,
+                                                     q ** (code.n - code.k)):
         counts = kernels.weight_counts(code.generator._rows, code.n,
                                        code.ctx, budget, v)
         return next(w for w, c in enumerate(counts) if c)
@@ -136,18 +133,12 @@ def is_deep_hole(code: LinearCode, v, budget=DEFAULT_BUDGET) -> bool:
     return report.leader_weight(v) == report.rho
 
 
-def is_deep_hole_via_mds(code: LinearCode, u, budget=DEFAULT_BUDGET) -> bool:
-    """Minor-based deep-hole test: u is a deep hole of a full-radius MDS
-    code iff stacking u under the generator again generates an MDS code."""
-    u = tuple(map(code.ctx.encode, u))
-    return bool(deep_holes_via_mds(code, [u], budget)[0])
-
-
 def deep_holes_via_mds(code: LinearCode, us, budget=DEFAULT_BUDGET):
-    """is_deep_hole_via_mds for every row of `us` (encodings) at once, as a
-    boolean array: every (k+1)-subset of the columns of the generator with
-    u stacked under it is nonsingular.  C(n, k+1) subsets per u count
-    against the budget."""
+    """Minor-based deep-hole test for every row of `us` (encodings) at once,
+    as a boolean array: u is a deep hole of a full-radius MDS code iff
+    every (k+1)-subset of the columns of the generator with u stacked under
+    it is nonsingular.  C(n, k+1) subsets per u count against the
+    budget."""
     if not code.is_mds(budget):
         raise NotMds("the minor criterion requires an MDS code")
     if code.k >= code.n:
@@ -167,16 +158,10 @@ def deep_holes_via_mds(code: LinearCode, us, budget=DEFAULT_BUDGET):
     return ok
 
 
-def syndrome_criterion(h: Matrix, u, rho: int, budget=DEFAULT_BUDGET) -> bool:
-    """True iff h*u^T is outside the span of every (rho-1)-subset of the
-    columns of h."""
-    u = tuple(map(h.ctx.encode, u))
-    return bool(syndrome_criteria(h, [u], rho, budget)[0])
-
-
 def syndrome_criteria(h: Matrix, us, rho: int, budget=DEFAULT_BUDGET):
-    """syndrome_criterion for every row of `us` (encodings) at once, as a
-    boolean array.  s = h*u^T lies in the span of the columns S iff
+    """Column-span deep-hole test for every row of `us` (encodings) at once,
+    as a boolean array: h*u^T is outside the span of every (rho-1)-subset
+    of the columns of h.  s = h*u^T lies in the span of the columns S iff
     rank([h_S | s]) = rank(h_S); one stack holds h_S (beside a zero
     column) and every [h_S | s], and its C(n, rho-1) subsets per matrix
     count against the budget."""

@@ -55,13 +55,6 @@ def _multiples(ctx, vectors):
     return exp[log[np.asarray(vectors)][:, None, :] + log[:, None]]
 
 
-def pack_syndrome(digits, q: int) -> int:
-    v = 0
-    for d in reversed(list(digits)):
-        v = v * q + int(d)
-    return v
-
-
 def _outer_sum(parts, add):
     """Every sum of one row from each part, the first part slowest."""
     acc = parts[0]

@@ -90,10 +90,13 @@ def _code_from_part(ctx: FieldCtx, part) -> LinearCode:
             # a 0-row generator is the explicit zero-code representation
             return code_from_generator(m, allow_zero=m.rows == 0)
         if t in ("grs", "egrs"):
-            nodes = part["nodes"]
+            nodes = _vector_from(ctx, part["nodes"], len(part["nodes"]),
+                                 "nodes")
             mult = part.get("multipliers", 1)
-            spec = GrsSpec.make(ctx, nodes, mult, int(part["k"]),
-                                extended=(t == "egrs"))
+            if isinstance(mult, int):
+                mult = [mult] * len(nodes)
+            mult = _vector_from(ctx, mult, len(nodes), "multipliers")
+            spec = GrsSpec.make(ctx, nodes, mult, int(part["k"]))
             return egrs(spec) if t == "egrs" else grs(spec)
         if t == "prs":
             return prs(ctx, int(part["k"]))

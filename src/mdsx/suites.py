@@ -62,10 +62,10 @@ def _ctx_for_q(q: int):
     return field_new(p, m)
 
 
-def _grs_spec_dict(ctx, nodes, mult, k, u=None, extended=False):
+def _grs_spec_dict(ctx, nodes, mult, k, u=None):
     d = {
         "field": serialize.field_to_dict(ctx),
-        "code": {"type": "egrs" if extended else "grs",
+        "code": {"type": "grs",
                  "nodes": list(nodes), "multipliers": list(mult), "k": k},
     }
     if u is not None:
@@ -117,12 +117,11 @@ def suite_thm6_exhaustive(params):
                                                     == rep.rho)
                             checked_u += len(us)
                             bad = np.flatnonzero(lhs != rhs)
-                            if bad.size and counterexample is None:
+                            if bad.size:
                                 ok = False
-                                counterexample = _grs_spec_dict(
-                                    ctx, nodes, mult, k, u=us[bad[0]])
-                if counterexample is not None:
-                    break
+                                if counterexample is None:
+                                    counterexample = _grs_spec_dict(
+                                        ctx, nodes, mult, k, u=us[bad[0]])
             cases.append({"q": q, "n": n, "codes": checked_codes,
                           "u_checked": checked_u, "ok": ok})
     return cases, counterexample
@@ -247,8 +246,6 @@ def suite_thm14_consistency(params):
             nodes = list(range(n))
             a = ctx.vector(nodes)
             for k in range(2, n + 1):
-                if n + 1 - k < 1:
-                    continue
                 target = egrs_dual_code(a, k)
                 rep = covering_radius(target, budget)
                 if rep.rho != k:

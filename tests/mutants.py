@@ -106,6 +106,29 @@ MUTANTS = [
     ("extension test misses weight n-k", "covering.py",
      "<= n - k).any()", "< n - k).any()",
      ["tests/test_covering.py"]),
+    ("thm6 fails a case only with the first counterexample", "suites.py",
+     "if bad.size:\n                                ok = False\n"
+     "                                if counterexample is None:",
+     "if bad.size and counterexample is None:\n"
+     "                                ok = False\n"
+     "                                if True:",
+     ["tests/test_covering.py"]),
+    # specs from outside the program
+    ("GRS spec entries unchecked", "serialize.py",
+     "            nodes = _vector_from(ctx, part[\"nodes\"], "
+     "len(part[\"nodes\"]),\n                                 \"nodes\")\n"
+     "            mult = part.get(\"multipliers\", 1)\n"
+     "            if isinstance(mult, int):\n"
+     "                mult = [mult] * len(nodes)\n"
+     "            mult = _vector_from(ctx, mult, len(nodes), "
+     "\"multipliers\")\n",
+     "            nodes = part[\"nodes\"]\n"
+     "            mult = part.get(\"multipliers\", 1)\n",
+     ["tests/test_cli.py"]),
+    # constructions
+    ("Roth-Lempel column reversed", "constructions.py",
+     "[1, delta]", "[delta, 1]",
+     ["tests/test_constructions.py"]),
 ]
 
 

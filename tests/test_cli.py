@@ -9,6 +9,7 @@ import pytest
 
 from mdsx import kernels
 from mdsx.cli import main
+from mdsx.constructions import GrsSpec, grs
 from mdsx.serialize import code_from_spec
 
 
@@ -71,6 +72,41 @@ class TestBuild:
         bad = {"field": {"p": 5, "m": 1}, "code": {"type": "nonsense"}}
         rc, _, err = run(capsys, ["build", spec_file(bad)])
         assert rc == 2
+
+    @pytest.mark.parametrize("code", [
+        {"type": "grs", "nodes": [0, 1, 2, 8],
+         "multipliers": [1, 1, 1, -1], "k": 2},
+        {"type": "egrs", "nodes": [0, 1.9, 2, 3], "k": 2},
+        {"type": "grs", "nodes": [0, 1, 2, 3],
+         "multipliers": [1, 1, 1, 5], "k": 2},
+        {"type": "grs", "nodes": [0, 1, 2, 3], "multipliers": -1, "k": 2},
+        {"type": "egrs", "nodes": [0, 1, 2, 3], "multipliers": 6, "k": 2},
+    ], ids=["node-8", "node-1.9", "multiplier-5", "scalar--1", "scalar-6"])
+    def test_grs_entries_outside_the_field_exit_2(self, capsys, spec_file,
+                                                   code):
+        rc, out, err = run(capsys, ["build", spec_file(
+            {"field": {"p": 5, "m": 1}, "code": code})])
+        assert (rc, out) == (2, "")
+        assert "is not an encoding in [0, 5)" in err
+
+    @pytest.mark.parametrize("mult", [[1, 2, 3, 4], 4])
+    def test_grs_entries_inside_the_field_build(self, capsys, spec_file,
+                                                mult):
+        spec = {"field": {"p": 5, "m": 1},
+                "code": {"type": "grs", "nodes": [0, 1, 2, 3],
+                         "multipliers": mult, "k": 2}}
+        rc, out, _ = run(capsys, ["build", spec_file(spec), "--json"])
+        assert rc == 0
+        ctx, got = code_from_spec(json.loads(out))
+        assert got.same_code(grs(GrsSpec.make(ctx, [0, 1, 2, 3], mult, 2)))
+
+    def test_roth_lempel_without_nodes_exits_2(self, capsys, spec_file):
+        spec = {"field": {"p": 5, "m": 1},
+                "code": {"type": "roth-lempel", "nodes": [], "k": 3,
+                         "delta": 0}}
+        rc, out, err = run(capsys, ["build", spec_file(spec)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_noncanonical_modulus_rejected(self, capsys, spec_file):
         bad = dict(GRS_SPEC)

@@ -27,7 +27,7 @@ from mdsx.constructions import (
     thm7_u,
 )
 from mdsx.covering import covering_radius, is_deep_hole
-from mdsx.errors import BadDims, BadK, BadU, PoleCollision
+from mdsx.errors import BadDims, BadK, BadU, DuplicateNode, PoleCollision
 from mdsx.field import Poly, field_new
 from mdsx.matrix import egrs_generator, grs_generator
 
@@ -135,19 +135,33 @@ class TestRothLempel:
                         == nk_delta_set_check(a, k - 1, dv), (ctx.q, k, dv)
 
     def test_generator_tail_columns(self):
+        # Vandermonde rows on the nodes, then (0,..,0,1)^T and
+        # (0,..,0,1,delta)^T
         from mdsx.matrix import Matrix
-        a = gf7.vector([0, 1, 2, 3, 4])
-        k, delta = 4, 3
-        rows = [[pow(x, i, 7) for x in [0, 1, 2, 3, 4]]
-                + [1 if i == k - 1 else 0]
-                + [delta if i == k - 1 else (1 if i == k - 2 else 0)]
-                for i in range(k)]
-        direct = code_from_generator(Matrix(gf7, rows))
-        assert roth_lempel(a, k, delta).same_code(direct)
+        rng = random.Random(13)
+        cases = [(gf7.vector([0, 1, 2, 3, 4]), 4, 3)]
+        for ctx in (gf4, gf5, gf7, gf8, gf9, field_new(11, 1)):
+            for _ in range(10):
+                n = rng.randint(4, ctx.q)
+                cases.append((ctx.vector(rng.sample(range(ctx.q), n)),
+                              rng.randint(3, n - 1), rng.randrange(ctx.q)))
+        for a, k, delta in cases:
+            rows = [[(x ** i).value for x in a]
+                    + [1 if i == k - 1 else 0]
+                    + [delta if i == k - 1 else (1 if i == k - 2 else 0)]
+                    for i in range(k)]
+            direct = code_from_generator(Matrix(a[0].ctx, rows))
+            assert roth_lempel(a, k, delta).same_code(direct)
 
     def test_dimension_guard(self):
         with pytest.raises(BadDims):
             roth_lempel(gf5.vector([0, 1, 2]), 2, 0)
+
+    def test_node_guards(self):
+        with pytest.raises(BadDims):
+            roth_lempel([], 3, 0)
+        with pytest.raises(DuplicateNode):
+            roth_lempel(gf5.vector([0, 1, 2, 2]), 3, 0)
 
 
 class TestExtensionVectors:

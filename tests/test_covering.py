@@ -1,24 +1,25 @@
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 from helpers import verify_theorem6
-from mdsx import serialize, suites
+from mdsx import kernels, serialize, suites
 from mdsx.code import code_from_generator, full_code
 from mdsx.constructions import GrsSpec, egrs, egrs_dual_code, grs, prs, \
     thm7_u
 from mdsx.covering import (
     covering_radius,
+    deep_holes_via_mds,
     distance_to_code,
     extensions_mds,
     full_radius_witness,
     is_deep_hole,
-    is_deep_hole_via_mds,
-    syndrome_criterion,
+    syndrome_criteria,
 )
 from mdsx.errors import (
     BadRho,
@@ -99,6 +100,16 @@ class TestCoveringRadius:
     def test_leader_weight_counts_total(self):
         rep = covering_radius(DUAL42)
         assert sum(rep.coset_leader_weight_counts()) == 5 ** 2
+
+    def test_leader_weight_is_the_leader_weights_row(self):
+        rep = covering_radius(DUAL42)
+        us = list(product(range(5), repeat=4))
+        for u, w in zip(us, rep.leader_weights(us).tolist()):
+            for form in (u, gf5.vector(u), np.array(u)):
+                got = rep.leader_weight(form)
+                assert type(got) is int and got == w
+        assert covering_radius(full_code(gf5, 3)).leader_weight([1, 2, 3]) \
+            == 0
 
     def test_rho_is_max_leader_weight(self):
         for code in (DUAL42, GRS42, prs(gf4, 2)):
@@ -182,6 +193,26 @@ class TestDistanceToCode:
         with pytest.raises(LengthMismatch):
             distance_to_code(GRS42, [0, 0])
 
+    def test_cached_report_answers(self, monkeypatch):
+        # q^k = q^(n-k): a fresh code takes the codeword route once, and a
+        # code with a covering report never does
+        scans = []
+        real = kernels.weight_counts
+
+        def recording(*args):
+            scans.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "weight_counts", recording)
+        code = grs(GrsSpec.make(gf5, [0, 1, 2, 3], 1, 2))
+        assert distance_to_code(code, THM7_U) == 1
+        assert len(scans) == 1
+        rep = covering_radius(code)
+        assert distance_to_code(code, THM7_U) == 1
+        for u in product(range(5), repeat=4):
+            assert distance_to_code(code, u) == rep.leader_weight(u)
+        assert len(scans) == 1
+
 
 class TestDeepHoleCriteria:
     def test_codeword_is_not_deep_hole(self):
@@ -191,9 +222,9 @@ class TestDeepHoleCriteria:
 
     def test_thm7_vector_is_deep_hole(self):
         assert is_deep_hole(DUAL42, THM7_U)
-        assert is_deep_hole_via_mds(DUAL42, THM7_U)
-        assert syndrome_criterion(DUAL42.parity, THM7_U,
-                                  covering_radius(DUAL42).rho)
+        assert deep_holes_via_mds(DUAL42, [THM7_U])[0]
+        assert syndrome_criteria(DUAL42.parity, [THM7_U],
+                                 covering_radius(DUAL42).rho)[0]
 
     def test_ones_vector_cyclic_dual(self):
         from mdsx.constructions import cyclic_cu
@@ -202,12 +233,12 @@ class TestDeepHoleCriteria:
 
     def test_codeword_fails_minor_test(self):
         word = next(iter(DUAL42.codewords()))
-        assert not is_deep_hole_via_mds(DUAL42, word)
+        assert not deep_holes_via_mds(DUAL42, [word])[0]
 
     def test_via_mds_needs_mds(self):
         c = code_from_generator(Matrix(gf2, [[1, 1, 0, 0], [0, 0, 1, 1]]))
         with pytest.raises(NotMds):
-            is_deep_hole_via_mds(c, [1, 0, 0, 0])
+            deep_holes_via_mds(c, [[1, 0, 0, 0]])
 
     def test_via_mds_refuses_deficient_radius(self):
         # radius-deficient MDS code: the projective evaluation code with
@@ -216,15 +247,24 @@ class TestDeepHoleCriteria:
         assert c.is_mds()
         assert covering_radius(c).rho == 1
         with pytest.raises(CoveringRadiusDeficient):
-            is_deep_hole_via_mds(c, [1, 0, 0, 0, 0, 0])
+            deep_holes_via_mds(c, [[1, 0, 0, 0, 0, 0]])
 
     def test_syndrome_criterion_rejects_codewords(self):
         word = next(iter(DUAL42.codewords()))
-        assert not syndrome_criterion(DUAL42.parity, word, 2)
+        assert not syndrome_criteria(DUAL42.parity, [word], 2)[0]
+
+    def test_syndrome_criteria_at_radius_zero(self):
+        # the full space has an empty parity check, radius 0, and every
+        # vector as a deep hole
+        full = full_code(gf3, 3)
+        us = list(product(range(3), repeat=3))
+        assert full.parity.rows == 0 and covering_radius(full).rho == 0
+        assert syndrome_criteria(full.parity, us, 0).tolist() \
+            == [True] * len(us)
 
     def test_syndrome_criterion_bad_rho(self):
         with pytest.raises(BadRho):
-            syndrome_criterion(DUAL42.parity, THM7_U, -1)
+            syndrome_criteria(DUAL42.parity, [THM7_U], -1)
 
     def test_exhaustive_agreement_gf3_full_radius(self):
         # all three criteria agree on every vector for a full-radius code
@@ -234,8 +274,8 @@ class TestDeepHoleCriteria:
         for vals in product(range(3), repeat=3):
             v = gf3.vector(vals)
             dh = is_deep_hole(c, v)
-            assert dh == is_deep_hole_via_mds(c, v)
-            assert dh == syndrome_criterion(c.parity, v, rep.rho)
+            assert dh == deep_holes_via_mds(c, [v])[0]
+            assert dh == syndrome_criteria(c.parity, [v], rep.rho)[0]
 
     def test_exhaustive_agreement_gf3_deficient_radius(self):
         # the projective [4,2] code over GF(3) has radius 1 = n-k-1: the
@@ -244,11 +284,11 @@ class TestDeepHoleCriteria:
         rep = covering_radius(c)
         assert c.is_mds() and rep.rho == c.n - c.k - 1
         with pytest.raises(CoveringRadiusDeficient):
-            is_deep_hole_via_mds(c, [0, 0, 0, 1])
+            deep_holes_via_mds(c, [[0, 0, 0, 1]])
         for vals in product(range(3), repeat=4):
             v = gf3.vector(vals)
             assert is_deep_hole(c, v) \
-                == syndrome_criterion(c.parity, v, rep.rho)
+                == syndrome_criteria(c.parity, [v], rep.rho)[0]
 
     def test_deep_holes_are_coset_closed(self):
         rng = random.Random(43)
@@ -364,9 +404,10 @@ def test_extensions_mds_budget_and_length():
 
 
 def test_thm6_suite_reports_the_first_disagreement(monkeypatch):
-    # flip the left side at the fifth and the eighth u of every code: the
-    # first code, eval[2,1] on nodes (0, 1) over GF(3), fails at its fifth
-    # u, (1, 1), in product order
+    # flip the left side at the fifth and the eighth u of every code: every
+    # case fails and still checks all its codes, and the report names the
+    # first code, eval[2,1] on nodes (0, 1) over GF(3), at its fifth u,
+    # (1, 1), in product order
     real = suites.extensions_mds
 
     def flipped(code, us, budget):
@@ -377,8 +418,8 @@ def test_thm6_suite_reports_the_first_disagreement(monkeypatch):
     monkeypatch.setattr(suites, "extensions_mds", flipped)
     rep = suites.run_suite("thm6-exhaustive", {"qs": [3], "max_n": 3})
     assert not rep["passed"]
-    assert [c["ok"] for c in rep["cases"]] == [False, True]
-    assert [c["u_checked"] for c in rep["cases"]] == [9 * 2, 27 * 4]
+    assert [c["ok"] for c in rep["cases"]] == [False, False]
+    assert [c["u_checked"] for c in rep["cases"]] == [9 * 6, 27 * 4]
     cx = rep["counterexample"]
     assert cx["code"]["u"] == [1, 1]
     assert cx["code"]["inner"] == {"type": "grs", "nodes": [0, 1],

@@ -23,9 +23,7 @@ from mdsx.covering import (
     covering_radius,
     deep_holes_via_mds,
     full_radius_witness,
-    is_deep_hole_via_mds,
     syndrome_criteria,
-    syndrome_criterion,
 )
 from mdsx.errors import BudgetExceeded
 from mdsx.field import FieldCtx, field_new
@@ -156,10 +154,10 @@ def test_criteria_match_brute_deep_holes(code):
     assert rep.rho == rho
     assert (rep.leader_weights(us) == rho).tolist() == want
     assert syndrome_criteria(code.parity, us, rho).tolist() == want
-    assert [syndrome_criterion(code.parity, u, rho) for u in us] == want
+    assert [syndrome_criteria(code.parity, [u], rho)[0] for u in us] == want
     if code.is_mds() and rho == code.n - code.k:
         assert deep_holes_via_mds(code, us).tolist() == want
-        assert [is_deep_hole_via_mds(code, u) for u in us] == want
+        assert [deep_holes_via_mds(code, [u])[0] for u in us] == want
         witness = full_radius_witness(code)
         assert tuple(e.value for e in witness) in holes
 
@@ -312,7 +310,7 @@ def test_subset_budget_refuses_before_building_anything(monkeypatch):
     with pytest.raises(BudgetExceeded):
         first_dependent_columns(m, 3, budget=comb(40, 3) - 1)
     with pytest.raises(BudgetExceeded):
-        syndrome_criterion(m, [1] * 40, 21)
+        syndrome_criteria(m, [[1] * 40], 21)
 
 
 def test_criteria_count_subsets_per_vector():
@@ -321,15 +319,15 @@ def test_criteria_count_subsets_per_vector():
     assert code.is_mds() and rep.rho == 2
     u = [0, 3, 3, 4]
     # C(4, 3) subsets per u for the minor test
-    assert is_deep_hole_via_mds(code, u, budget=4) is True
+    assert deep_holes_via_mds(code, [u], budget=4).tolist() == [True]
     with pytest.raises(BudgetExceeded):
-        is_deep_hole_via_mds(code, u, budget=3)
+        deep_holes_via_mds(code, [u], budget=3)
     with pytest.raises(BudgetExceeded):
         deep_holes_via_mds(code, [u, u], budget=7)
     # C(4, 1) subsets for u and once for h alone
-    assert syndrome_criterion(code.parity, u, 2, budget=8) is True
+    assert syndrome_criteria(code.parity, [u], 2, budget=8).tolist() == [True]
     with pytest.raises(BudgetExceeded):
-        syndrome_criterion(code.parity, u, 2, budget=7)
+        syndrome_criteria(code.parity, [u], 2, budget=7)
 
 
 def test_cli_mindist_refuses_a_search_past_the_budget(capsys, tmp_path):

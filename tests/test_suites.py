@@ -1,0 +1,231 @@
+"""The failure path of every verify suite: one flipped verdict must fail the
+suite, mark the case it belongs to, and report a counterexample that names
+that case (and, where it is a code spec, replays to the code)."""
+
+import dataclasses
+import json
+import types
+from collections import Counter
+
+import pytest
+
+from mdsx import cli, serialize, suites
+from mdsx.constructions import (
+    GrsSpec,
+    egrs,
+    egrs_dual_code,
+    grs,
+    thm12_u,
+)
+from mdsx.covering import covering_radius, is_deep_hole
+
+
+def test_thm7_reports_a_wrong_u(monkeypatch):
+    # shift the last entry of every u over GF(5): G_k u^T is no longer the
+    # last unit vector
+    real = suites.thm7_u
+
+    def shifted(a, v, k):
+        u = real(a, v, k)
+        return u if a[0].ctx.q != 5 else u[:-1] + (u[-1] + 1,)
+
+    monkeypatch.setattr(suites, "thm7_u", shifted)
+    rep = suites.run_suite("thm7-identity", {"qs": [3, 5], "samples": 2})
+    assert not rep["passed"]
+    assert [(c["q"], c["ok"]) for c in rep["cases"]] == [(3, True),
+                                                         (5, False)]
+    cx = rep["counterexample"]
+    assert set(cx) == {"field", "code"}
+    assert cx["code"]["type"] == "extend"
+    assert set(cx["code"]["inner"]) == {"type", "nodes", "multipliers", "k"}
+    assert cx["code"]["inner"]["type"] == "grs"
+    ctx, ext = serialize.code_from_spec(cx)
+    inner = cx["code"]["inner"]
+    base = grs(GrsSpec.make(ctx, inner["nodes"], inner["multipliers"],
+                            inner["k"]))
+    assert ctx.q == 5
+    assert ext.same_code(base.extend_u(cx["code"]["u"]))
+    # the reported u is the shifted one, so the extension is not the
+    # coefficient-extended code
+    assert not ext.same_code(egrs(GrsSpec.make(
+        ctx, inner["nodes"], inner["multipliers"], inner["k"])))
+
+
+def test_thm12_reports_a_wrong_roth_lempel_code(monkeypatch):
+    # build every Roth-Lempel code over GF(5) with delta + 1
+    real = suites.roth_lempel
+
+    def shifted(a, k, delta):
+        return real(a, k, delta if a[0].ctx.q != 5 else delta + 1)
+
+    monkeypatch.setattr(suites, "roth_lempel", shifted)
+    rep = suites.run_suite("thm12-identity", {"qs": [4, 5]})
+    assert not rep["passed"]
+    assert [(c["q"], c["ok"]) for c in rep["cases"]] == [
+        (4, True), (5, False), (5, False), (5, False)]
+    cx = rep["counterexample"]
+    assert cx["code"] == {"type": "roth-lempel", "nodes": [0, 1, 2, 3],
+                          "k": 3, "delta": 0}
+    # the spec replays to the true code, which the extension does equal
+    ctx, code = serialize.code_from_spec(cx)
+    a = ctx.vector([0, 1, 2, 3])
+    assert code.same_code(real(a, 3, 0))
+    extended = egrs(GrsSpec.make(ctx, [0, 1, 2, 3], 1, 3))
+    assert extended.extend_u(thm12_u(a, 3, 0)).same_code(code)
+
+
+def test_thm14_reports_a_flipped_deep_hole_verdict(monkeypatch):
+    real = suites.is_deep_hole
+
+    def flipped(code, v, budget):
+        return real(code, v, budget) != (code.ctx.q == 5)
+
+    monkeypatch.setattr(suites, "is_deep_hole", flipped)
+    rep = suites.run_suite("thm14-consistency", {"qs": [4, 5]})
+    assert not rep["passed"]
+    for c in rep["cases"]:
+        assert c["ok"] == (c["q"] == 4 or not c["assumption_holds"])
+    first = next(c for c in rep["cases"] if not c["ok"])
+    cx = rep["counterexample"]
+    assert set(cx) == {"field", "kind", "nodes", "k", "delta", "pi",
+                       "set_verdict", "brute_force"}
+    assert (cx["field"]["p"], cx["nodes"], cx["k"]) == (
+        5, list(range(first["n"])), first["k"])
+    assert (cx["kind"], cx["delta"], cx["pi"]) == ("thm14_monomial", 0, None)
+    assert cx["brute_force"] != cx["set_verdict"]
+
+
+def test_examples_report_a_wrong_radius(monkeypatch):
+    # raise the radius that example 3 (the dual over GF(8) at k = 4) sees
+    real = suites.covering_radius
+
+    def raised(code, budget):
+        rep = real(code, budget)
+        if (code.ctx.q, code.k) == (8, 5):
+            return types.SimpleNamespace(rho=rep.rho + 1)
+        return rep
+
+    monkeypatch.setattr(suites, "covering_radius", raised)
+    rep = suites.run_suite("examples-1-2-3", {})
+    assert not rep["passed"]
+    assert [(c["example"], c["ok"]) for c in rep["cases"]] == [
+        ("1", True), ("2", True), ("3", False), ("3-set-scan", True)]
+    cx = rep["counterexample"]
+    assert set(cx) == {"field", "code", "got_params", "got_rho"}
+    assert (cx["got_params"], cx["got_rho"]) == ([9, 5, 5], 4)
+    ctx, code = serialize.code_from_spec(cx)
+    assert code.same_code(egrs_dual_code(ctx.vector(range(8)), 4))
+    assert covering_radius(code).rho == 3
+
+
+def test_prs_reports_a_wrong_radius(monkeypatch):
+    # hand the suite the k = 3 code where it asks for k = 2 over GF(5)
+    real = suites.prs
+
+    def swapped(ctx, k):
+        return real(ctx, 3 if (ctx.q, k) == (5, 2) else k)
+
+    monkeypatch.setattr(suites, "prs", swapped)
+    rep = suites.run_suite("prs-conjecture", {"qs": [4, 5]})
+    assert not rep["passed"]
+    assert [(c["q"], c["k"], c["ok"]) for c in rep["cases"]] == [
+        (4, 2, True), (5, 2, False), (5, 3, True)]
+    cx = rep["counterexample"]
+    assert set(cx) == {"field", "code", "got_rho", "want_rho"}
+    assert cx["code"] == {"type": "prs", "k": 2}
+    ctx, code = serialize.code_from_spec(cx)
+    assert code.same_code(real(ctx, 2))
+    assert covering_radius(code).rho == cx["want_rho"] == 3
+    assert cx["got_rho"] == covering_radius(real(ctx, 3)).rho
+
+
+def test_cyclic_cu_fails_through_the_cli(monkeypatch, capsys):
+    real = suites.cu_extension_facts
+
+    def flipped(m, u, budget):
+        facts = real(m, u, budget)
+        return dataclasses.replace(facts,
+                                   one_is_deep_hole=not facts.one_is_deep_hole)
+
+    monkeypatch.setattr(suites, "cu_extension_facts", flipped)
+    rc = cli.main(["verify", "cyclic-cu", "--ms", "2", "--json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == cli.EXIT_FAIL
+    assert not rep["passed"]
+    assert [(c["u"], c["ok"]) for c in rep["cases"]] == [(1, True),
+                                                         (2, False)]
+    cx = rep["counterexample"]
+    assert set(cx) == {"field", "code", "case"}
+    assert cx["code"] == {"type": "cyclic", "u": 2}
+    assert cx["case"] == rep["cases"][1]
+    assert cx["case"]["one_is_deep_hole"] is False
+    ctx, code = serialize.code_from_spec(cx)
+    assert (code.n, code.k) == (5, 3)
+    assert is_deep_hole(code.dual(), [1] * 5)
+
+
+def _flip_t_set(real):
+    def flip(s, pi, m):
+        out = real(s, pi, m)
+        return out | {s[0].ctx.zero} if s[0].ctx.q == 7 and m == 1 else out
+    return flip
+
+
+def _flip_second_sum(real):
+    # the first subset_sums call on all of GF(5) with m = 2 is the DP
+    # check's, the second the all-sums part's
+    calls = Counter()
+
+    def flip(s, m):
+        out = real(s, m)
+        key = (s[0].ctx.q, len(s), m)
+        calls[key] += 1
+        return out - {s[0].ctx.zero} if calls[key] == 2 \
+            and key == (5, 5, 2) else out
+    return flip
+
+
+def _flip_criteria(real):
+    def flip(h, us, rho, budget):
+        out = real(h, us, rho, budget)
+        if h.ctx.q == 4:
+            out[-1] ^= True
+        return out
+    return flip
+
+
+def _flip_extend_g(real):
+    def flip(g, vec):
+        code = real(g, vec)
+        return code.dual() if g.ctx.q == 3 else code
+    return flip
+
+
+@pytest.mark.parametrize("target, flip, part, q, cx", [
+    ("t_set", _flip_t_set, "dp-vs-enumeration", 7, {"dp_mismatch_q": 7}),
+    ("subset_sums", _flip_second_sum, "all-sums", 5,
+     {"all-sums_failed": {"q": 5, "k": 2}}),
+    ("syndrome_criteria", _flip_criteria, "criteria-agreement", 4, None),
+    ("extend_g", _flip_extend_g, "extension-kinds", 3, None),
+])
+def test_dp_vs_bruteforce_reports_each_part(monkeypatch, target, flip, part,
+                                            q, cx):
+    monkeypatch.setattr(suites, target, flip(getattr(suites, target)))
+    rep = suites.run_suite("dp-vs-bruteforce", {})
+    assert not rep["passed"]
+    assert {(c["part"], c["q"]) for c in rep["cases"] if not c["ok"]} \
+        == {(part, q)}
+    first = next(c for c in rep["cases"] if not c["ok"])
+    if part == "criteria-agreement":
+        # the flip hits the last u of each code, (3, .., 3) in product order
+        got = rep["counterexample"]["criteria_disagreement"]
+        assert set(got) == {"q", "code", "u"}
+        assert (got["q"], got["code"]) == (4, first["code"])
+        assert got["u"] == [3] * len(got["u"])
+        assert first["checked"] == 4 ** len(got["u"])
+    elif part == "extension-kinds":
+        got = rep["counterexample"]["extension_kind_mismatch"]
+        assert set(got) == {"q", "code", "g"}
+        assert (got["q"], got["code"]) == (3, first["code"])
+    else:
+        assert rep["counterexample"] == cx
