@@ -136,6 +136,10 @@ class LinearCode:
         return n - k + 1
 
     def weight_enumerator(self, budget=DEFAULT_BUDGET) -> list[int]:
+        """A_0..A_n, the number of codewords of each weight, from one
+        codeword per scalar orbit (wt(c*x) = wt(x) for c != 0), each
+        counted q - 1 times, plus the zero word; q^k counts against the
+        budget."""
         return kernels.weight_counts(self.generator._rows, self.n, self.ctx,
                                      budget)
 

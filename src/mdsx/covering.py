@@ -18,6 +18,7 @@ import numpy as np
 from . import kernels
 from .errors import (
     BadDims,
+    BadEncoding,
     BadRho,
     CoveringRadiusDeficient,
     InvariantViolation,
@@ -49,6 +50,7 @@ class CoveringReport:
         """leader_weight of every row of `vectors` (encodings), as an
         array."""
         code = self.code
+        vectors = _rows_of_length(vectors, code.n, code.ctx.q)
         s = kernels.mat_vecs(code.parity._rows, code.n, code.ctx, vectors)
         radix = code.ctx.q ** np.arange(s.shape[1], dtype=np.int64)
         return self._leader[s @ radix]
@@ -148,7 +150,7 @@ def deep_holes_via_mds(code: LinearCode, us, budget=DEFAULT_BUDGET):
     if report.rho != code.n - code.k:
         raise CoveringRadiusDeficient(
             f"covering radius {report.rho} < n-k = {code.n - code.k}")
-    us = _rows_of_length(us, code.n)
+    us = _rows_of_length(us, code.n, code.ctx.q)
     g = np.array(code.generator._rows, dtype=np.int64)
     mats = np.concatenate(
         [np.broadcast_to(g, (len(us), code.k, code.n)), us[:, None]], axis=1)
@@ -168,7 +170,7 @@ def syndrome_criteria(h: Matrix, us, rho: int, budget=DEFAULT_BUDGET):
     if not isinstance(rho, int) or rho < 0 or rho > h.cols:
         raise BadRho(f"rho = {rho} out of range")
     n = h.cols
-    s = kernels.mat_vecs(h._rows, n, h.ctx, _rows_of_length(us, n))
+    s = kernels.mat_vecs(h._rows, n, h.ctx, _rows_of_length(us, n, h.ctx.q))
     if rho == 0:
         return ~s.any(axis=1)
     cols = np.array(h._rows, dtype=np.int64).reshape(h.rows, n)
@@ -183,10 +185,14 @@ def syndrome_criteria(h: Matrix, us, rho: int, budget=DEFAULT_BUDGET):
     return ok
 
 
-def _rows_of_length(us, n: int):
+def _rows_of_length(us, n: int, q: int):
+    """`us` as an int64 array of rows of n encodings in [0, q)."""
     us = np.asarray(us, dtype=np.int64)
     if us.ndim != 2 or us.shape[1] != n:
         raise LengthMismatch(f"expected length {n}, got {us.shape[-1]}")
+    # read as unsigned, a negative entry is >= 2^63: one comparison
+    if np.count_nonzero(us.view(np.uint64) >= q):
+        raise BadEncoding(f"entries must be encodings in [0, {q})")
     return us
 
 
@@ -198,14 +204,15 @@ def extensions_mds(code: LinearCode, us, budget=DEFAULT_BUDGET):
     wt(c) + [<u, c> != 0] over codewords c != 0, and it is MDS iff that
     reaches n-k+2.  Only codewords of weight <= n-k+1 can stay below it:
     one of weight <= n-k rules out every u, and one of weight n-k+1 rules
-    out the u orthogonal to it.  At k = 0 no extension is MDS, as in
-    `LinearCode.is_mds`.  The q^k codewords count against the budget.
+    out the u orthogonal to it.  Both tests hold for c*x as for x, so one
+    codeword per scalar orbit is enough.  At k = 0 no extension is MDS, as
+    in `LinearCode.is_mds`.  The q^k codewords count against the budget.
     """
     n, k = code.n, code.k
-    us = _rows_of_length(us, n)
-    light = []
-    for _, block in kernels.codeword_blocks(code.generator._rows, n,
-                                            code.ctx, budget):
+    us = _rows_of_length(us, n, code.ctx.q)
+    light = [np.zeros((0, n), dtype=np.int64)]
+    for block in kernels.orbit_blocks(code.generator._rows, n, code.ctx,
+                                      budget):
         wt = np.count_nonzero(block, axis=1)
         light.append(block[(wt > 0) & (wt <= n - k + 1)])
     light = np.concatenate(light)

@@ -67,6 +67,10 @@ class LengthMismatch(MdsxError):
     pass
 
 
+class BadEncoding(MdsxError):
+    """A vector entry is not a field element's encoding in [0, q)."""
+
+
 class BudgetExceeded(MdsxError):
     pass
 

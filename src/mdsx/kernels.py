@@ -2,10 +2,15 @@
 
 Codewords and error vectors are enumerated as numpy arrays of integer
 encodings by one chunked fold, `_fold`, which sums one row from each of a
-list of tables.  The one codeword scan, `weight_counts`, histograms
-wt(c - v) over all codewords c: the weight enumerator, d and the codeword
-route of the distance to v.  Every kernel takes the code length n
-explicitly, so a generator or check with no rows still has its length.
+list of tables.  There are two codeword scans.  `codeword_blocks` visits
+all q^k codewords; `orbit_blocks` visits one codeword per scalar orbit
+{c*x : c != 0} of the nonzero messages, (q^k - 1)/(q - 1) of them, which
+is all that a question invariant under scaling needs: wt(c*x) = wt(x) and
+<u, c*x> = 0 iff <u, x> = 0.  `weight_counts` histograms wt(x) over the
+orbits (the weight enumerator and d), and wt(x - v) for a given v over all
+codewords (the codeword route of the distance to v).  Every kernel takes
+the code length n explicitly, so a generator or check with no rows still
+has its length.
 
 The kernels read each field's numpy arrays, `ctx._arrays` = (log, exp,
 add), which the field builds with its tables: log(0) points past two
@@ -122,17 +127,53 @@ def codeword_blocks(G_int, n: int, ctx, budget=DEFAULT_BUDGET):
         start += block.shape[0]
 
 
+def orbit_blocks(G_int, n: int, ctx, budget=DEFAULT_BUDGET):
+    """Yield blocks holding one codeword of length n per scalar orbit of
+    the nonzero messages: those whose last nonzero coefficient, at the
+    leading row i, is 1; k = 0 gives none.
+
+    Each leading row folds 1 * row i with every multiple of rows i-1..0,
+    in codeword_blocks' order.  The q^k codewords the orbits stand for
+    count against the budget, before any block is built.
+    """
+    k = len(G_int)
+    total = ctx.q ** k
+    if total > budget:
+        raise BudgetExceeded(f"q^k = {total} exceeds budget {budget}")
+    if k == 0:
+        return
+    table = _multiples(ctx, G_int)
+    for i in range(k):
+        yield from _fold([table[i, 1:2], *table[:i][::-1]],
+                         ctx._arrays[2])
+
+
+def _histogram(blocks, n: int):
+    """Counts of rows of each weight 0..n over `blocks`."""
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for block in blocks:
+        counts += np.bincount(np.count_nonzero(block, axis=1), minlength=n + 1)
+    return counts
+
+
 def weight_counts(G_int, n: int, ctx, budget=DEFAULT_BUDGET,
                   v_int=None) -> list[int]:
-    """Histogram over codewords c of wt(c - v); of wt(c) if v_int is None."""
-    counts = np.zeros(n + 1, dtype=np.int64)
-    if v_int is not None:
+    """Histogram over codewords c of wt(c - v); of wt(c) if v_int is None.
+
+    Without v each orbit's representative stands for its q - 1 messages,
+    and the zero message is added; bin 0 is scaled too, since dependent
+    rows send whole orbits to the zero word.  With v, wt(c - v) is not
+    invariant under scaling, so every codeword is visited.
+    """
+    if v_int is None:
+        counts = _histogram(orbit_blocks(G_int, n, ctx, budget), n)
+        counts *= ctx.q - 1
+        counts[0] += 1
+    else:
         neg_v = np.array([ctx.neg_i(x) for x in v_int], _dtype_for(ctx.q))
         add = ctx._arrays[2]
-    for _, block in codeword_blocks(G_int, n, ctx, budget):
-        if v_int is not None:
-            block = add(block, neg_v)
-        counts += np.bincount(np.count_nonzero(block, axis=1), minlength=n + 1)
+        counts = _histogram((add(block, neg_v) for _, block
+                             in codeword_blocks(G_int, n, ctx, budget)), n)
     return [int(c) for c in counts]
 
 

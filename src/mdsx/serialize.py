@@ -19,6 +19,19 @@ CODE_TYPES = ("generator", "grs", "egrs", "prs", "roth-lempel", "cyclic",
               "dual", "extend")
 
 
+def _is_int(v) -> bool:
+    """An int and not a bool: JSON's true, 2.7 and "2" are no integers."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _integer(v, what):
+    """v, if it is an integer (`_is_int`); InvalidSpec otherwise, rather
+    than reading 2.7 as 2."""
+    if not _is_int(v):
+        raise InvalidSpec(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 def field_to_dict(ctx: FieldCtx) -> dict:
     return {"p": ctx.p, "m": ctx.m, "modulus": list(ctx.modulus)}
 
@@ -27,7 +40,7 @@ def field_from_dict(d) -> FieldCtx:
     if not isinstance(d, dict) or "p" not in d or "m" not in d:
         raise InvalidSpec("field descriptor needs p and m")
     try:
-        ctx = field_new(int(d["p"]), int(d["m"]))
+        ctx = field_new(_integer(d["p"], "p"), _integer(d["m"], "m"))
     except MdsxError:
         raise
     except (TypeError, ValueError) as e:
@@ -45,7 +58,8 @@ def matrix_to_dict(m: Matrix) -> dict:
 
 def matrix_from_dict(ctx: FieldCtx, d) -> Matrix:
     try:
-        rows, cols = int(d["rows"]), int(d["cols"])
+        rows = _integer(d["rows"], "rows")
+        cols = _integer(d["cols"], "cols")
         entries = d["entries"]
     except (KeyError, TypeError, ValueError) as e:
         raise InvalidSpec(f"bad matrix: {e}")
@@ -53,7 +67,7 @@ def matrix_from_dict(ctx: FieldCtx, d) -> Matrix:
         raise InvalidSpec("matrix entries do not match declared shape")
     for r in entries:
         for e in r:
-            if not isinstance(e, int) or not 0 <= e < ctx.q:
+            if not _is_int(e) or not 0 <= e < ctx.q:
                 raise InvalidSpec(f"entry {e} is not an encoding in "
                                   f"[0, {ctx.q})")
     return Matrix(ctx, entries, cols=cols)
@@ -71,7 +85,7 @@ def _vector_from(ctx, v, length, what):
     if not isinstance(v, (list, tuple)) or len(v) != length:
         raise InvalidSpec(f"{what} must be a list of length {length}")
     for e in v:
-        if not isinstance(e, int) or not 0 <= e < ctx.q:
+        if not _is_int(e) or not 0 <= e < ctx.q:
             raise InvalidSpec(f"{what} entry {e} is not an encoding in "
                               f"[0, {ctx.q})")
     return ctx.vector(v)
@@ -96,18 +110,19 @@ def _code_from_part(ctx: FieldCtx, part) -> LinearCode:
             if isinstance(mult, int):
                 mult = [mult] * len(nodes)
             mult = _vector_from(ctx, mult, len(nodes), "multipliers")
-            spec = GrsSpec.make(ctx, nodes, mult, int(part["k"]))
+            spec = GrsSpec.make(ctx, nodes, mult, _integer(part["k"], "k"))
             return egrs(spec) if t == "egrs" else grs(spec)
         if t == "prs":
-            return prs(ctx, int(part["k"]))
+            return prs(ctx, _integer(part["k"], "k"))
         if t == "roth-lempel":
             nodes = _vector_from(ctx, part["nodes"], len(part["nodes"]),
                                  "nodes")
-            return roth_lempel(nodes, int(part["k"]), int(part["delta"]))
+            return roth_lempel(nodes, _integer(part["k"], "k"),
+                               _integer(part["delta"], "delta"))
         if t == "cyclic":
             if ctx.p != 2 or ctx.m < 2:
                 raise InvalidSpec("cyclic type needs a GF(2^m) field, m >= 2")
-            return cyclic_cu(ctx.m, int(part["u"]))
+            return cyclic_cu(ctx.m, _integer(part["u"], "u"))
         if t == "dual":
             return _code_from_part(ctx, part["inner"]).dual()
         if t == "extend":

@@ -4,6 +4,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
+import numpy as np
+
+from mdsx import kernels
 from mdsx.constructions import DeepHoleCandidate
 from mdsx.covering import covering_radius
 from mdsx.errors import BadK, InvariantViolation, NoBaseField, NotMds
@@ -328,9 +331,10 @@ def scalar_tables(ctx, add_limit=1024):
 
 
 # ---------------------------------------------------------------------------
-# Theorem 6 one u at a time: the per-u twin of covering.extensions_mds and
-# the suite's batched check.  Each u builds the extension with extend_u and
-# settles its MDS status by elimination and a codeword scan.
+# Two twins of covering.extensions_mds and the suite's batched check: the
+# same batch over all codewords, and Theorem 6 one u at a time, where each
+# u builds the extension with extend_u and settles its MDS status by
+# elimination and a codeword scan.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -343,6 +347,21 @@ class Theorem6Check:
     def consistent(self) -> bool:
         return self.extended_mds == (self.rho_dual_is_k
                                      and self.u_deep_hole_dual)
+
+
+def extensions_mds_all_codewords(code, us, budget=DEFAULT_BUDGET):
+    """covering.extensions_mds from the light codewords among all q^k
+    codewords, where the package takes one per scalar orbit."""
+    n, k = code.n, code.k
+    light = []
+    for _, block in kernels.codeword_blocks(code.generator._rows, n,
+                                            code.ctx, budget):
+        wt = np.count_nonzero(block, axis=1)
+        light.append(block[(wt > 0) & (wt <= n - k + 1)])
+    light = np.concatenate(light)
+    if k == 0 or (np.count_nonzero(light, axis=1) <= n - k).any():
+        return np.zeros(len(us), dtype=bool)
+    return (kernels.mat_vecs(light, n, code.ctx, us) != 0).all(axis=1)
 
 
 def verify_theorem6(code, u, budget=DEFAULT_BUDGET) -> Theorem6Check:

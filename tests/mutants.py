@@ -57,8 +57,18 @@ MUTANTS = [
      "kernels.codeword_blocks(self.generator._rows[::-1],",
      "kernels.codeword_blocks(self.generator._rows,",
      ["tests/test_kernels.py"]),
+    ("orbit histogram drops the q - 1 factor", "kernels.py",
+     "        counts *= ctx.q - 1\n", "",
+     ["tests/test_kernels.py"]),
+    ("orbit scan leads with every multiple", "kernels.py",
+     "[table[i, 1:2], *table[:i][::-1]]", "[table[i, 1:], *table[:i][::-1]]",
+     ["tests/test_kernels.py"]),
+    ("orbit scan skips leading row 0", "kernels.py",
+     "    for i in range(k):\n        yield from _fold(",
+     "    for i in range(1, k):\n        yield from _fold(",
+     ["tests/test_kernels.py"]),
     ("weight_counts ignores v", "kernels.py",
-     "            block = add(block, neg_v)", "            pass",
+     "_histogram((add(block, neg_v) for", "_histogram((block for",
      ["tests/test_kernels.py"]),
     ("min_distance reads bin 0", "code.py",
      "next(w for w in range(1, self.n + 1) if counts[w])",

@@ -100,6 +100,29 @@ class TestBuild:
         ctx, got = code_from_spec(json.loads(out))
         assert got.same_code(grs(GrsSpec.make(ctx, [0, 1, 2, 3], mult, 2)))
 
+    @pytest.mark.parametrize("spec", [
+        {"field": {"p": 5, "m": 1},
+         "code": {"type": "grs", "nodes": [0, 1, 2, 3], "k": 2.7}},
+        {"field": {"p": 5, "m": 1},
+         "code": {"type": "prs", "k": "2"}},
+        {"field": {"p": 5, "m": 1},
+         "code": {"type": "egrs", "nodes": [0, 1, 2, 3], "k": True}},
+        {"field": {"p": 5, "m": 1},
+         "code": {"type": "roth-lempel", "nodes": [0, 1, 2, 3], "k": 3,
+                  "delta": 7.9}},
+        {"field": {"p": 2, "m": 3}, "code": {"type": "cyclic", "u": "1"}},
+        {"field": {"p": 5.0, "m": 1}, "code": {"type": "prs", "k": 2}},
+        {"field": {"p": 5, "m": True}, "code": {"type": "prs", "k": 2}},
+        {"field": {"p": 5, "m": 1},
+         "code": {"type": "generator", "matrix": {
+             "rows": 1, "cols": 2, "entries": [[1, True]]}}},
+    ], ids=["k-float", "k-string", "k-bool", "delta-float", "u-string",
+            "p-float", "m-bool", "entry-bool"])
+    def test_non_integer_spec_values_exit_2(self, capsys, spec_file, spec):
+        rc, out, err = run(capsys, ["build", spec_file(spec)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ")
+
     def test_roth_lempel_without_nodes_exits_2(self, capsys, spec_file):
         spec = {"field": {"p": 5, "m": 1},
                 "code": {"type": "roth-lempel", "nodes": [], "k": 3,

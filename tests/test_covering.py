@@ -22,10 +22,12 @@ from mdsx.covering import (
     syndrome_criteria,
 )
 from mdsx.errors import (
+    BadEncoding,
     BadRho,
     BudgetExceeded,
     CoveringRadiusDeficient,
     LengthMismatch,
+    MdsxError,
     NotMds,
 )
 from mdsx.field import field_new
@@ -387,6 +389,32 @@ def test_extensions_mds_matches_extend_u(g):
     us = list(product(range(g.ctx.q), repeat=code.n))
     want = [code.extend_u(u).is_mds() for u in us]
     assert extensions_mds(code, us).tolist() == want
+    assert helpers.extensions_mds_all_codewords(code, us).tolist() == want
+
+
+def test_orbit_light_codewords_match_both_twins():
+    # every u at q <= 5 and n <= 4, on every dimension of one evaluation
+    # and one coefficient-extended code per length, with random
+    # multipliers: the light codewords of one per scalar orbit decide as
+    # all of them do, and as the per-u twin
+    rng = random.Random(5)
+    for ctx in (gf2, gf3, gf4, gf5):
+        q = ctx.q
+        for m in range(2, min(q, 4) + 1):
+            nodes = rng.sample(range(q), m)
+            mult = [rng.randrange(1, q) for _ in range(m)]
+            codes = [grs(GrsSpec.make(ctx, nodes, mult, k))
+                     for k in range(1, m)]
+            if m < 4:
+                codes += [egrs(GrsSpec.make(ctx, nodes, mult, k))
+                          for k in range(1, m + 1)]
+            for c in codes:
+                us = list(product(range(q), repeat=c.n))
+                got = extensions_mds(c, us).tolist()
+                assert got == helpers.extensions_mds_all_codewords(
+                    c, us).tolist()
+                assert got == [verify_theorem6(c, u).extended_mds
+                               for u in us]
 
 
 def test_extensions_mds_rules_out_a_light_codeword():
@@ -397,10 +425,26 @@ def test_extensions_mds_rules_out_a_light_codeword():
 
 
 def test_extensions_mds_budget_and_length():
+    # 5^2 codewords
+    assert not extensions_mds(GRS42, [[0] * 4], budget=25)[0]
     with pytest.raises(BudgetExceeded):
         extensions_mds(GRS42, [[0] * 4], budget=24)
     with pytest.raises(LengthMismatch):
         extensions_mds(GRS42, [[0] * 5])
+
+
+@pytest.mark.parametrize("entry", [5, 7, -1])
+def test_entries_outside_the_field_are_refused(entry):
+    # numpy would index past the tables, or wrap -1 around to q - 1
+    bad = [[0, 1, 2, 3], [0, 0, entry, 0]]
+    rep = covering_radius(DUAL42)
+    for call in (lambda: rep.leader_weights(bad),
+                 lambda: extensions_mds(GRS42, bad),
+                 lambda: deep_holes_via_mds(DUAL42, bad),
+                 lambda: syndrome_criteria(DUAL42.parity, bad, 2)):
+        with pytest.raises(BadEncoding, match=r"\[0, 5\)"):
+            call()
+    assert issubclass(BadEncoding, MdsxError)
 
 
 def test_thm6_suite_reports_the_first_disagreement(monkeypatch):

@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -243,6 +243,84 @@ def test_leader_arrays_match_recorded_digests(pm, k, digest):
     assert hashlib.sha256(leader.tobytes()).hexdigest() == digest
 
 
+ORBIT_FIELDS = {2: field_new(2, 1), 3: field_new(3, 1), 4: field_new(2, 2),
+                5: field_new(5, 1), 9: field_new(3, 2)}
+
+
+def _full_scan_counts(G, n, ctx):
+    """Weight histogram of every message's codeword, by the full scan."""
+    counts = [0] * (n + 1)
+    for _, block in kernels.codeword_blocks(G, n, ctx):
+        for w in np.count_nonzero(block, axis=1).tolist():
+            counts[w] += 1
+    return counts
+
+
+def _message_counts(G, n, ctx):
+    """The same histogram, one message at a time with scalar field ops."""
+    counts = [0] * (n + 1)
+    for coeffs in product(range(ctx.q), repeat=len(G)):
+        word = [0] * n
+        for c, row in zip(coeffs, G):
+            word = [ctx.add_i(x, ctx.mul_i(c, g)) for x, g in zip(word, row)]
+        counts[sum(1 for x in word if x)] += 1
+    return counts
+
+
+@st.composite
+def orbit_generators(draw):
+    """A generator of 0 to n+1 rows with q^rows <= 729, some rows zero or
+    multiples of earlier ones, so that the rows may be dependent."""
+    ctx = ORBIT_FIELDS[draw(st.sampled_from(sorted(ORBIT_FIELDS)))]
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(0, min(n + 1, max(r for r in range(8)
+                                            if ctx.q ** r <= 729))))
+    G = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(("random", "random", "zero", "repeat")))
+        if kind == "zero":
+            G.append([0] * n)
+        elif kind == "repeat" and G:
+            c = draw(st.integers(1, ctx.q - 1))
+            G.append([ctx.mul_i(c, x) for x in draw(st.sampled_from(G))])
+        else:
+            G.append([draw(st.integers(0, ctx.q - 1)) for _ in range(n)])
+    return ctx, G, n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(orbit_generators())
+def test_orbit_histogram_matches_full_scan_and_messages(case):
+    ctx, G, n = case
+    q, k = ctx.q, len(G)
+    want = _message_counts(G, n, ctx)
+    assert _full_scan_counts(G, n, ctx) == want
+    # 1 row: every part but the last becomes an offset
+    for rows in (kernels._CHUNK_ROWS, 16, 1):
+        with mock.patch.object(kernels, "_CHUNK_ROWS", rows):
+            blocks = list(kernels.orbit_blocks(G, n, ctx))
+            assert kernels.weight_counts(G, n, ctx) == want
+        # one codeword per orbit of the q^k - 1 nonzero messages
+        assert sum(b.shape[0] for b in blocks) == (q ** k - 1) // (q - 1)
+
+
+def test_orbit_scan_counts_q_to_the_k_against_the_budget(monkeypatch):
+    ctx = field_new(3, 1)
+    G = [[1, 0, 0, 2], [0, 1, 0, 1], [0, 0, 1, 1]]  # 27 codewords
+    assert kernels.weight_counts(G, 4, ctx, budget=27) \
+        == _message_counts(G, 4, ctx)
+    assert len(list(kernels.orbit_blocks(G, 4, ctx, budget=27))) == 3
+
+    def no_block(*args):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(kernels, "_multiples", no_block)
+    with pytest.raises(BudgetExceeded):
+        next(kernels.orbit_blocks(G, 4, ctx, budget=26))
+    with pytest.raises(BudgetExceeded):
+        kernels.weight_counts(G, 4, ctx, budget=26)
+
+
 @st.composite
 def span_codes(draw):
     """Codes with q^n <= 2500 whose dimension is 0, 1, n-1 or n as often as
@@ -270,7 +348,9 @@ def test_codeword_scan_matches_span_oracle(code, data):
     ctx, n, k = code.ctx, code.n, code.k
     words = list(helpers.span(code))
     assert list(code.codewords()) == words
-    assert code.weight_enumerator() == helpers.brute_weight_enumerator(code)
+    assert code.weight_enumerator() \
+        == _full_scan_counts(code.generator._rows, n, ctx) \
+        == helpers.brute_weight_enumerator(code)
     if k == 0:
         with pytest.raises(BadDims):
             code.min_distance()
