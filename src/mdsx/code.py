@@ -69,9 +69,9 @@ class LinearCode:
 
     def codewords(self):
         """All codewords, the first row's coefficient slowest (desk scale:
-        at most DEFAULT_BUDGET); the kernel runs its last row slowest."""
-        for _, block in kernels.codeword_blocks(self.generator._rows[::-1],
-                                                self.n, self.ctx):
+        at most DEFAULT_BUDGET)."""
+        for block in kernels.coset_blocks(self.generator._rows, self.n,
+                                          self.ctx, [0] * self.n):
             for word in block.tolist():
                 yield _box(self.ctx, word)
 
@@ -85,9 +85,10 @@ class LinearCode:
     # -- parameters ----------------------------------------------------------
 
     def min_distance(self, budget=DEFAULT_BUDGET) -> int:
-        """Exact d.  The codeword scan runs when it fits the budget and
-        either fills one chunk or has no more codewords than the C(n, k)
-        subsets of one column layer; otherwise the column-subset route."""
+        """Exact d.  The codeword scan runs first when it fits the budget
+        and has no more codewords than the C(n, k) subsets of one column
+        layer; otherwise the column-subset route, which tests that layer
+        first when it is the cheaper."""
         if self._d is not None:
             return self._d
         if self.k == 0:
@@ -95,8 +96,7 @@ class LinearCode:
         total = self.ctx.q ** self.k
         if self.k == self.n:
             d = 1
-        elif total <= budget and (total <= kernels._CHUNK_ROWS
-                                  or comb(self.n, self.k) >= total):
+        elif total <= budget and comb(self.n, self.k) >= total:
             d = self._min_distance_by_codewords(budget)
         else:
             d = self._min_distance_by_supports(budget)

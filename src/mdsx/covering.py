@@ -27,7 +27,7 @@ from .errors import (
 )
 from .code import LinearCode
 from .kernels import DEFAULT_BUDGET
-from .matrix import Matrix, _box, first_dependent_columns
+from .matrix import Matrix, _box
 
 
 class CoveringReport:
@@ -123,8 +123,8 @@ def distance_to_code(code: LinearCode, v, budget=DEFAULT_BUDGET) -> int:
     q = code.ctx.q
     if code._covering is None and q ** code.k <= min(budget,
                                                      q ** (code.n - code.k)):
-        counts = kernels.weight_counts(code.generator._rows, code.n,
-                                       code.ctx, budget, v)
+        counts = kernels.distance_counts(code.generator._rows, code.n,
+                                         code.ctx, v, budget)
         return next(w for w, c in enumerate(counts) if c)
     return covering_radius(code, budget).leader_weight(v)
 
@@ -235,8 +235,7 @@ def full_radius_witness(code: LinearCode, budget=DEFAULT_BUDGET):
     found = kernels.lex_first_weight_vectors(
         code.parity._rows, code.n, code.ctx, report.rho, targets,
         stop_after_first=True, budget=budget)
-    packed, vec = next(iter(found.items()))
-    stacked = code.generator.with_row(vec)
-    if first_dependent_columns(stacked, code.k + 1, budget) is not None:
+    vec = next(iter(found.values()))
+    if not deep_holes_via_mds(code, [vec], budget)[0]:
         raise InvariantViolation("deep-hole witness failed the minor check")
     return _box(code.ctx, vec)

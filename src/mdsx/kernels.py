@@ -2,15 +2,17 @@
 
 Codewords and error vectors are enumerated as numpy arrays of integer
 encodings by one chunked fold, `_fold`, which sums one row from each of a
-list of tables.  There are two codeword scans.  `codeword_blocks` visits
-all q^k codewords; `orbit_blocks` visits one codeword per scalar orbit
-{c*x : c != 0} of the nonzero messages, (q^k - 1)/(q - 1) of them, which
-is all that a question invariant under scaling needs: wt(c*x) = wt(x) and
-<u, c*x> = 0 iff <u, x> = 0.  `weight_counts` histograms wt(x) over the
-orbits (the weight enumerator and d), and wt(x - v) for a given v over all
-codewords (the codeword route of the distance to v).  Every kernel takes
-the code length n explicitly, so a generator or check with no rows still
-has its length.
+list of tables.  There is one codeword scan, `coset_blocks`: it yields
+offset + c for every codeword c, and every codeword question reads it.
+`codewords()` takes the zero offset, and the codeword route of the
+distance to v takes -v, so `distance_counts` histograms wt(c - v).
+`orbit_blocks` visits one codeword per scalar orbit {c*x : c != 0} of the
+nonzero messages, (q^k - 1)/(q - 1) of them, as the cosets row i + span
+of rows 0..i-1; that is all a question invariant under scaling needs:
+wt(c*x) = wt(x) and <u, c*x> = 0 iff <u, x> = 0.  `weight_counts`
+histograms wt(x) over the orbits (the weight enumerator and d).  Every
+kernel takes the code length n explicitly, so a generator or check with
+no rows still has its length.
 
 The kernels read each field's numpy arrays, `ctx._arrays` = (log, exp,
 add), which the field builds with its tables: log(0) points past two
@@ -107,45 +109,29 @@ def _syndrome_table(H_int, n: int, ctx):
 # Codeword enumeration
 # ---------------------------------------------------------------------------
 
-def codeword_blocks(G_int, n: int, ctx, budget=DEFAULT_BUDGET):
-    """Yield (start_index, block) covering all q^k codewords of length n in
-    index order; k = 0 gives the zero word alone.
-
-    The message with index M has row-i coefficient (M // q^i) % q.
-    """
+def coset_blocks(G_int, n: int, ctx, offset, budget=DEFAULT_BUDGET):
+    """Yield, in chunks, offset + c for every codeword c of length n, the
+    first row's coefficient varying slowest; with no rows, the offset
+    alone.  q^k counts against the budget, before any block is built."""
     k = len(G_int)
-    total = ctx.q ** k
-    if total > budget:
-        raise BudgetExceeded(f"q^k = {total} exceeds budget {budget}")
-    if k == 0:
-        yield 0, np.zeros((1, n), dtype=_dtype_for(ctx.q))
-        return
-    start = 0
-    # the last row's coefficient varies slowest, so it leads the fold
-    for block in _fold(_multiples(ctx, G_int)[::-1], ctx._arrays[2]):
-        yield start, block
-        start += block.shape[0]
+    if ctx.q ** k > budget:
+        raise BudgetExceeded(f"q^k = {ctx.q ** k} exceeds budget {budget}")
+    offset = np.asarray(offset, dtype=_dtype_for(ctx.q)).reshape(1, n)
+    rows = np.array(G_int, dtype=np.int64).reshape(k, n)
+    yield from _fold([offset, *_multiples(ctx, rows)], ctx._arrays[2])
 
 
 def orbit_blocks(G_int, n: int, ctx, budget=DEFAULT_BUDGET):
     """Yield blocks holding one codeword of length n per scalar orbit of
     the nonzero messages: those whose last nonzero coefficient, at the
-    leading row i, is 1; k = 0 gives none.
-
-    Each leading row folds 1 * row i with every multiple of rows i-1..0,
-    in codeword_blocks' order.  The q^k codewords the orbits stand for
-    count against the budget, before any block is built.
-    """
+    leading row i, is 1, that is row i plus the span of rows 0..i-1; no
+    rows give none.  The q^k codewords the orbits stand for count against
+    the budget, before any block is built."""
     k = len(G_int)
-    total = ctx.q ** k
-    if total > budget:
-        raise BudgetExceeded(f"q^k = {total} exceeds budget {budget}")
-    if k == 0:
-        return
-    table = _multiples(ctx, G_int)
+    if ctx.q ** k > budget:
+        raise BudgetExceeded(f"q^k = {ctx.q ** k} exceeds budget {budget}")
     for i in range(k):
-        yield from _fold([table[i, 1:2], *table[:i][::-1]],
-                         ctx._arrays[2])
+        yield from coset_blocks(G_int[:i], n, ctx, G_int[i], budget)
 
 
 def _histogram(blocks, n: int):
@@ -156,24 +142,26 @@ def _histogram(blocks, n: int):
     return counts
 
 
-def weight_counts(G_int, n: int, ctx, budget=DEFAULT_BUDGET,
-                  v_int=None) -> list[int]:
-    """Histogram over codewords c of wt(c - v); of wt(c) if v_int is None.
+def weight_counts(G_int, n: int, ctx, budget=DEFAULT_BUDGET) -> list[int]:
+    """Histogram of wt(c) over the codewords c.
 
-    Without v each orbit's representative stands for its q - 1 messages,
-    and the zero message is added; bin 0 is scaled too, since dependent
-    rows send whole orbits to the zero word.  With v, wt(c - v) is not
-    invariant under scaling, so every codeword is visited.
+    Each orbit's representative stands for its q - 1 messages, and the
+    zero message is added; bin 0 is scaled too, since dependent rows send
+    whole orbits to the zero word.
     """
-    if v_int is None:
-        counts = _histogram(orbit_blocks(G_int, n, ctx, budget), n)
-        counts *= ctx.q - 1
-        counts[0] += 1
-    else:
-        neg_v = np.array([ctx.neg_i(x) for x in v_int], _dtype_for(ctx.q))
-        add = ctx._arrays[2]
-        counts = _histogram((add(block, neg_v) for _, block
-                             in codeword_blocks(G_int, n, ctx, budget)), n)
+    counts = _histogram(orbit_blocks(G_int, n, ctx, budget), n)
+    counts *= ctx.q - 1
+    counts[0] += 1
+    return [int(c) for c in counts]
+
+
+def distance_counts(G_int, n: int, ctx, v_int,
+                    budget=DEFAULT_BUDGET) -> list[int]:
+    """Histogram of wt(c - v) over the codewords c, from the coset -v + C:
+    wt(c - v) is not invariant under scaling, so every codeword is
+    visited."""
+    neg_v = [ctx.neg_i(x) for x in v_int]
+    counts = _histogram(coset_blocks(G_int, n, ctx, neg_v, budget), n)
     return [int(c) for c in counts]
 
 

@@ -173,11 +173,20 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns (zero rows kept)."""
+        red, pivots, _, _ = self._eliminate()
+        return red, pivots
+
+    def _eliminate(self):
+        """rref's elimination: the reduced form, the pivot columns, the
+        pivot entries before their rows are scaled to 1, and the number
+        of row swaps."""
         ctx = self.ctx
         sub, mul = ctx.sub_i, ctx.mul_i
         rows = list(self._rows)
         nr, nc = self.rows, self.cols
         pivots = []
+        values = []
+        swaps = 0
         pr = 0
         for pc in range(nc):
             pivot = None
@@ -187,7 +196,9 @@ class Matrix:
                     break
             if pivot is None:
                 continue
+            swaps += pivot != pr
             rows[pr], rows[pivot] = rows[pivot], rows[pr]
+            values.append(rows[pr][pc])
             inv = ctx.inv_i(rows[pr][pc])
             prow = rows[pr] = tuple(mul(e, inv) for e in rows[pr])
             for i in range(nr):
@@ -199,37 +210,24 @@ class Matrix:
             pr += 1
             if pr == nr:
                 break
-        return _of(ctx, tuple(rows), nc), tuple(pivots)
+        return _of(ctx, tuple(rows), nc), tuple(pivots), values, swaps
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def det(self) -> FieldElement:
+        """The product of the pivots, negated once per row swap: the
+        other row operations keep the determinant, and the reduced form
+        of a nonsingular matrix is the identity."""
         if self.rows != self.cols:
             raise NotSquare(f"{self.rows}x{self.cols} matrix")
         ctx = self.ctx
-        sub, mul = ctx.sub_i, ctx.mul_i
-        rows = list(self._rows)
-        n = self.rows
-        det = 1
-        for c in range(n):
-            pivot = None
-            for i in range(c, n):
-                if rows[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                return ctx.zero
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                det = ctx.neg_i(det)
-            det = mul(det, rows[c][c])
-            inv = ctx.inv_i(rows[c][c])
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    f = mul(rows[i][c], inv)
-                    rows[i] = tuple(sub(a, mul(f, b))
-                                    for a, b in zip(rows[i], rows[c]))
+        _, pivots, values, swaps = self._eliminate()
+        if len(pivots) < self.rows:
+            return ctx.zero
+        det = ctx.neg_i(1) if swaps % 2 else 1
+        for v in values:
+            det = ctx.mul_i(det, v)
         return ctx._elems[det]
 
     def nullspace(self) -> "Matrix":

@@ -9,11 +9,11 @@ counterexample as a replayable spec dict.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
-from . import serialize
+from . import kernels, serialize
 from .code import extend_g
 from .covering import (
     covering_radius,
@@ -428,7 +428,7 @@ def _criteria_agreement_cases(budget):
             applicable = mds and full and code.k < code.n
             # every u at once, in product order; a verdict that differs
             # from the leader weight's is a disagreement
-            us = np.array(list(product(range(q), repeat=code.n)))
+            us = np.concatenate(list(_product_rows(q, code.n)))
             dh = rep.leader_weights(us) == rep.rho
             bad = dh != syndrome_criteria(code.parity, us, rep.rho, budget)
             if applicable:
@@ -459,9 +459,12 @@ def _extension_kind_cases():
                               egrs(GrsSpec.make(ctx, nodes, 1, n))))
         for name, code in codes:
             n, k = code.n, code.k
+            # the fibers of u -> G u^T, from one batched product; extend_u
+            # takes <u, row> by scalar ops
+            us = np.concatenate(list(_product_rows(q, n)))
+            gs = kernels.mat_vecs(code.generator._rows, n, ctx, us)
             fibers = {}
-            for u in product(range(q), repeat=n):
-                g = tuple(e.value for e in code.generator.mat_vec(u))
+            for u, g in zip(map(tuple, us.tolist()), map(tuple, gs.tolist())):
                 fibers.setdefault(g, []).append(u)
             sizes_ok = all(len(v) == q ** (n - k) for v in fibers.values())
             match_ok = True

@@ -354,8 +354,8 @@ def extensions_mds_all_codewords(code, us, budget=DEFAULT_BUDGET):
     codewords, where the package takes one per scalar orbit."""
     n, k = code.n, code.k
     light = []
-    for _, block in kernels.codeword_blocks(code.generator._rows, n,
-                                            code.ctx, budget):
+    for block in kernels.coset_blocks(code.generator._rows, n, code.ctx,
+                                      [0] * n, budget):
         wt = np.count_nonzero(block, axis=1)
         light.append(block[(wt > 0) & (wt <= n - k + 1)])
     light = np.concatenate(light)

@@ -53,22 +53,25 @@ MUTANTS = [
      "    for w in range(1, n + 1):\n        before = covered",
      "    for w in range(1, n):\n        before = covered",
      ["tests/test_kernels.py"]),
-    ("codewords in forward row order", "code.py",
-     "kernels.codeword_blocks(self.generator._rows[::-1],",
-     "kernels.codeword_blocks(self.generator._rows,",
+    ("coset scan drops its offset", "kernels.py",
+     "_fold([offset, *_multiples(", "_fold([0 * offset, *_multiples(",
+     ["tests/test_kernels.py"]),
+    ("codewords in reversed row order", "code.py",
+     "kernels.coset_blocks(self.generator._rows,",
+     "kernels.coset_blocks(self.generator._rows[::-1],",
      ["tests/test_kernels.py"]),
     ("orbit histogram drops the q - 1 factor", "kernels.py",
-     "        counts *= ctx.q - 1\n", "",
+     "    counts *= ctx.q - 1\n", "",
      ["tests/test_kernels.py"]),
     ("orbit scan leads with every multiple", "kernels.py",
-     "[table[i, 1:2], *table[:i][::-1]]", "[table[i, 1:], *table[:i][::-1]]",
+     "coset_blocks(G_int[:i], n,", "coset_blocks(G_int[:i + 1], n,",
      ["tests/test_kernels.py"]),
     ("orbit scan skips leading row 0", "kernels.py",
-     "    for i in range(k):\n        yield from _fold(",
-     "    for i in range(1, k):\n        yield from _fold(",
+     "    for i in range(k):\n        yield from coset_blocks(",
+     "    for i in range(1, k):\n        yield from coset_blocks(",
      ["tests/test_kernels.py"]),
-    ("weight_counts ignores v", "kernels.py",
-     "_histogram((add(block, neg_v) for", "_histogram((block for",
+    ("distance histogram ignores v", "kernels.py",
+     "neg_v = [ctx.neg_i(x) for x in v_int]", "neg_v = [0 for x in v_int]",
      ["tests/test_kernels.py"]),
     ("min_distance reads bin 0", "code.py",
      "next(w for w in range(1, self.n + 1) if counts[w])",
@@ -101,7 +104,7 @@ MUTANTS = [
      ["tests/test_subsets.py"]),
     # elimination and the field's log array
     ("det keeps its sign on a row swap", "matrix.py",
-     "                det = ctx.neg_i(det)\n", "",
+     "            swaps += pivot != pr\n", "",
      ["tests/test_matrix_twin.py", "tests/test_matrix.py"]),
     ("rref stops one pivot early", "matrix.py",
      "            if pr == nr:\n", "            if pr + 1 == nr:\n",

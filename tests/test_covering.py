@@ -199,13 +199,13 @@ class TestDistanceToCode:
         # q^k = q^(n-k): a fresh code takes the codeword route once, and a
         # code with a covering report never does
         scans = []
-        real = kernels.weight_counts
+        real = kernels.distance_counts
 
         def recording(*args):
             scans.append(args)
             return real(*args)
 
-        monkeypatch.setattr(kernels, "weight_counts", recording)
+        monkeypatch.setattr(kernels, "distance_counts", recording)
         code = grs(GrsSpec.make(gf5, [0, 1, 2, 3], 1, 2))
         assert distance_to_code(code, THM7_U) == 1
         assert len(scans) == 1

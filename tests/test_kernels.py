@@ -70,8 +70,8 @@ def _results(code, vectors):
         "weights": code.weight_enumerator(),
         "d": code.min_distance(),
         # the codeword route of distance_to_code: the first nonzero bin
-        "distances": [_first_bin(kernels.weight_counts(rows, code.n,
-                                                       code.ctx, v_int=v))
+        "distances": [_first_bin(kernels.distance_counts(rows, code.n,
+                                                         code.ctx, v))
                       for v in vectors],
         "leaders": (report._leader.tolist(), report.rho),
         "leader_counts": report.coset_leader_weight_counts(),
@@ -250,7 +250,7 @@ ORBIT_FIELDS = {2: field_new(2, 1), 3: field_new(3, 1), 4: field_new(2, 2),
 def _full_scan_counts(G, n, ctx):
     """Weight histogram of every message's codeword, by the full scan."""
     counts = [0] * (n + 1)
-    for _, block in kernels.codeword_blocks(G, n, ctx):
+    for block in kernels.coset_blocks(G, n, ctx, [0] * n):
         for w in np.count_nonzero(block, axis=1).tolist():
             counts[w] += 1
     return counts
@@ -307,9 +307,12 @@ def test_orbit_histogram_matches_full_scan_and_messages(case):
 def test_orbit_scan_counts_q_to_the_k_against_the_budget(monkeypatch):
     ctx = field_new(3, 1)
     G = [[1, 0, 0, 2], [0, 1, 0, 1], [0, 0, 1, 1]]  # 27 codewords
+    v = [1, 0, 0, 0]
     assert kernels.weight_counts(G, 4, ctx, budget=27) \
         == _message_counts(G, 4, ctx)
     assert len(list(kernels.orbit_blocks(G, 4, ctx, budget=27))) == 3
+    assert len(list(kernels.coset_blocks(G, 4, ctx, v, budget=27))) == 1
+    assert sum(kernels.distance_counts(G, 4, ctx, v, budget=27)) == 27
 
     def no_block(*args):
         raise AssertionError("a block was built")
@@ -319,6 +322,22 @@ def test_orbit_scan_counts_q_to_the_k_against_the_budget(monkeypatch):
         next(kernels.orbit_blocks(G, 4, ctx, budget=26))
     with pytest.raises(BudgetExceeded):
         kernels.weight_counts(G, 4, ctx, budget=26)
+    with pytest.raises(BudgetExceeded):
+        next(kernels.coset_blocks(G, 4, ctx, v, budget=26))
+    with pytest.raises(BudgetExceeded):
+        kernels.distance_counts(G, 4, ctx, v, budget=26)
+
+
+def test_orbit_scan_passes_its_budget_to_the_inner_scans(monkeypatch):
+    # GF(2) [26,26]: q^k = 2^26 fits a budget of 2^26, and so does the
+    # coset scan of every leading row; the default budget of 2^24 would
+    # refuse the scans of rows 25 and 26
+    ctx = field_new(2, 1)
+    G = [[int(i == j) for j in range(26)] for i in range(26)]
+    monkeypatch.setattr(kernels, "_fold", lambda parts, add: iter(()))
+    assert list(kernels.orbit_blocks(G, 26, ctx, budget=2 ** 26)) == []
+    with pytest.raises(BudgetExceeded):
+        next(kernels.orbit_blocks(G, 26, ctx, budget=2 ** 26 - 1))
 
 
 @st.composite
@@ -361,12 +380,42 @@ def test_codeword_scan_matches_span_oracle(code, data):
     word = [e.value for e in data.draw(st.sampled_from(words))]
     for v in (noise, word):
         dists = [helpers.hamming(ctx.vector(v), c) for c in words]
-        assert kernels.weight_counts(code.generator._rows, n, ctx, v_int=v) \
+        assert kernels.distance_counts(code.generator._rows, n, ctx, v) \
             == [dists.count(w) for w in range(n + 1)]
         assert distance_to_code(code, v) == min(dists)
         # no report cached: the distance came from the codeword route
         assert (code._covering is None) == (k <= n - k)
     assert distance_to_code(code, word) == 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(span_codes(), st.data())
+def test_coset_scan_is_the_span_plus_its_offset(code, data):
+    ctx, n = code.ctx, code.n
+    offset = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=n,
+                                max_size=n))
+    shift = ctx.vector(offset)
+    want = [[(a + b).value for a, b in zip(word, shift)]
+            for word in helpers.span(code)]
+    # 1 row: the offset and every row but the last become fold offsets
+    for rows in (kernels._CHUNK_ROWS, 16, 1):
+        with mock.patch.object(kernels, "_CHUNK_ROWS", rows):
+            blocks = list(kernels.coset_blocks(code.generator._rows, n, ctx,
+                                               offset))
+        assert np.concatenate(blocks).tolist() == want
+
+
+@pytest.mark.parametrize("pm", [(3, 1), (2, 2)])
+def test_codewords_run_the_first_row_slowest(pm):
+    ctx = field_new(*pm)
+    n = 3
+    for k in range(n + 1):
+        rows = [[int(i == j) for j in range(n)] for i in range(k)]
+        code = code_from_generator(Matrix(ctx, rows, cols=n),
+                                   allow_zero=True)
+        want = [list(m) + [0] * (n - k)
+                for m in product(range(ctx.q), repeat=k)]
+        assert [[e.value for e in c] for c in code.codewords()] == want
 
 
 LEX_FIELDS = [field_new(p, m) for p, m in

@@ -223,26 +223,25 @@ LIGHT63 = ((2, 2), [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0],
 UNIT53 = ((2, 1), [[1, 0, 0, 0, 0], [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]])
 
 
-@pytest.mark.parametrize("spec, chunk, budget, route, d", [
-    (GRS52, None, None, ["scan"], 4),
-    # above one chunk, the cheaper layer: G's 2 rows, H's 2 rows
-    (GRS52, 1, None, [(2, 2)], 4),
-    (GRS53, 1, None, [(2, 2)], 3),
+@pytest.mark.parametrize("spec, budget, route, d", [
+    # C(5, 3) = 10 >= q^k = 8: the codeword scan first
+    (UNIT53, None, ["scan"], 1),
+    # C(n, k) < q^k: the cheaper layer first: G's 2 rows, H's 2 rows
+    (GRS52, None, [(2, 2)], 4),
+    (GRS53, None, [(2, 2)], 3),
     # not MDS: the codeword scan when it fits the budget
-    (LIGHT52, 1, None, [(2, 2), "scan"], 2),
+    (LIGHT52, None, [(2, 2), "scan"], 2),
     # not MDS and q^k = 64 over the budget: H's layers bottom-up, 20 + 6 +
     # 15 subsets within the budget of 63
-    (LIGHT63, None, 63, [(3, 3), (3, 1), (3, 2)], 2),
+    (LIGHT63, 63, [(3, 3), (3, 1), (3, 2)], 2),
     # C(5, 3) = 10 >= budget 7 < q^k = 8: no layer test, bottom-up at once
-    (UNIT53, None, 7, [(2, 1)], 1),
+    (UNIT53, 7, [(2, 1)], 1),
 ], ids=["scan", "layer-G", "layer-H", "layer-then-scan",
         "layer-then-supports", "supports"])
-def test_min_distance_routes(spec, chunk, budget, route, d, monkeypatch):
+def test_min_distance_routes(spec, budget, route, d, monkeypatch):
     code = _code(*spec)
     assert helpers.brute_min_distance(code) == d
     calls = _route(monkeypatch)
-    if chunk is not None:
-        monkeypatch.setattr(kernels, "_CHUNK_ROWS", chunk)
     kw = {} if budget is None else {"budget": budget}
     assert code.min_distance(**kw) == d
     assert calls == route
@@ -364,9 +363,10 @@ def test_field_arrays_are_built_once(monkeypatch):
 @pytest.mark.parametrize("pm", [(2, 2), (3, 1), (1031, 1)])
 def test_zero_row_generator_keeps_its_length(pm):
     ctx = field_new(*pm)
-    blocks = list(kernels.codeword_blocks([], 5, ctx))
-    assert len(blocks) == 1 and blocks[0][0] == 0
-    assert blocks[0][1].tolist() == [[0] * 5]
+    blocks = list(kernels.coset_blocks([], 5, ctx, [0] * 5))
+    assert [b.tolist() for b in blocks] == [[[0] * 5]]
+    blocks = list(kernels.coset_blocks([], 5, ctx, [0, 1, 0, 1, 1]))
+    assert [b.tolist() for b in blocks] == [[[0, 1, 0, 1, 1]]]
     assert kernels.weight_counts([], 5, ctx) == [1, 0, 0, 0, 0, 0]
-    assert kernels.weight_counts([], 5, ctx, v_int=[0, 1, 0, 1, 1]) \
+    assert kernels.distance_counts([], 5, ctx, [0, 1, 0, 1, 1]) \
         == [0, 0, 0, 1, 0, 0]
