@@ -172,6 +172,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
+def _count(text: str) -> int:
+    """argparse type of a count: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mdsx",
@@ -180,9 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification suites.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec=True):
-        if spec:
-            p.add_argument("spec", help="JSON code-spec file")
+    def add_common(p):
+        p.add_argument("spec", help="JSON code-spec file")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="enumeration budget (syndromes or codewords)")
         p.add_argument("--json", action="store_true",
@@ -209,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--deep-holes", action="store_true",
                    help="include canonical deep-hole representatives")
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=_count, default=None,
                    help="cap the number of reported representatives")
     p.set_defaults(func=cmd_covering)
 
@@ -217,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="deep-hole representatives, or test one vector")
     add_common(p)
     p.add_argument("--vector", help="comma-separated vector to test")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_count, default=None)
     p.set_defaults(func=cmd_deep_holes)
 
     p = sub.add_parser("extend", help="extend by inner product (--u) or "

@@ -10,6 +10,7 @@ computed by dynamic programming over subset size.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -161,18 +162,22 @@ def _distinct_elements(s):
     return ctx, sorted(s, key=lambda e: e.value)
 
 
+def _subset_folds(items, m: int, unit, op) -> set:
+    """unit folded by `op` with the items of each m-subset of `items`, by
+    DP over subset size: dp[c] holds the folds of the c-subsets so far."""
+    dp = [{unit}] + [set() for _ in range(m)]
+    for e in items:
+        for c in range(m, 0, -1):
+            dp[c] |= {op(x, e) for x in dp[c - 1]}
+    return dp[m]
+
+
 def subset_sums(s, m: int) -> set:
     """All sums over m-element subsets of s (DP over subset size)."""
     ctx, s = _distinct_elements(s)
     if not 0 <= m <= len(s):
         raise BadK(f"need 0 <= m <= {len(s)}, got {m}")
-    dp = [set() for _ in range(m + 1)]
-    dp[0].add(ctx.zero)
-    for e in s:
-        for c in range(min(m, len(dp) - 1), 0, -1):
-            if dp[c - 1]:
-                dp[c] |= {x + e for x in dp[c - 1]}
-    return dp[m]
+    return _subset_folds(s, m, ctx.zero, operator.add)
 
 
 def nk_delta_set_check(s, k: int, delta) -> bool:
@@ -190,13 +195,7 @@ def t_set(a, pi, m: int) -> set:
     if not 0 <= m <= len(a):
         raise BadK(f"need 0 <= m <= {len(a)}, got {m}")
     factors = [pi - x for x in a]
-    dp = [set() for _ in range(m + 1)]
-    dp[0].add(ctx.one)
-    for f in factors:
-        for c in range(min(m, len(dp) - 1), 0, -1):
-            if dp[c - 1]:
-                dp[c] |= {x * f for x in dp[c - 1]}
-    return {x.inv() for x in dp[m]}
+    return {x.inv() for x in _subset_folds(factors, m, ctx.one, operator.mul)}
 
 
 # ---------------------------------------------------------------------------

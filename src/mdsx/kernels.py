@@ -37,8 +37,8 @@ it stacks the column subsets of one or many small matrices into a
 The lexicographically first vectors of a weight per syndrome (deep-hole
 representatives) come from `lex_first_weight_vectors`: a depth-first
 search over prefixes that tests all completions of a prefix with its last
-few nonzero entries in one batch, cut from one table of syndromes in
-lexicographic order, and unranks each hit's vector from its batch index.
+few nonzero entries in one batch, cut from one lexicographic table that
+keeps each completion vector beside its syndrome.
 Everything here is deterministic; chunking only bounds memory.
 """
 
@@ -336,11 +336,13 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
     `weight` such that no batch of any weight up to b holds more than
     _CHUNK_ROWS bytes of int64 syndromes (at least 1 if weight is).
 
-    The batches come from one table per call.  T(pos, j), the syndromes of
-    the weight-j vectors on positions pos..n-1 in lexicographic order, is
+    The batches come from one table per call.  T(pos, j), the weight-j
+    vectors on positions pos..n-1 in lexicographic order, is
     [T(pos+1, j); c*e_pos + T(pos+1, j-1) for c = 1..q-1], so it is the
-    first N(n-pos, j) = C(n-pos, j)(q-1)^j rows of T(0, j), and a hit's
-    vector is unranked from its index by the same counts.  The vectors of
+    first C(n-pos, j)(q-1)^j rows of T(0, j).  The table keeps each vector
+    beside its syndrome, n entries of `_dtype_for(q)` (n bytes up to
+    q = 256, next to 8 or fewer of syndrome), and a hit's vector is its
+    row, zero before pos, with the prefix written in.  The vectors of
     every batch count against the budget as they are tested.
     """
     q = ctx.q
@@ -351,19 +353,21 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
     while b < weight and 8 * comb(n, b + 1) * (q - 1) ** (b + 1) \
             <= _CHUNK_ROWS:
         b += 1
-    # count[l, j] = N(l, j), the number of weight-j vectors of length l
-    count = np.array([[comb(rest, j) * (q - 1) ** j for j in range(b + 1)]
-                      for rest in range(n + 1)], dtype=np.int64)
     zero = np.zeros(table.shape[2:], table.dtype)
     levels = [zero[None]] + [table[:0, 0]] * b
+    vectors = [np.zeros((1, n), _dtype_for(q))] + \
+        [np.zeros((0, n), _dtype_for(q))] * b
     for pos in range(n - 1, -1, -1):
         for j in range(min(b, n - pos), 0, -1):
             heavier = add(table[pos, 1:, None], levels[j - 1][None])
             levels[j] = np.concatenate(
                 [levels[j], heavier.reshape(-1, *zero.shape)])
-    batch = levels[b]
-    del levels
-    found = []  # (prefix, indices of first hits in its batch, syndromes)
+            placed = np.tile(vectors[j - 1], (q - 1, 1))
+            placed[:, pos] = np.repeat(np.arange(1, q), len(vectors[j - 1]))
+            vectors[j] = np.concatenate([vectors[j], placed])
+    batch, batch_vectors = levels[b], vectors[b]
+    del levels, vectors
+    found = {}
     remaining = len(targets)
     tested = 0
 
@@ -372,7 +376,7 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
         if not remaining or n - pos < left:
             return
         if left == b:
-            rows = int(count[n - pos, b])
+            rows = comb(n - pos, b) * (q - 1) ** b
             tested += rows
             if tested > budget:
                 raise BudgetExceeded(f"more than {budget} vectors tested")
@@ -383,7 +387,9 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
             if stop_after_first:
                 hits = hits[:1]
             new, first = np.unique(syn[hits], return_index=True)
-            found.append((prefix, hits[first], new))
+            vecs = batch_vectors[hits[first]]
+            vecs[:, :pos] = prefix
+            found.update(zip(new.tolist(), map(tuple, vecs.tolist())))
             wanted[new] = False
             remaining = 0 if stop_after_first else remaining - new.size
             return
@@ -396,34 +402,4 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
     if remaining:
         raise InvariantViolation("no fixed-weight vector reaches some "
                                  "target syndrome")
-    if not found:
-        return {}
-    vecs = _unrank(found, count, n)
-    syndromes = np.concatenate([new for _, _, new in found])
-    return dict(zip(syndromes.tolist(), map(tuple, vecs.tolist())))
-
-
-def _unrank(found, count, n: int):
-    """The vectors of the search's hits, as an (hits, n) array: each
-    prefix, then its batch index unranked on the positions after it."""
-    index = np.concatenate([hits for _, hits, _ in found])
-    vecs = np.zeros((index.size, n), dtype=np.int64)
-    row = 0
-    for prefix, hits, _ in found:
-        vecs[row:row + hits.size, :len(prefix)] = prefix
-        row += hits.size
-    start = np.repeat([len(prefix) for prefix, _, _ in found],
-                      [hits.size for _, hits, _ in found])
-    left = np.full(index.size, count.shape[1] - 1)
-    for j in range(n):
-        # T(j, left): N(rest, left) rows with a zero at j, then one block
-        # of N(rest, left - 1) rows per nonzero value
-        rest = n - j - 1
-        zeros = count[rest, left]
-        nonzero = (start <= j) & (index >= zeros)
-        per_value = count[rest, left[nonzero] - 1]
-        past = index[nonzero] - zeros[nonzero]
-        vecs[nonzero, j] = 1 + past // per_value
-        index[nonzero] = past % per_value
-        left[nonzero] -= 1
-    return vecs
+    return found

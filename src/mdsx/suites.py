@@ -336,12 +336,8 @@ def suite_prs_conjecture(params):
     budget = params.get("budget", DEFAULT_BUDGET)
     cases = []
     counterexample = None
-    pairs = []
-    for q in qs:
-        pairs.append((q, 2))
-    for q in (4, 5):
-        if q in qs and q - 2 != 2:
-            pairs.append((q, q - 2))
+    # k = q - 2 adds a pair only at q = 5: q = 4 gives k = 2 again
+    pairs = [(q, 2) for q in qs] + ([(5, 3)] if 5 in qs else [])
     for q, k in pairs:
         ctx = _ctx_for_q(q)
         want = q - k + 1 if q % 2 == 0 else q - k
@@ -573,6 +569,9 @@ def run_suite(suite_id: str, params=None) -> dict:
             f"{', '.join(sorted(SUITES))}")
     params = dict(params or {})
     cases, counterexample = SUITES[suite_id](params)
+    if not cases:
+        raise UnknownSuite(f"suite {suite_id!r} has no case for these "
+                           f"parameters")
     passed = all(c.get("ok", False) for c in cases)
     return {
         "suite": suite_id,

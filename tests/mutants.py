@@ -13,7 +13,7 @@ a failing test or a package that no longer imports kills the mutant.
 It exits 1 if the tests pass on some mutant (the mutant survived) or if
 some old text is no longer found once (the patch is stale: update it with
 the code it mutates).  pytest does not collect this file, since its name
-does not start with test_; the whole run takes about two minutes.
+does not start with test_; the whole run takes about three minutes.
 """
 
 from __future__ import annotations
@@ -88,8 +88,15 @@ MUTANTS = [
      "[levels[j], heavier.reshape(-1, *zero.shape)]",
      "[heavier.reshape(-1, *zero.shape), levels[j]]",
      ["tests/test_kernels.py"]),
-    ("unranking off by one", "kernels.py",
-     "(index >= zeros)", "(index > zeros)",
+    ("hit's vector drops its prefix", "kernels.py",
+     "            vecs[:, :pos] = prefix\n", "",
+     ["tests/test_kernels.py"]),
+    ("vector table writes 1 for every c", "kernels.py",
+     "placed[:, pos] = np.repeat(np.arange(1, q), len(vectors[j - 1]))",
+     "placed[:, pos] = 1",
+     ["tests/test_kernels.py"]),
+    ("vector table puts the zero branch last", "kernels.py",
+     "[vectors[j], placed]", "[placed, vectors[j]]",
      ["tests/test_kernels.py"]),
     # one FieldElement per value
     ("interned element keeps a numpy value", "field.py",
@@ -139,6 +146,10 @@ MUTANTS = [
      "            mult = part.get(\"multipliers\", 1)\n",
      ["tests/test_cli.py"]),
     # constructions
+    ("subset DP reuses an element", "constructions.py",
+     "        for c in range(m, 0, -1):\n",
+     "        for c in range(1, m + 1):\n",
+     ["tests/test_constructions.py"]),
     ("Roth-Lempel column reversed", "constructions.py",
      "[1, delta]", "[delta, 1]",
      ["tests/test_constructions.py"]),

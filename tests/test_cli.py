@@ -196,6 +196,24 @@ class TestCovering:
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv", [
+        ["covering", "--deep-holes", "--limit"], ["deep-holes", "--limit"]])
+    def test_negative_limit_exits_2(self, capsys, spec_file, argv):
+        # PRS [5,2]/GF(4) has 3 deep-hole cosets; a negative limit counted
+        # from the end of their list
+        spec = spec_file({"field": {"p": 2, "m": 2},
+                          "code": {"type": "prs", "k": 2}})
+        for limit in ("-1", "-2"):
+            rc, out, err = run(capsys, argv[:1] + [spec, "--json"]
+                               + argv[1:] + [limit])
+            assert (rc, out) == (2, "")
+            assert "negative" in err
+        for limit, shown in (("0", 0), ("2", 2), ("9", 3)):
+            rc, out, _ = run(capsys, argv[:1] + [spec, "--json"]
+                             + argv[1:] + [limit])
+            assert rc == 0
+            assert len(json.loads(out)["representatives"]) == shown
+
     def test_full_space_rho_zero(self, capsys, spec_file):
         spec = {"field": {"p": 5, "m": 1},
                 "code": {"type": "generator",
@@ -338,6 +356,21 @@ class TestVerify:
         assert rc == 2
         with pytest.raises(UnknownSuite):
             run_suite("thm7-identity", {"qs": [6]})
+
+    @pytest.mark.parametrize("argv, params", [
+        (["thm6-exhaustive", "--max-n", "1"], {"max_n": 1}),
+        (["thm14-consistency", "--qs", "2"], {"qs": [2]}),
+        (["thm12-identity", "--qs", "3"], {"qs": [3]}),
+    ], ids=["thm6-max-n-1", "thm14-q2", "thm12-q3"])
+    def test_run_with_no_case_exits_2(self, capsys, argv, params):
+        # these parameters leave the suite nothing to check: no PASS
+        from mdsx.errors import UnknownSuite
+        from mdsx.suites import run_suite
+        rc, out, err = run(capsys, ["verify", *argv])
+        assert (rc, out) == (2, "")
+        assert "no case" in err
+        with pytest.raises(UnknownSuite):
+            run_suite(argv[0], params)
 
     def test_field_derived_from_any_prime_power_q(self):
         from mdsx.suites import run_suite
