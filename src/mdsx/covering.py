@@ -19,6 +19,7 @@ from . import kernels
 from .errors import (
     BadDims,
     BadEncoding,
+    BadLimit,
     BadRho,
     CoveringRadiusDeficient,
     InvariantViolation,
@@ -79,7 +80,9 @@ class CoveringReport:
 
     def _representative_ints(self, limit, budget) -> list[tuple]:
         """representatives as tuples of encodings; the full list is
-        cached."""
+        cached.  A negative limit is refused, not counted from the end."""
+        if limit is not None and limit < 0:
+            raise BadLimit(f"limit = {limit} is negative")
         if self._reps is None:
             targets = self.deep_hole_syndromes[:limit].tolist()
             found = kernels.lex_first_weight_vectors(

@@ -87,6 +87,10 @@ class BadRho(MdsxError):
     pass
 
 
+class BadLimit(MdsxError):
+    """A limit on the number of results is negative."""
+
+
 class PoleCollision(MdsxError):
     pass
 

@@ -25,9 +25,14 @@ sweep packs before it sums; other fields sum digit rows and pack the sums.
 The coset-leader sweep works on scalar orbits: c*e has the weight of e and
 the syndrome c*s for every c != 0, so one leader weight holds on all of
 {c*s}.  It folds only error vectors whose first nonzero entry is 1 and
-writes each fresh syndrome's weight to its q-1 multiples.  It writes, then
-counts: each fresh syndrome covers exactly q-1 syndromes, so the count of
-covered syndromes needs no deduplication.
+writes each fresh syndrome's weight to its q-1 multiples.  Scaling acts on
+each digit alone, so the multiples of a packed syndrome are the sums of its
+digit blocks' multiples, read from one packed block table per sweep,
+(q^a, q-1) int64 within 2^16 entries; a one-digit table fits up to
+q = 256, and larger fields unpack each fresh syndrome into digits, scale
+them and repack.  It writes, then counts: each fresh syndrome covers
+exactly q-1 syndromes, so the count of covered syndromes needs no
+deduplication.
 
 Column-subset facts (MDS layers, the minor and column-span deep-hole
 criteria, the support search for d) come from one engine, `subset_ranks`:
@@ -54,6 +59,7 @@ from .field import _dtype_for
 
 DEFAULT_BUDGET = 1 << 24
 _CHUNK_ROWS = 1 << 20
+_SCALE_TABLE_ENTRIES = 1 << 16  # int64: 512 KB
 
 
 def _multiples(ctx, vectors):
@@ -259,6 +265,46 @@ def _ranks(A, ctx):
 # Coset-leader weights by increasing-weight syndrome sweep
 # ---------------------------------------------------------------------------
 
+def _block_width(q: int, r: int) -> int:
+    """Digits per block of the packed scaling table: the widest up to
+    ceil(r/2) whose (q^a, q-1) table stays within _SCALE_TABLE_ENTRIES;
+    0 when not even one digit fits, that is for q > 256."""
+    a = 0
+    while a < (r + 1) // 2 and q ** (a + 1) * (q - 1) <= _SCALE_TABLE_ENTRIES:
+        a += 1
+    return a
+
+
+def _packed_multiples(ctx, r: int):
+    """A map from a 1-D int64 array of packed syndromes s (r digits, digit
+    i times q^i) to the (len(s), q-1) int64 array of packed c*s, c = 1..q-1.
+
+    Scaling acts on each digit alone, so with a = _block_width(q, r) and
+    A = q^a, c*s = sum_j M[block_j(s), c-1] * A^j, where block_j(s) is the
+    j-th group of a digits of s and M[v, c-1] is packed c*v for every
+    a-digit v: ceil(r/a) gathers and adds.  M is the outer sum of the
+    one-digit table shifted to each digit of the block.  For q > 256 the
+    map unpacks each s into digits, scales them by `_multiples` and
+    repacks.
+    """
+    q = ctx.q
+    a = _block_width(q, r)
+    if not a:
+        radix = q ** np.arange(r, dtype=np.int64)
+        return lambda s: \
+            _multiples(ctx, s[:, None] // radix % q)[:, 1:] @ radix
+    one = _multiples(ctx, np.arange(q)[:, None])[:, 1:, 0].astype(np.int64)
+    M = _outer_sum([one * q ** i for i in reversed(range(a))], np.add)
+    A = q ** a
+
+    def scale(s):
+        out = M[s % A]
+        for j in range(1, -(-r // a)):
+            out += M[s // A ** j % A] * A ** j
+        return out
+    return scale
+
+
 def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
     """Leader weight per packed syndrome, plus the covering radius.
 
@@ -269,7 +315,10 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
     For c != 0, c*e has the weight of e and the syndrome c*s, so the leader
     weight is constant on each orbit {c*s}.  Each support therefore folds
     only its vectors with a 1 at its first position, and every fresh
-    syndrome s gets the weight written to all q-1 multiples c*s.
+    syndrome s gets the weight written to all q-1 multiples c*s.  Up to
+    q = 256 the multiples come from the block table of `_packed_multiples`,
+    ceil(r/a) gathers and adds per batch of fresh syndromes; above it,
+    from unpacking s into r digits, scaling them and repacking.
 
     Each fresh syndrome adds exactly q-1 to the covered count.  Syndromes
     written in earlier chunks are not fresh, and no two fresh syndromes of
@@ -296,8 +345,9 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
         return leader, 0
 
     table, add, pack = _syndrome_table(H_int, n, ctx)
-    radix = q ** np.arange(r, dtype=np.int64)
-    # expansion batches keep the (batch, q, r) array of logs in _CHUNK_ROWS
+    scale = _packed_multiples(ctx, r)
+    # expansion batches keep the digit route's (batch, q, r) array, and
+    # the block table route's (batch, q-1) ones, within _CHUNK_ROWS
     batch = max(1, _CHUNK_ROWS // (q * r))
     covered = 1
     for w in range(1, n + 1):
@@ -309,8 +359,7 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
                 syn = pack(chunk)
                 fresh = syn[leader[syn] == 0xFF]
                 for i in range(0, fresh.size, batch):
-                    digits = fresh[i:i + batch, None] // radix % q
-                    leader[_multiples(ctx, digits)[:, 1:] @ radix] = w
+                    leader[scale(fresh[i:i + batch])] = w
                 covered += (q - 1) * fresh.size
             if covered == total:
                 return leader, w

@@ -47,7 +47,19 @@ MUTANTS = [
      "        yield add(block, offset)", "        yield block",
      ["tests/test_kernels.py"]),
     ("sweep writes only c = 1", "kernels.py",
-     "[:, 1:] @ radix] = w", "[:, 1:2] @ radix] = w",
+     "[:, 1:, 0].astype(np.int64)", "[:, 1:2, 0].astype(np.int64)",
+     ["tests/test_kernels.py"]),
+    ("digit route writes only c = 1", "kernels.py",
+     "% q)[:, 1:] @ radix", "% q)[:, 1:2] @ radix",
+     ["tests/test_kernels.py"]),
+    ("block table drops its high blocks", "kernels.py",
+     "for j in range(1, -(-r // a)):", "for j in range(1, -(-r // a) - 1):",
+     ["tests/test_kernels.py"]),
+    ("block table shifts by the wrong power", "kernels.py",
+     "* A ** j\n", "* A ** (j - 1)\n",
+     ["tests/test_kernels.py"]),
+    ("block table puts its low digit first", "kernels.py",
+     "for i in reversed(range(a))]", "for i in range(a)]",
      ["tests/test_kernels.py"]),
     ("sweep stops one layer early", "kernels.py",
      "    for w in range(1, n + 1):\n        before = covered",

@@ -23,6 +23,7 @@ from mdsx.covering import (
 )
 from mdsx.errors import (
     BadEncoding,
+    BadLimit,
     BadRho,
     BudgetExceeded,
     CoveringRadiusDeficient,
@@ -157,6 +158,25 @@ class TestRepresentatives:
         d = rep.to_dict(include_representatives=True)
         assert d["rho"] == rep.rho
         assert len(d["representatives"]) == d["num_deep_hole_cosets"]
+
+    def test_negative_limit_is_refused(self):
+        # PRS [5,2]/GF(4) has 3 deep-hole cosets; a negative limit would
+        # slice from the end of their list.  Refused before the search and
+        # once the full list is cached.
+        rep = covering_radius(prs(gf4, 2))
+        assert rep.num_deep_hole_cosets == 3
+        for cached in (False, True):
+            for limit in (-1, -2):
+                with pytest.raises(BadLimit):
+                    rep.representatives(limit=limit)
+                with pytest.raises(BadLimit):
+                    rep.to_dict(include_representatives=True, limit=limit)
+            assert rep.representatives(limit=0) == []
+            assert rep.to_dict(include_representatives=True,
+                               limit=0)["representatives"] == []
+            assert len(rep.representatives(limit=2)) == 2
+            assert (rep._reps is not None) == cached
+            rep.representatives()
 
 
 class TestDistanceToCode:

@@ -78,9 +78,27 @@ def _results(code, vectors):
     }
 
 
+def _recording_scaler(split):
+    """kernels._packed_multiples, on its block table route only, whose
+    maps record for each batch whether it is a proper part of the fresh
+    syndromes it was cut from."""
+    real = kernels._packed_multiples
+
+    def make(ctx, r):
+        assert kernels._block_width(ctx.q, r) > 0
+        scale = real(ctx, r)
+
+        def recorded(s):
+            split.append(len(s) < len(s.base))
+            return scale(s)
+        return recorded
+    return make
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_split_fold_matches_unsplit_and_brute_force(q, monkeypatch):
     rng = random.Random(q)
+    split = []
     for code in _small_codes(q):
         vectors = [[rng.randrange(q) for _ in range(code.n)]
                    for _ in range(6)]
@@ -95,11 +113,17 @@ def test_split_fold_matches_unsplit_and_brute_force(q, monkeypatch):
         }
         assert whole == brute
         # 1 row: every part but the last becomes an offset, and the sweep
-        # expands one fresh syndrome's multiples at a time
+        # expands one fresh syndrome's multiples at a time, by the block
+        # table
         for rows in (16, 1):
             monkeypatch.setattr(kernels, "_CHUNK_ROWS", rows)
+            monkeypatch.setattr(kernels, "_packed_multiples",
+                                _recording_scaler(split))
             assert _results(code, vectors) == whole
             monkeypatch.undo()
+    # over GF(2) every fold chunk holds one row, so no batch is cut from a
+    # longer run of fresh syndromes
+    assert split and any(split) == (q > 2)
 
 
 def test_prime_field_beyond_the_addition_table():
@@ -127,6 +151,52 @@ def test_prime_field_beyond_the_addition_table():
     assert [distance_to_code(code, v) for v in vectors] == want
     rep = covering_radius(dual)
     assert (rep.rho, rep.coset_leader_weight_counts()) == (1, [1, 1030])
+
+
+# every field size from GF(2) to the largest with a one-digit block table
+SCALE_FIELDS = [field_new(p, m) for p, m in (
+    (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (2, 4),
+    (3, 3), (2, 6), (2, 8))]
+
+
+@pytest.mark.parametrize("ctx", SCALE_FIELDS, ids=lambda c: f"gf{c.q}")
+def test_block_table_scaling_matches_the_digit_route(ctx):
+    # every r with q^r <= 2^16; odd r and r not a multiple of the block
+    # width leave a short last block
+    q = ctx.q
+    rng = np.random.default_rng(q)
+    r = 1
+    while q ** r <= 1 << 16:
+        assert kernels._block_width(q, r) >= 1
+        s = np.concatenate([[0, q ** r - 1], rng.integers(q ** r, size=200)])
+        got = kernels._packed_multiples(ctx, r)(s)
+        # with no room for a table, the digit route
+        with mock.patch.object(kernels, "_SCALE_TABLE_ENTRIES", 0):
+            assert kernels._block_width(q, r) == 0
+            want = kernels._packed_multiples(ctx, r)(s)
+        assert got.shape == want.shape == (len(s), q - 1)
+        assert (got == want).all()
+        # and against scalar field products on a few of them
+        for x, row in zip(s[:4].tolist(), got[:4].tolist()):
+            digits = [x // q ** i % q for i in range(r)]
+            assert row == [sum(ctx.mul_i(c, d) * q ** i
+                               for i, d in enumerate(digits))
+                           for c in range(1, q)]
+        r += 1
+
+
+@pytest.mark.parametrize("pm, width", [((2, 8), 1), ((257, 1), 0)],
+                         ids=["gf256-table", "gf257-digits"])
+def test_sweep_on_each_side_of_the_block_table_boundary(pm, width):
+    # a [3,1] code with d = 3, r = 2: every weight-1 vector leads its own
+    # coset and every other coset has leader weight 2
+    gf = field_new(*pm)
+    q = gf.q
+    assert kernels._block_width(q, 2) == width
+    rep = covering_radius(grs(GrsSpec.make(gf, [0, 1, 2], 1, 1)))
+    assert rep.rho == 2
+    assert rep.coset_leader_weight_counts() \
+        == [1, 3 * (q - 1), q ** 2 - 1 - 3 * (q - 1)]
 
 
 @pytest.mark.parametrize("pm", [(3, 7), (5, 5)], ids=["gf2187", "gf3125"])
