@@ -7,12 +7,11 @@ lexicographically smallest monic irreducible of the right degree
 (coefficients read low-to-high as a base-p integer) and the primitive element
 is the smallest encoding of multiplicative order q-1.  Both factories share
 one numpy table build from the base-p digits, `FieldCtx._build_tables`,
-which also builds the kernels' arrays; addition is digitwise in every field.
+which also builds the kernels' arrays; digits add by XOR or by `_odd_add`.
 """
 
 from __future__ import annotations
 
-import operator
 import threading
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import (
 )
 
 SIZE_LIMIT = 1 << 16
-_ADD_TABLE_LIMIT = 1024  # odd q up to this size add by a q*q table
+_ADD_TABLE_LIMIT = 1024  # odd q up to this size add scalars by q*q lists
 
 _construction_lock = threading.Lock()
 
@@ -35,16 +34,24 @@ def _dtype_for(q: int):  # of an array of encodings
     return np.uint8 if q <= 256 else np.uint16
 
 
-def _digitwise(op, a, b, p: int, m: int):
-    """The encoding whose base-p digits are op(a_i, b_i) mod p, for op
-    + or -, on ints and on arrays alike: a // p^i is a_i mod p, so no
-    array of digits is held."""
-    out = 0
-    unit = 1
-    for _ in range(m):
-        out += op(a // unit, b // unit) % p * unit
-        unit *= p
-    return out
+def _odd_add(p: int, m: int, dt):
+    """The array addition of GF(p^m), p odd, on encodings of any integer
+    dtype, into `dt`: digit i of a + b is s = a_i + b_i, less p where
+    s >= p.  s is formed in an unsigned dtype that holds 2p - 2, in which
+    s - p wraps above s when s < p, so min(s, s - p) is the residue."""
+    wide = np.uint8 if p <= 127 else np.uint16 if p <= 32749 else np.uint32
+    units = [dt(p ** i) for i in range(1, m)]
+
+    def digit_sum(a, b):
+        s = np.add(a, b, dtype=wide, casting="unsafe")
+        return np.minimum(s, s - p, out=s)
+
+    def add(a, b):
+        out = digit_sum(a % p, b % p).astype(dt)
+        for u in units:
+            out += digit_sum(a // u % p, b // u % p) * u
+        return out
+    return digit_sum if m == 1 and wide is dt else add
 
 
 def _is_prime(n: int) -> bool:
@@ -110,18 +117,13 @@ def _pmod(a, mod, p):
     return _ptrim(a)
 
 
-def _pdivides(d, a, p):
-    """True if monic d divides a over GF(p)."""
-    return not _pmod(a, d, p)
-
-
 def _irreducible_over_prime(mod, p) -> bool:
     """Trial division by every monic polynomial of degree <= deg(mod)/2."""
     deg = len(mod) - 1
     for d in range(1, deg // 2 + 1):
         for enc in range(p ** d):
             cand = _int_to_digits(enc, p, d) + [1]
-            if _pdivides(cand, mod, p):
+            if not _pmod(mod, cand, p):
                 return False
     return True
 
@@ -188,8 +190,8 @@ class FieldCtx:
         return r
 
     def _build_tables(self):
-        """exp and log, the neg and add tables of odd p, and the kernels'
-        arrays `_arrays` = (log, exp, add).
+        """exp and log, the neg and scalar add lists of odd p, and the
+        kernels' arrays `_arrays` = (log, exp, add).
 
         An encoding is a vector of base-p digits (in a quadratic extension,
         the base field's digits low and the second coordinate's high), so
@@ -201,8 +203,8 @@ class FieldCtx:
         In the arrays, log(0) = 2(q-1) and exp runs over two periods and
         then zeros, so the sum of two logs indexes exp directly; the logs
         are int64, numpy's index type (int32 logs cost every gather a
-        conversion).  add is XOR in characteristic 2, a gather from the
-        addition table for odd q <= 1024, and the digitwise sum above.
+        conversion).  add is XOR in characteristic 2, else `_odd_add`; the
+        scalar add lists come from it, and -a = a * g^((q-1)/2) from exp.
         """
         p, m, q = self.p, self.m, self.q
         prim = next(a for a in range(1, q) if self._order(a) == q - 1)
@@ -226,7 +228,7 @@ class FieldCtx:
         log[0] = 2 * (q - 1)
         log[exp] = np.arange(q - 1)
         # the Python lists share one int object per element: 2 MB less at
-        # q = 2^16, and 24 MB less for the addition table at q = 1021
+        # q = 2^16, and 24 MB less for the add lists at q = 1021
         ints = list(range(q))
         self._exp = [ints[e] for e in exp]
         self._log = [0] + [ints[i] for i in log[1:]]
@@ -237,23 +239,11 @@ class FieldCtx:
             self._add = self._neg = None
             add = np.bitwise_xor
         else:
-            neg = _digitwise(operator.sub, 0, np.arange(q), p, m)
-            self._neg = [ints[v] for v in neg]
-            self._add = None
-            if q <= _ADD_TABLE_LIMIT:
-                # uint16 keeps the (q, q) temporaries narrow
-                e = np.arange(q, dtype=np.uint16)
-                table = _digitwise(operator.add, e[:, None], e, p, m)
-                table = table.astype(dt)
-                self._add = [[ints[v] for v in row.tolist()]
-                             for row in table]
-                add = lambda a, b: table[a, b]  # noqa: E731
-            else:
-                def add(a, b):
-                    # a // p^i + b // p^i passes 2^16 in large prime fields
-                    return _digitwise(operator.add, np.asarray(a, np.uint32),
-                                      np.asarray(b, np.uint32), p, m
-                                      ).astype(dt)
+            self._neg = [ints[v] for v in padded[log + (q - 1) // 2].tolist()]
+            add = _odd_add(p, m, dt)
+            e = np.arange(q, dtype=dt)
+            self._add = None if q > _ADD_TABLE_LIMIT else \
+                [[ints[v] for v in row.tolist()] for row in add(e[:, None], e)]
         self._arrays = (log, padded, add)
 
     # -- integer-encoding arithmetic (kernel API) ---------------------------
@@ -263,7 +253,13 @@ class FieldCtx:
             return a ^ b
         if self._add is not None:
             return self._add[a][b]
-        return _digitwise(operator.add, a, b, self.p, self.m)
+        # `_odd_add`'s rule on ints; on one-element arrays GF(3^7) takes 100 us
+        p, out, unit = self.p, 0, 1
+        while a or b:
+            s = a % p + b % p
+            out += (s - p if s >= p else s) * unit
+            a, b, unit = a // p, b // p, unit * p
+        return out
 
     def neg_i(self, a: int) -> int:
         if self.p == 2:

@@ -20,7 +20,8 @@ periods of exp into zeros, so no product needs a modulo or a zero test,
 and add is the field's array addition, defined for every GF(q).  Every
 table of field multiples comes from `_multiples`.  In characteristic 2 the
 encoding makes XOR field addition on packed syndromes too, so the syndrome
-sweep packs before it sums; other fields sum digit rows and pack the sums.
+sweep packs before it sums; other fields sum rows of r*m base-p digits by
+GF(p)'s add, never packed GF(p^m) encodings, and pack the sums.
 
 The coset-leader sweep works on scalar orbits: c*e has the weight of e and
 the syndrome c*s for every c != 0, so one leader weight holds on all of
@@ -55,7 +56,7 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetExceeded, InvariantViolation
-from .field import _dtype_for
+from .field import _dtype_for, field_new
 
 DEFAULT_BUDGET = 1 << 24
 _CHUNK_ROWS = 1 << 20
@@ -100,15 +101,18 @@ def _fold(parts, add):
 
 def _syndrome_table(H_int, n: int, ctx):
     """Syndromes of c * e_j as table[j, c], the add that sums them and the
-    map from sums to packed syndromes (digit i times q^i)."""
+    map from sums to packed syndromes (entry i times q^i).  Odd q gives
+    each entry's m base-p digits: digit j of entry i packs as p^(mi+j)."""
     r = len(H_int)
-    radix = ctx.q ** np.arange(r, dtype=np.int64)
-    add = ctx._arrays[2]
+    p, m = ctx.p, ctx.m
     table = _multiples(ctx, np.array(H_int, dtype=np.int64).reshape(r, n).T)
-    if ctx.p == 2:
+    radix = p ** np.arange(r * m, dtype=np.int64)
+    if p == 2:
         # XOR on the packing is field addition: pack once, sum packed ints
-        return table.astype(np.int64) @ radix, add, lambda s: s
-    return table, add, lambda s: s.astype(np.int64) @ radix
+        return table.astype(np.int64) @ radix[::m], np.bitwise_xor, lambda s: s
+    digits = table[..., None] // p ** np.arange(m, dtype=table.dtype) % p
+    return (digits.reshape(n, ctx.q, r * m).astype(_dtype_for(p), copy=False),
+            field_new(p, 1)._arrays[2], lambda s: s.astype(np.int64) @ radix)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +394,9 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
     [T(pos+1, j); c*e_pos + T(pos+1, j-1) for c = 1..q-1], so it is the
     first C(n-pos, j)(q-1)^j rows of T(0, j).  The table keeps each vector
     beside its syndrome, n entries of `_dtype_for(q)` (n bytes up to
-    q = 256, next to 8 or fewer of syndrome), and a hit's vector is its
-    row, zero before pos, with the prefix written in.  The vectors of
-    every batch count against the budget as they are tested.
+    q = 256, next to 8 bytes of syndrome, or r*m digits for odd q), and
+    a hit's vector is its row, zero before pos, with the prefix written
+    in.  The vectors of every batch count against the budget as tested.
     """
     q = ctx.q
     table, add, pack = _syndrome_table(H_int, n, ctx)

@@ -32,17 +32,31 @@ ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = [
     # the field's table build
     ("digitwise add drops its top digit", "field.py",
-     "    for _ in range(m):\n        out += op(",
-     "    for _ in range(m - 1):\n        out += op(",
+     "units = [dt(p ** i) for i in range(1, m)]",
+     "units = [dt(p ** i) for i in range(1, m - 1)]",
+     ["tests/test_field.py"]),
+    ("digit sum keeps s where s >= p", "field.py",
+     "        return np.minimum(s, s - p, out=s)\n", "        return s\n",
+     ["tests/test_field.py"]),
+    ("digit sum in the encoding dtype", "field.py",
+     "    wide = np.uint8 if p <= 127 else np.uint16 if p <= 32749 else "
+     "np.uint32\n", "    wide = dt\n",
+     ["tests/test_field.py"]),
+    ("scalar add above the lists keeps s where s >= p", "field.py",
+     "out += (s - p if s >= p else s) * unit",
+     "out += s * unit",
      ["tests/test_field.py"]),
     ("exp doubling step is not squared", "field.py",
      "            step = step @ step % p\n", "",
      ["tests/test_field.py"]),
     ("neg table off by one", "field.py",
-     "self._neg = [ints[v] for v in neg]",
-     "self._neg = [ints[(v + 1) % q] for v in neg]",
+     "padded[log + (q - 1) // 2]", "padded[log + (q - 1) // 2 + 1]",
      ["tests/test_field.py"]),
     # enumeration and the coset-leader sweep
+    ("digit rows pack their high digit first", "kernels.py",
+     "radix = p ** np.arange(r * m, dtype=np.int64)\n",
+     "radix = p ** np.arange(r * m, dtype=np.int64)[::-1]\n",
+     ["tests/test_kernels.py"]),
     ("_fold without its offset", "kernels.py",
      "        yield add(block, offset)", "        yield block",
      ["tests/test_kernels.py"]),

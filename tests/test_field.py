@@ -129,12 +129,14 @@ class TestArithmetic:
                 assert a * (b + c) == a * b + a * c
 
 
-# Every field the suites and tests build, the largest of each kind, and
-# odd fields past the addition table, prime and not
+# Every field the suites and tests build, the largest of each kind, odd
+# fields past the scalar add lists, prime and not, and the primes on each
+# side of the digit sum's dtype boundaries (2p - 2 in uint8, uint16)
 TWIN_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                (11, 1), (13, 1), (2, 4), (17, 1), (5, 2), (3, 3), (2, 5),
-               (7, 2), (2, 6), (3, 4), (2, 8), (2, 9), (3, 6), (1021, 1),
-               (1031, 1), (3, 7), (5, 5), (65521, 1), (2, 16)]
+               (7, 2), (2, 6), (3, 4), (127, 1), (131, 1), (251, 1), (2, 8),
+               (257, 1), (2, 9), (3, 6), (1021, 1), (1031, 1), (3, 7),
+               (5, 5), (32749, 1), (32771, 1), (65521, 1), (2, 16)]
 TWIN_EXTENSIONS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (7, 1), (3, 2)]
 
 

@@ -127,7 +127,7 @@ def test_split_fold_matches_unsplit_and_brute_force(q, monkeypatch):
 
 
 def test_prime_field_beyond_the_addition_table():
-    # GF(1031) has no addition table; the kernels add mod p
+    # GF(1031) has no scalar addition table; add_i sums on ints
     gf = field_new(1031, 1)
     code = grs(GrsSpec.make(gf, [0, 1, 2], 1, 1))
     dual = code.dual()
@@ -201,7 +201,7 @@ def test_sweep_on_each_side_of_the_block_table_boundary(pm, width):
 
 @pytest.mark.parametrize("pm", [(3, 7), (5, 5)], ids=["gf2187", "gf3125"])
 def test_non_prime_field_beyond_the_addition_table(pm):
-    # no addition table: the kernels add digit by digit
+    # no scalar addition table: add_i sums digit by digit on ints
     gf = field_new(*pm)
     q = gf.q
     code = grs(GrsSpec.make(gf, [0, 1, 2], 1, 1))
@@ -304,10 +304,14 @@ def test_rank_deficient_sweep_stops_after_an_empty_layer(pm, layers,
     # characteristic 2, deficient radius: the sweep stops mid-layer
     ((2, 4), 12,
      "5cd20403e613205d260c45ecc5acbbb1a670259c4321ecd7b1580d06493c86f5"),
-    # odd q: sums of digit rows
+    # odd q: sums of base-p digit rows, prime and not
     ((3, 2), 4,
      "c7fd7811036a67cd5173bbfbfd9c2eb89c01896a328fd57f6ea75a176c99bf55"),
-], ids=["prs17.12-gf16", "prs10.4-gf9"])
+    ((11, 1), 8,
+     "820fd38590a28b41d62539f59696dbb4fa5eb0483458f16c5d1f466dfc3e62f0"),
+    ((3, 3), 24,
+     "8345114ef44c6bdcec94f3d773b48ddf925dd9f0e8b34ba79814151b350ede55"),
+], ids=["prs17.12-gf16", "prs10.4-gf9", "prs12.8-gf11", "prs28.24-gf27"])
 def test_leader_arrays_match_recorded_digests(pm, k, digest):
     leader = covering_radius(prs(field_new(*pm), k))._leader
     assert hashlib.sha256(leader.tobytes()).hexdigest() == digest
