@@ -1,9 +1,11 @@
 """Vectorized kernels for the exhaustive searches.
 
-Codewords and error vectors are enumerated as numpy arrays of integer
-encodings by one chunked fold, `_fold`, which sums one row from each of a
-list of tables.  There is one codeword scan, `coset_blocks`: it yields
-offset + c for every codeword c, and every codeword question reads it.
+Codewords are enumerated as numpy arrays of integer encodings by one
+chunked fold, `_fold`, which sums one row from each of a list of tables;
+so are the error vectors of a support too large to stack with others in
+the coset-leader sweep.  There is one codeword scan, `coset_blocks`: it
+yields offset + c for every codeword c, and every codeword question reads
+it.
 `codewords()` takes the zero offset, and the codeword route of the
 distance to v takes -v, so `distance_counts` histograms wt(c - v).
 `orbit_blocks` visits one codeword per scalar orbit {c*x : c != 0} of the
@@ -23,17 +25,25 @@ encoding makes XOR field addition on packed syndromes too, so the syndrome
 sweep packs before it sums; other fields sum rows of r*m base-p digits by
 GF(p)'s add, never packed GF(p^m) encodings, and pack the sums.
 
-The coset-leader sweep works on scalar orbits: c*e has the weight of e and
-the syndrome c*s for every c != 0, so one leader weight holds on all of
-{c*s}.  It folds only error vectors whose first nonzero entry is 1 and
-writes each fresh syndrome's weight to its q-1 multiples.  Scaling acts on
+The coset-leader sweep is a breadth-first search from syndrome 0 in the
+graph whose edges add some c*h_j, c != 0: a leader weight is a distance
+there.  It settles one weight layer at a time, in whichever direction
+visits fewer vectors (direction-optimizing BFS).  Push enumerates the
+C(n, w)(q-1)^(w-1) weight-w error vectors whose first nonzero entry is 1,
+stacking the supports of a layer into blocks.  Pull takes the `left`
+orbits still uncovered, one representative each, and tests its n(q-1)
+neighbours s + c*h_j for leader weight w-1: left*n*(q-1) vectors.  Both
+work on scalar orbits: c*e has the weight of e and the syndrome c*s for
+every c != 0, so one leader weight holds on all of {c*s}, and each newly
+settled syndrome's weight goes to its q-1 multiples.  Scaling acts on
 each digit alone, so the multiples of a packed syndrome are the sums of its
 digit blocks' multiples, read from one packed block table per sweep,
 (q^a, q-1) int64 within 2^16 entries; a one-digit table fits up to
 q = 256, and larger fields unpack each fresh syndrome into digits, scale
-them and repack.  It writes, then counts: each fresh syndrome covers
-exactly q-1 syndromes, so the count of covered syndromes needs no
-deduplication.
+them and repack.  A pull counts exactly, one orbit per representative; a
+push block can meet one orbit on two supports, so it keeps an upper bound
+and counts the uncovered representatives when that bound says done and at
+the end of the layer.
 
 Column-subset facts (MDS layers, the minor and column-span deep-hole
 criteria, the support search for d) come from one engine, `subset_ranks`:
@@ -61,6 +71,7 @@ from .field import _dtype_for, field_new
 DEFAULT_BUDGET = 1 << 24
 _CHUNK_ROWS = 1 << 20
 _SCALE_TABLE_ENTRIES = 1 << 16  # int64: 512 KB
+_BLOCK_ROWS = 1 << 14  # rows of a push block, pull batch or expansion batch
 
 
 def _multiples(ctx, vectors):
@@ -100,19 +111,24 @@ def _fold(parts, add):
 
 
 def _syndrome_table(H_int, n: int, ctx):
-    """Syndromes of c * e_j as table[j, c], the add that sums them and the
-    map from sums to packed syndromes (entry i times q^i).  Odd q gives
-    each entry's m base-p digits: digit j of entry i packs as p^(mi+j)."""
+    """Syndromes of c * e_j as table[j, c], the add that sums them, the
+    map from sums to packed syndromes (entry i times q^i) and its inverse.
+    Odd q gives each entry's m base-p digits: digit j of entry i packs as
+    p^(mi+j)."""
     r = len(H_int)
     p, m = ctx.p, ctx.m
     table = _multiples(ctx, np.array(H_int, dtype=np.int64).reshape(r, n).T)
     radix = p ** np.arange(r * m, dtype=np.int64)
     if p == 2:
-        # XOR on the packing is field addition: pack once, sum packed ints
-        return table.astype(np.int64) @ radix[::m], np.bitwise_xor, lambda s: s
+        # XOR on the packing is field addition: pack once, sum packed ints,
+        # and packing and unpacking are the identity
+        return (table.astype(np.int64) @ radix[::m], np.bitwise_xor,
+                np.asarray, np.asarray)
+    dt = _dtype_for(p)
     digits = table[..., None] // p ** np.arange(m, dtype=table.dtype) % p
-    return (digits.reshape(n, ctx.q, r * m).astype(_dtype_for(p), copy=False),
-            field_new(p, 1)._arrays[2], lambda s: s.astype(np.int64) @ radix)
+    return (digits.reshape(n, ctx.q, r * m).astype(dt, copy=False),
+            field_new(p, 1)._arrays[2], lambda s: s.astype(np.int64) @ radix,
+            lambda s: (s[:, None] // radix % p).astype(dt))
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +202,22 @@ def mat_vecs(M_int, n: int, ctx, vectors):
     for j in range(n):
         acc = add(acc, table[j, vectors[:, j]])
     return acc
+
+
+def syndrome_map(H_int, n: int, ctx):
+    """A map from an (m, n) int64 array of vectors to their m packed
+    syndromes under H (entry i times q^i), the sweep's packing; its table
+    is built once, here."""
+    table, add, pack, _ = _syndrome_table(H_int, n, ctx)
+    cols = np.arange(n)[:, None]
+
+    def packed(vectors):
+        terms = table[cols, vectors.T]
+        acc = np.zeros(terms.shape[1:], table.dtype)
+        for term in terms:
+            acc = add(acc, term)
+        return pack(acc)
+    return packed
 
 
 # ---------------------------------------------------------------------------
@@ -309,31 +341,101 @@ def _packed_multiples(ctx, r: int):
     return scale
 
 
+def _pull_is_cheaper(n: int, q: int, w: int, left: int) -> bool:
+    """Whether pulling layer w, n(q-1) neighbours for each of the `left`
+    uncovered orbits, visits fewer vectors than pushing it, the
+    C(n, w)(q-1)^(w-1) error vectors whose first nonzero entry is 1."""
+    return left * n * (q - 1) < comb(n, w) * (q - 1) ** (w - 1)
+
+
+def _pushed(w: int, n: int, table, add):
+    """Yield, in blocks, the unpacked syndromes of the weight-w error
+    vectors whose first nonzero entry is 1, support by support in
+    lexicographic order.
+
+    As many supports as fit in _BLOCK_ROWS rows are stacked: a (b, w)
+    array of supports gathers each position's multiples for all b at once,
+    and one batched outer sum adds them.  A support with more rows than a
+    block is folded on its own.
+    """
+    per_support = (table.shape[1] - 1) ** (w - 1)
+    stack = _BLOCK_ROWS // per_support
+    if not stack:
+        for support in combinations(range(n), w):
+            parts = [table[support[0], 1:2]]
+            parts += [table[j, 1:] for j in support[1:]]
+            yield from _fold(parts, add)
+        return
+    count = comb(n, w)
+    supports = chain.from_iterable(combinations(range(n), w))
+    for start in range(0, count, stack):
+        b = min(stack, count - start)
+        S = np.fromiter(supports, np.int64, b * w).reshape(b, w)
+        acc = table[S[:, 0], 1:2]
+        for j in range(1, w):
+            nxt = table[S[:, j], 1:]
+            acc = add(acc[:, :, None], nxt[:, None]).reshape(
+                b, -1, *acc.shape[2:])
+        yield acc.reshape(-1, *acc.shape[2:])
+
+
+def _pulled(w: int, leader, slices, steps, add, pack, unpack):
+    """Yield, in batches, the uncovered orbit representatives whose leader
+    weight is w: those with a neighbour s + c*h_j of leader weight w-1.
+
+    `slices` hold one representative per orbit; `steps` are the n(q-1)
+    syndromes c*h_j, so a batch of representatives and their neighbours
+    stays within _BLOCK_ROWS rows.
+    """
+    per = max(1, _BLOCK_ROWS // len(steps))
+    for part in slices:
+        reps = np.flatnonzero(leader[part] == 0xFF) + part.start
+        for i in range(0, reps.size, per):
+            s = reps[i:i + per]
+            near = leader[pack(_outer_sum([unpack(s), steps], add))]
+            yield s[(near.reshape(s.size, -1) == w - 1).any(axis=1)]
+
+
 def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
     """Leader weight per packed syndrome, plus the covering radius.
 
-    Enumerates error vectors by increasing weight and records the first
-    weight at which each syndrome appears; stops once every syndrome is
-    covered.  The result does not depend on the per-weight visit order.
+    Settles syndromes by increasing leader weight, one layer per weight,
+    and stops once every syndrome is covered.  The leader weight is the
+    distance from 0 in the graph on syndromes whose edges add some c*h_j,
+    c != 0, so each layer is one step of a breadth-first search, run in
+    whichever direction visits fewer vectors (direction-optimizing BFS).
+    The result does not depend on the route or the visit order.
 
     For c != 0, c*e has the weight of e and the syndrome c*s, so the leader
-    weight is constant on each orbit {c*s}.  Each support therefore folds
-    only its vectors with a 1 at its first position, and every fresh
+    weight is constant on each orbit {c*s}, and every newly settled
     syndrome s gets the weight written to all q-1 multiples c*s.  Up to
     q = 256 the multiples come from the block table of `_packed_multiples`,
-    ceil(r/a) gathers and adds per batch of fresh syndromes; above it,
-    from unpacking s into r digits, scaling them and repacking.
+    ceil(r/a) gathers and adds per batch; above it, from unpacking s into
+    r digits, scaling them and repacking.
 
-    Each fresh syndrome adds exactly q-1 to the covered count.  Syndromes
-    written in earlier chunks are not fresh, and no two fresh syndromes of
-    one chunk share an orbit.  Suppose folded vectors e1 != e2 on support
-    S, |S| = w, have H e1 = c H e2.  Then u = e1 - c*e2 is a codeword
-    inside S; it is nonzero, since its entry at the first position of S is
-    1 - c, and for c = 1 it is e1 - e2.  Pick i with u_i != 0:
-    e1 - (e1_i / u_i)*u lies in the coset of e1 and weighs less than w, so
-    H e1 is not fresh.
+    Before layer w, with `left` orbits still uncovered, the sweep pushes
+    if C(n, w)(q-1)^(w-1) <= left*n*(q-1), and pulls otherwise; layer 1
+    always pushes, as n <= left*n*(q-1) while any orbit is left.
 
-    A layer with no fresh syndrome refuses H as rank deficient: if every
+    Push enumerates the weight-w error vectors whose first nonzero entry is
+    1, stacked supports at a time (`_pushed`), and settles the syndromes it
+    meets uncovered.  Each adds at most its q-1 multiples, and an orbit met
+    twice in one block adds them once, so the count only has an upper
+    bound; the sweep counts the uncovered representatives (below) whenever
+    that bound reaches q^r, for the mid-layer exit, and at the end of the
+    layer.
+
+    Pull (`_pulled`) takes one representative per uncovered orbit, the
+    packed s in [q^t, 2q^t) whose top nonzero digit is 1, and settles s at
+    weight w iff some s + c*h_j has leader weight w-1.  If a leader e of s
+    weighs w, e - c*e_j for a nonzero entry c at j weighs w-1 and has the
+    syndrome s - c*h_j, whose leader weight is then w-1, as by the
+    triangle inequality it is at least w-1.  Conversely, a vector of weight
+    w-1 with syndrome s + c*h_j, minus c*e_j, gives s a vector of weight at
+    most w, and s, uncovered after layers 0..w-1, weighs at least w.  The
+    representatives are distinct orbits, so the covered count stays exact.
+
+    A layer that settles no syndrome refuses H as rank deficient: if every
     weight-w syndrome has a lighter vector, so has e = e1 + c*e_j of weight
     w+1, through a lighter vector in the coset of e1.  A full-rank H never
     stops there, as its leader weights take every value 0..rho.
@@ -348,25 +450,51 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
     if total == 1:
         return leader, 0
 
-    table, add, pack = _syndrome_table(H_int, n, ctx)
+    table, add, pack, unpack = _syndrome_table(H_int, n, ctx)
     scale = _packed_multiples(ctx, r)
-    # expansion batches keep the digit route's (batch, q, r) array, and
-    # the block table route's (batch, q-1) ones, within _CHUNK_ROWS
-    batch = max(1, _CHUNK_ROWS // (q * r))
+    # expansion batches keep the block table route's (batch, q-1) arrays
+    # within _BLOCK_ROWS entries, and the digit route's (batch, q, r) ones
+    # within r times as many, or one syndrome
+    batch = max(1, _BLOCK_ROWS // (q - 1))
+    # one representative per orbit: top nonzero digit 1, at position t
+    slices = [slice(q ** t, 2 * q ** t) for t in range(r)]
+
+    def settle(fresh, w):
+        for i in range(0, fresh.size, batch):
+            part = fresh[i:i + batch]
+            # a pushed block can meet one orbit twice: skip a batch that an
+            # earlier one settled
+            if (leader[part] == 0xFF).any():
+                leader[scale(part)] = w
+
+    def recount():
+        return total - (q - 1) * sum(
+            np.count_nonzero(leader[part] == 0xFF) for part in slices)
+
     covered = 1
+    steps = None
     for w in range(1, n + 1):
         before = covered
-        for support in combinations(range(n), w):
-            parts = [table[support[0], 1:2]]
-            parts += [table[j, 1:] for j in support[1:]]
-            for chunk in _fold(parts, add):
-                syn = pack(chunk)
+        if _pull_is_cheaper(n, q, w, (total - covered) // (q - 1)):
+            if steps is None:
+                steps = table[:, 1:].reshape(-1, *table.shape[2:])
+            for found in _pulled(w, leader, slices, steps, add, pack, unpack):
+                settle(found, w)
+                covered += (q - 1) * found.size
+        else:
+            bound = covered
+            for block in _pushed(w, n, table, add):
+                syn = pack(block)
                 fresh = syn[leader[syn] == 0xFF]
-                for i in range(0, fresh.size, batch):
-                    leader[scale(fresh[i:i + batch])] = w
-                covered += (q - 1) * fresh.size
-            if covered == total:
-                return leader, w
+                settle(fresh, w)
+                bound += (q - 1) * fresh.size
+                if bound >= total:
+                    bound = recount()
+                    if bound == total:
+                        return leader, w
+            covered = recount()
+        if covered == total:
+            return leader, w
         if covered == before:
             break
     raise InvariantViolation("syndrome sweep did not terminate; "
@@ -399,7 +527,7 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
     in.  The vectors of every batch count against the budget as tested.
     """
     q = ctx.q
-    table, add, pack = _syndrome_table(H_int, n, ctx)
+    table, add, pack, _ = _syndrome_table(H_int, n, ctx)
     wanted = np.zeros(q ** len(H_int), dtype=bool)
     wanted[list(targets)] = True
     b = min(weight, 1)

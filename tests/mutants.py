@@ -75,6 +75,23 @@ MUTANTS = [
     ("block table puts its low digit first", "kernels.py",
      "for i in reversed(range(a))]", "for i in range(a)]",
      ["tests/test_kernels.py"]),
+    ("pull reads leader weight w - 2", "kernels.py",
+     "== w - 1).any(axis=1)", "== w - 2).any(axis=1)",
+     ["tests/test_kernels.py"]),
+    ("orbit representatives drop the end of [q^t, 2q^t)", "kernels.py",
+     "slice(q ** t, 2 * q ** t)", "slice(q ** t, 2 * q ** t - 1)",
+     ["tests/test_kernels.py"]),
+    ("push exits on its upper bound, not a recount", "kernels.py",
+     "                    bound = recount()\n",
+     "                    return leader, w\n",
+     ["tests/test_kernels.py"]),
+    ("push layer ends on its upper bound, not a recount", "kernels.py",
+     "            covered = recount()\n", "            covered = bound\n",
+     ["tests/test_kernels.py"]),
+    ("stacked push block drops its last support", "kernels.py",
+     "        yield acc.reshape(-1, *acc.shape[2:])",
+     "        yield acc[:-1].reshape(-1, *acc.shape[2:])",
+     ["tests/test_kernels.py"]),
     ("sweep stops one layer early", "kernels.py",
      "    for w in range(1, n + 1):\n        before = covered",
      "    for w in range(1, n):\n        before = covered",
@@ -145,6 +162,10 @@ MUTANTS = [
     ("log(0) one period short", "field.py",
      "log[0] = 2 * (q - 1)", "log[0] = q - 1",
      ["tests/test_field.py", "tests/test_kernels.py"]),
+    # leader lookups through the kept syndrome table
+    ("syndrome map drops the last column", "kernels.py",
+     "        for term in terms:\n", "        for term in terms[:-1]:\n",
+     ["tests/test_covering.py"]),
     # the batched left side of Theorem 6
     ("extension test drops weight n-k+1", "covering.py",
      "(wt <= n - k + 1)", "(wt < n - k + 1)",

@@ -112,18 +112,54 @@ def test_split_fold_matches_unsplit_and_brute_force(q, monkeypatch):
             "leader_counts": helpers.brute_coset_leader_weight_counts(code),
         }
         assert whole == brute
-        # 1 row: every part but the last becomes an offset, and the sweep
-        # expands one fresh syndrome's multiples at a time, by the block
-        # table
+        # 1 row: every fold part but the last becomes an offset, each push
+        # block holds one support, each pull batch one representative, and
+        # the sweep expands one fresh syndrome's multiples at a time, by
+        # the block table
         for rows in (16, 1):
             monkeypatch.setattr(kernels, "_CHUNK_ROWS", rows)
+            monkeypatch.setattr(kernels, "_BLOCK_ROWS", rows)
             monkeypatch.setattr(kernels, "_packed_multiples",
                                 _recording_scaler(split))
             assert _results(code, vectors) == whole
             monkeypatch.undo()
-    # over GF(2) every fold chunk holds one row, so no batch is cut from a
+    # over GF(2) an expansion batch holds _BLOCK_ROWS syndromes, as many
+    # as a push block or a pull batch can settle, so none is cut from a
     # longer run of fresh syndromes
     assert split and any(split) == (q > 2)
+
+
+def _recording_routes(monkeypatch, routes):
+    """Record (route, w) for every layer the sweep pushes or pulls."""
+    for name in ("_pushed", "_pulled"):
+        real = getattr(kernels, name)
+
+        def recorded(w, *rest, real=real, name=name):
+            routes.append((name[1:], w))
+            return real(w, *rest)
+        monkeypatch.setattr(kernels, name, recorded)
+
+
+@pytest.mark.parametrize("pull", [True, False], ids=["pull", "push"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_each_route_alone_matches_brute_force(q, pull, monkeypatch):
+    # every layer takes one route (weight 1 pulls from syndrome 0);
+    # 16-row blocks stack a few supports and fold the larger ones alone,
+    # and cut the pull into batches of one or a few representatives
+    monkeypatch.setattr(kernels, "_pull_is_cheaper", lambda *args: pull)
+    routes = []
+    _recording_routes(monkeypatch, routes)
+    for code in _small_codes(q):
+        code = _fresh(code)
+        H = code.parity.to_int_rows()
+        want = helpers.brute_coset_leaders(code)
+        for rows in (1 << 14, 16):
+            monkeypatch.setattr(kernels, "_BLOCK_ROWS", rows)
+            routes.clear()
+            leader, rho = kernels.coset_leader_weights(H, code.n, code.ctx)
+            assert (leader.tolist(), rho) == want
+            assert routes == [("pulled" if pull else "pushed", w)
+                              for w in range(1, rho + 1)]
 
 
 def test_prime_field_beyond_the_addition_table():
@@ -285,19 +321,15 @@ def test_rank_deficient_parity_check_is_refused(pm):
 def test_rank_deficient_sweep_stops_after_an_empty_layer(pm, layers,
                                                          monkeypatch):
     # the two equal rows leave q^2 syndromes reachable, all within weight
-    # 2, so the first layer that adds none ends the sweep, not weight n
+    # 2, so the first layer that adds none ends the sweep, not weight n,
+    # whichever route it takes
     n = 14
     H = [[1, 0] + [1] * (n - 2)] + [[0, 1] + [1] * (n - 2)] * 2
-    asked = []
-
-    def recording(pool, w):
-        asked.append(w)
-        return combinations(pool, w)
-
-    monkeypatch.setattr(kernels, "combinations", recording)
+    routes = []
+    _recording_routes(monkeypatch, routes)
     with pytest.raises(InvariantViolation):
         kernels.coset_leader_weights(H, n, field_new(*pm))
-    assert asked == layers
+    assert [w for _, w in routes] == layers
 
 
 @pytest.mark.parametrize("pm, k, digest", [
