@@ -151,10 +151,10 @@ class LinearCode:
     # -- extensions ------------------------------------------------------------
 
     def extend_u(self, u) -> "LinearCode":
-        """Append the inner product <u, c> as coordinate n+1."""
+        """Append <u, c> as coordinate n+1: the reduced generator G with
+        the column G u^T appended is still reduced."""
         col = self.generator._dot_rows(self._vec(u))
-        return code_from_generator(self.generator.with_col(col),
-                                   allow_zero=self.k == 0)
+        return LinearCode(self.ctx, self.generator.with_col(col))
 
     def extend_g(self, g) -> "LinearCode":
         return extend_g(self.generator, g)

@@ -1,7 +1,7 @@
 """Vectorized kernels for the exhaustive searches.
 
 Codewords are enumerated as numpy arrays of integer encodings by one
-chunked fold, `_fold`, which sums one row from each of a list of tables;
+blocked fold, `_fold`, which sums one row from each of a list of tables;
 so are the error vectors of a support too large to stack with others in
 the coset-leader sweep.  There is one codeword scan, `coset_blocks`: it
 yields offset + c for every codeword c, and every codeword question reads
@@ -55,7 +55,9 @@ representatives) come from `lex_first_weight_vectors`: a depth-first
 search over prefixes that tests all completions of a prefix with its last
 few nonzero entries in one batch, cut from one lexicographic table that
 keeps each completion vector beside its syndrome.
-Everything here is deterministic; chunking only bounds memory.
+Everything here is deterministic; two bounds cap memory only, past one
+unit of work: _BLOCK_ROWS rows per block (fold, push, pull, expansion),
+_CHUNK_BYTES bytes of int64 per subset chunk or lex-search batch.
 """
 
 from __future__ import annotations
@@ -69,9 +71,9 @@ from .errors import BudgetExceeded, InvariantViolation
 from .field import _dtype_for, field_new
 
 DEFAULT_BUDGET = 1 << 24
-_CHUNK_ROWS = 1 << 20
+_BLOCK_ROWS = 1 << 14  # rows of a fold, push, pull or expansion block
+_CHUNK_BYTES = 1 << 20  # int64 bytes of a subset chunk or lex-search batch
 _SCALE_TABLE_ENTRIES = 1 << 16  # int64: 512 KB
-_BLOCK_ROWS = 1 << 14  # rows of a push block, pull batch or expansion batch
 
 
 def _multiples(ctx, vectors):
@@ -89,17 +91,17 @@ def _outer_sum(parts, add):
 
 
 def _fold(parts, add):
-    """Yield, in index order and in chunks, every sum of one row from each
+    """Yield, in index order and in blocks, every sum of one row from each
     part, the first part varying slowest.
 
-    The trailing parts whose row counts multiply to at most _CHUNK_ROWS
-    (at least the last part) are summed once into a block; each sum of the
-    leading parts is then added to that block as an offset.  Parts are 1-D
+    The trailing parts whose row counts multiply to at most _BLOCK_ROWS
+    rows (at least the last part) are summed once into a block; each sum
+    of the leading parts is then added to it as an offset.  Parts are 1-D
     (packed syndromes) or 2-D (rows of digits).
     """
     split = len(parts) - 1
     rows = parts[split].shape[0]
-    while split > 0 and rows * parts[split - 1].shape[0] <= _CHUNK_ROWS:
+    while split > 0 and rows * parts[split - 1].shape[0] <= _BLOCK_ROWS:
         split -= 1
         rows *= parts[split].shape[0]
     block = _outer_sum(parts[split:], add)
@@ -136,9 +138,9 @@ def _syndrome_table(H_int, n: int, ctx):
 # ---------------------------------------------------------------------------
 
 def coset_blocks(G_int, n: int, ctx, offset, budget=DEFAULT_BUDGET):
-    """Yield, in chunks, offset + c for every codeword c of length n, the
-    first row's coefficient varying slowest; with no rows, the offset
-    alone.  q^k counts against the budget, before any block is built."""
+    """Yield offset + c for every codeword c of length n, the first row's
+    coefficient slowest, in blocks of at most max(_BLOCK_ROWS, q) rows;
+    with no rows, the offset alone.  q^k counts against the budget first."""
     k = len(G_int)
     if ctx.q ** k > budget:
         raise BudgetExceeded(f"q^k = {ctx.q ** k} exceeds budget {budget}")
@@ -224,6 +226,15 @@ def syndrome_map(H_int, n: int, ctx):
 # Ranks of column subsets
 # ---------------------------------------------------------------------------
 
+def _subset_chunks(n: int, w: int, size: int):
+    """The w-subsets of range(n), lexicographic, in (size, w) int64 arrays."""
+    count = comb(n, w)
+    subsets = chain.from_iterable(combinations(range(n), w))
+    for start in range(0, count, size):
+        s = min(size, count - start)
+        yield np.fromiter(subsets, np.int64, s * w).reshape(s, w)
+
+
 def subset_ranks(mats, ctx, w: int, budget=DEFAULT_BUDGET, tail: int = 0):
     """Yield (subsets, ranks), chunk by chunk: the next w-subsets of the
     leading columns, in lexicographic order, as a (chunk, w) array, and
@@ -233,7 +244,7 @@ def subset_ranks(mats, ctx, w: int, budget=DEFAULT_BUDGET, tail: int = 0):
     `mats` is an (m, r, n + tail) stack of encodings.  A chunk stacks its
     subsets of every matrix into one (b, r, w + tail) array and eliminates
     them all together; it holds at least one subset, and otherwise its
-    int64 temporaries stay within _CHUNK_ROWS bytes (larger ones, freed,
+    int64 temporaries stay within _CHUNK_BYTES bytes (larger ones, freed,
     raise the allocator's mmap threshold and with it the peak RSS of the
     codeword scans that follow).  The C(n, w) * m subsets count against
     the budget, before anything is built.
@@ -241,18 +252,15 @@ def subset_ranks(mats, ctx, w: int, budget=DEFAULT_BUDGET, tail: int = 0):
     mats = np.asarray(mats, dtype=np.int64)
     m, r, cols = mats.shape
     n = cols - tail
-    count = comb(n, w)
-    total = count * m
+    total = comb(n, w) * m
     if total > budget:
         raise BudgetExceeded(f"{total} column subsets exceed budget {budget}")
     mats = mats.astype(_dtype_for(ctx.q))
     width = w + tail
-    per_chunk = max(1, _CHUNK_ROWS // (8 * max(1, m * r * width)))
+    per_chunk = max(1, _CHUNK_BYTES // (8 * max(1, m * r * width)))
     fixed = np.arange(n, cols)
-    subsets = chain.from_iterable(combinations(range(n), w))
-    for start in range(0, count, per_chunk):
-        s = min(per_chunk, count - start)
-        chunk = np.fromiter(subsets, np.int64, s * w).reshape(s, w)
+    for chunk in _subset_chunks(n, w, per_chunk):
+        s = len(chunk)
         picked = np.hstack([chunk, np.broadcast_to(fixed, (s, tail))])
         # (m, r, s, width) -> one stack of s * m matrices, subset-major
         stack = mats[:, :, picked].transpose(2, 0, 1, 3)
@@ -366,16 +374,12 @@ def _pushed(w: int, n: int, table, add):
             parts += [table[j, 1:] for j in support[1:]]
             yield from _fold(parts, add)
         return
-    count = comb(n, w)
-    supports = chain.from_iterable(combinations(range(n), w))
-    for start in range(0, count, stack):
-        b = min(stack, count - start)
-        S = np.fromiter(supports, np.int64, b * w).reshape(b, w)
+    for S in _subset_chunks(n, w, stack):
         acc = table[S[:, 0], 1:2]
         for j in range(1, w):
             nxt = table[S[:, j], 1:]
             acc = add(acc[:, :, None], nxt[:, None]).reshape(
-                b, -1, *acc.shape[2:])
+                len(S), -1, *acc.shape[2:])
         yield acc.reshape(-1, *acc.shape[2:])
 
 
@@ -515,7 +519,7 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
     to the prefixes that leave b nonzero entries to place; each of them
     tests all its completions in one batch.  b is the largest value up to
     `weight` such that no batch of any weight up to b holds more than
-    _CHUNK_ROWS bytes of int64 syndromes (at least 1 if weight is).
+    _CHUNK_BYTES bytes of int64 syndromes (at least 1 if weight is).
 
     The batches come from one table per call.  T(pos, j), the weight-j
     vectors on positions pos..n-1 in lexicographic order, is
@@ -532,7 +536,7 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
     wanted[list(targets)] = True
     b = min(weight, 1)
     while b < weight and 8 * comb(n, b + 1) * (q - 1) ** (b + 1) \
-            <= _CHUNK_ROWS:
+            <= _CHUNK_BYTES:
         b += 1
     zero = np.zeros(table.shape[2:], table.dtype)
     levels = [zero[None]] + [table[:0, 0]] * b

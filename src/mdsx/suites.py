@@ -46,9 +46,6 @@ from .field import _prime_factors, field_new
 from .kernels import DEFAULT_BUDGET
 from .matrix import egrs_generator, grs_generator
 
-# vectors u per thm6-exhaustive batch: bounds the u-by-codeword arrays
-_U_CHUNK = 1 << 16
-
 
 def _ctx_for_q(q: int):
     """GF(q), with the characteristic p and degree m read off q = p^m."""
@@ -80,13 +77,11 @@ def _grs_spec_dict(ctx, nodes, mult, k, u=None):
 # covering radius and u is one of its deep holes, for every single u.
 # ---------------------------------------------------------------------------
 
-def _product_rows(q: int, n: int):
-    """Every vector of length n over range(q), in itertools.product order,
-    as chunks of rows."""
-    radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start in range(0, q ** n, _U_CHUNK):
-        index = np.arange(start, min(start + _U_CHUNK, q ** n))
-        yield index[:, None] // radix % q
+def _all_vectors(ctx, n: int, budget):
+    """GF(q)^n in itertools.product order, as the full code's codewords:
+    q^n against the budget."""
+    return kernels.coset_blocks(np.eye(n, dtype=np.int64), n, ctx, [0] * n,
+                                budget)
 
 
 def suite_thm6_exhaustive(params):
@@ -111,7 +106,7 @@ def suite_thm6_exhaustive(params):
                         code = grs(GrsSpec.make(ctx, nodes, mult, k))
                         rep = covering_radius(code.dual(), budget)
                         checked_codes += 1
-                        for us in _product_rows(q, n):
+                        for us in _all_vectors(ctx, n, budget):
                             lhs = extensions_mds(code, us, budget)
                             rhs = (rep.rho == k) & (rep.leader_weights(us)
                                                     == rep.rho)
@@ -424,7 +419,7 @@ def _criteria_agreement_cases(budget):
             applicable = mds and full and code.k < code.n
             # every u at once, in product order; a verdict that differs
             # from the leader weight's is a disagreement
-            us = np.concatenate(list(_product_rows(q, code.n)))
+            us = np.concatenate(list(_all_vectors(ctx, code.n, budget)))
             dh = rep.leader_weights(us) == rep.rho
             bad = dh != syndrome_criteria(code.parity, us, rep.rho, budget)
             if applicable:
@@ -439,7 +434,7 @@ def _criteria_agreement_cases(budget):
     return cases, first_bad
 
 
-def _extension_kind_cases():
+def _extension_kind_cases(budget):
     cases = []
     first_bad = None
     for q in (2, 3, 4):
@@ -457,7 +452,7 @@ def _extension_kind_cases():
             n, k = code.n, code.k
             # the fibers of u -> G u^T, from one batched product; extend_u
             # takes <u, row> by scalar ops
-            us = np.concatenate(list(_product_rows(q, n)))
+            us = np.concatenate(list(_all_vectors(ctx, n, budget)))
             gs = kernels.mat_vecs(code.generator._rows, n, ctx, us)
             fibers = {}
             for u, g in zip(map(tuple, us.tolist()), map(tuple, gs.tolist())):
@@ -542,7 +537,7 @@ def suite_dp_vs_bruteforce(params):
     if bad is not None and counterexample is None:
         counterexample = {"criteria_disagreement": bad}
 
-    ext_cases, bad = _extension_kind_cases()
+    ext_cases, bad = _extension_kind_cases(budget)
     cases.extend({"part": "extension-kinds", **c} for c in ext_cases)
     if bad is not None and counterexample is None:
         counterexample = {"extension_kind_mismatch": bad}

@@ -60,6 +60,10 @@ MUTANTS = [
     ("_fold without its offset", "kernels.py",
      "        yield add(block, offset)", "        yield block",
      ["tests/test_kernels.py"]),
+    ("_fold ignores its row bound", "kernels.py",
+     "    while split > 0 and rows * parts[split - 1].shape[0] "
+     "<= _BLOCK_ROWS:\n", "    while split > 0:\n",
+     ["tests/test_kernels.py"]),
     ("sweep writes only c = 1", "kernels.py",
      "[:, 1:, 0].astype(np.int64)", "[:, 1:2, 0].astype(np.int64)",
      ["tests/test_kernels.py"]),
@@ -112,6 +116,9 @@ MUTANTS = [
     ("orbit scan skips leading row 0", "kernels.py",
      "    for i in range(k):\n        yield from coset_blocks(",
      "    for i in range(1, k):\n        yield from coset_blocks(",
+     ["tests/test_kernels.py"]),
+    ("extend_u appends its column reversed", "code.py",
+     "self.generator.with_col(col))", "self.generator.with_col(col[::-1]))",
      ["tests/test_kernels.py"]),
     ("distance histogram ignores v", "kernels.py",
      "neg_v = [ctx.neg_i(x) for x in v_int]", "neg_v = [0 for x in v_int]",
@@ -180,6 +187,10 @@ MUTANTS = [
      "                                ok = False\n"
      "                                if True:",
      ["tests/test_covering.py"]),
+    ("suite vectors u run the last entry slowest", "suites.py",
+     "coset_blocks(np.eye(n, dtype=np.int64),",
+     "coset_blocks(np.eye(n, dtype=np.int64)[::-1],",
+     ["tests/test_suites.py"]),
     # specs from outside the program
     ("GRS spec entries unchecked", "serialize.py",
      "            nodes = _vector_from(ctx, part[\"nodes\"], "

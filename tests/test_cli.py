@@ -164,12 +164,12 @@ class TestCovering:
         # search for its deep-hole representatives tests more vectors
         spec = spec_file({"field": {"p": 5, "m": 1},
                           "code": {"type": "prs", "k": 3}})
-        for rows, tested in (
+        for size, tested in (
                 # 16 bytes force batches of one nonzero entry: 160 vectors
                 (16, 160),
                 # by default one batch of all C(6, 2) * 4^2 vectors
-                (kernels._CHUNK_ROWS, 240)):
-            monkeypatch.setattr(kernels, "_CHUNK_ROWS", rows)
+                (kernels._CHUNK_BYTES, 240)):
+            monkeypatch.setattr(kernels, "_CHUNK_BYTES", size)
             for argv in (["covering", spec, "--deep-holes"],
                          ["deep-holes", spec]):
                 assert run(capsys, argv + ["--budget", "150"])[0] == 3
@@ -429,6 +429,14 @@ class TestVerify:
         assert [c["u_checked"] for c in cases] \
             == [c["codes"] * 7 ** c["n"] for c in cases]
         assert all(c["ok"] for c in cases)
+
+    def test_thm6_counts_every_u_against_the_budget(self, capsys):
+        # 3^3 vectors u for the codes of length 3; every covering sweep
+        # fits 26
+        argv = ["verify", "thm6-exhaustive", "--qs", "3", "--max-n", "3"]
+        rc, out, err = run(capsys, argv + ["--budget", "26"])
+        assert (rc, out) == (3, "") and "budget" in err.lower()
+        assert run(capsys, argv + ["--budget", "27"])[0] == 0
 
     def test_build_outputs_byte_stable(self, capsys, spec_file):
         path = spec_file(EX1_SPEC)

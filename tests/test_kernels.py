@@ -117,7 +117,7 @@ def test_split_fold_matches_unsplit_and_brute_force(q, monkeypatch):
         # the sweep expands one fresh syndrome's multiples at a time, by
         # the block table
         for rows in (16, 1):
-            monkeypatch.setattr(kernels, "_CHUNK_ROWS", rows)
+            monkeypatch.setattr(kernels, "_CHUNK_BYTES", rows)
             monkeypatch.setattr(kernels, "_BLOCK_ROWS", rows)
             monkeypatch.setattr(kernels, "_packed_multiples",
                                 _recording_scaler(split))
@@ -402,8 +402,8 @@ def test_orbit_histogram_matches_full_scan_and_messages(case):
     want = _message_counts(G, n, ctx)
     assert _full_scan_counts(G, n, ctx) == want
     # 1 row: every part but the last becomes an offset
-    for rows in (kernels._CHUNK_ROWS, 16, 1):
-        with mock.patch.object(kernels, "_CHUNK_ROWS", rows):
+    for rows in (kernels._BLOCK_ROWS, 16, 1):
+        with mock.patch.object(kernels, "_BLOCK_ROWS", rows):
             blocks = list(kernels.orbit_blocks(G, n, ctx))
             assert kernels.weight_counts(G, n, ctx) == want
         # one codeword per orbit of the q^k - 1 nonzero messages
@@ -504,11 +504,52 @@ def test_coset_scan_is_the_span_plus_its_offset(code, data):
     want = [[(a + b).value for a, b in zip(word, shift)]
             for word in helpers.span(code)]
     # 1 row: the offset and every row but the last become fold offsets
-    for rows in (kernels._CHUNK_ROWS, 16, 1):
-        with mock.patch.object(kernels, "_CHUNK_ROWS", rows):
+    for rows in (kernels._BLOCK_ROWS, 16, 1):
+        with mock.patch.object(kernels, "_BLOCK_ROWS", rows):
             blocks = list(kernels.coset_blocks(code.generator._rows, n, ctx,
                                                offset))
         assert np.concatenate(blocks).tolist() == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(span_codes(), st.data())
+def test_scan_blocks_stay_within_the_row_bound(code, data):
+    # a fold part holds q rows, so a block holds at most max(bound, q)
+    ctx, n, G = code.ctx, code.n, code.generator._rows
+    offset = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=n,
+                                max_size=n))
+    for rows in (kernels._BLOCK_ROWS, 16, 1):
+        with mock.patch.object(kernels, "_BLOCK_ROWS", rows):
+            for blocks in (kernels.coset_blocks(G, n, ctx, offset),
+                           kernels.orbit_blocks(G, n, ctx)):
+                assert all(len(b) <= max(rows, ctx.q) for b in blocks)
+
+
+def test_full_binary_scan_streams_bounded_blocks():
+    # GF(2)^15 holds 2^15 codewords, twice the default bound
+    ctx = field_new(2, 1)
+    G = full_code(ctx, 15).generator._rows
+    blocks = list(kernels.coset_blocks(G, 15, ctx, [0] * 15))
+    assert max(map(len, blocks)) <= kernels._BLOCK_ROWS
+    assert np.concatenate(blocks).tolist() \
+        == [list(v) for v in product(range(2), repeat=15)]
+    orbits = list(kernels.orbit_blocks(G, 15, ctx))
+    assert max(map(len, orbits)) <= kernels._BLOCK_ROWS
+    assert sum(map(len, orbits)) == 2 ** 15 - 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(span_codes(), st.data())
+def test_extend_u_appends_to_the_reduced_generator(code, data):
+    ctx = code.ctx
+    u = ctx.vector(data.draw(st.lists(st.integers(0, ctx.q - 1),
+                                      min_size=code.n, max_size=code.n)))
+    col = [sum((g * x for g, x in zip(row, u)), ctx.zero)
+           for row in code.generator.row_list()]
+    want = code_from_generator(code.generator.with_col(col), allow_zero=True)
+    ext = code.extend_u(u)
+    assert (ext.n, ext.k) == (code.n + 1, code.k)
+    assert ext.generator == want.generator
 
 
 @pytest.mark.parametrize("pm", [(3, 1), (2, 2)])
@@ -547,9 +588,9 @@ def lex_first_cases(draw, min_weight=0):
 
 
 # The search batches the last b nonzero entries, b the largest weight
-# whose batches fit _CHUNK_ROWS bytes: the default lets b reach the weight
+# whose batches fit _CHUNK_BYTES bytes: the default lets b reach the weight
 # on these small cases, 256 and 16 stop it in between, 1 forces b = 1.
-LEX_CHUNK_ROWS = (kernels._CHUNK_ROWS, 256, 16, 1)
+LEX_CHUNK_BYTES = (kernels._CHUNK_BYTES, 256, 16, 1)
 
 
 def _check_lex_first(case, stop_after_first):
@@ -563,8 +604,8 @@ def _check_lex_first(case, stop_after_first):
         want = reached
     else:
         want = None
-    for rows in LEX_CHUNK_ROWS:
-        with mock.patch.object(kernels, "_CHUNK_ROWS", rows):
+    for size in LEX_CHUNK_BYTES:
+        with mock.patch.object(kernels, "_CHUNK_BYTES", size):
             if want is None:
                 with pytest.raises(InvariantViolation):
                     kernels.lex_first_weight_vectors(
@@ -592,14 +633,14 @@ def test_lex_first_search_counts_tested_vectors_against_the_budget():
     ctx = field_new(3, 1)
     H = [[1, 1, 1, 1], [0, 1, 2, 0]]
     target = helpers.scalar_syndrome(H, (0, 1, 1, 0), ctx)
-    for rows, tested in (
+    for size, tested in (
             # 16 bytes hold no batch of weight 2 (24 syndromes), so b = 1:
             # the prefixes 0 0 1 and 0 0 2 test 2 vectors each, then the
             # prefix 0 1 tests 4 and finds the target
             (16, 2 + 2 + 4),
             # by default b = 2: one batch of all C(4, 2) * 2^2 vectors
-            (kernels._CHUNK_ROWS, 24)):
-        with mock.patch.object(kernels, "_CHUNK_ROWS", rows):
+            (kernels._CHUNK_BYTES, 24)):
+        with mock.patch.object(kernels, "_CHUNK_BYTES", size):
             assert kernels.lex_first_weight_vectors(
                 H, 4, ctx, 2, {target}, budget=tested) \
                 == {target: (0, 1, 1, 0)}

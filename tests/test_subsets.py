@@ -32,7 +32,7 @@ from mdsx.matrix import Matrix, first_dependent_columns
 FIELDS = [field_new(p, m) for p, m in
           ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
 # at 256 a chunk holds several small subsets, at 16 and 1 only one
-CHUNKS = (kernels._CHUNK_ROWS, 256, 16, 1)
+CHUNKS = (kernels._CHUNK_BYTES, 256, 16, 1)
 
 
 def _column(draw, ctx, r, earlier):
@@ -84,9 +84,9 @@ def test_subset_ranks_match_one_rank_per_subset(case):
     want = [[Matrix(ctx, m, cols=n + tail).select_cols(s + fixed).rank()
              for m in mats] for s in subsets]
     stack = np.array(mats, dtype=np.int64).reshape(len(mats), r, n + tail)
-    for rows in CHUNKS:
+    for size in CHUNKS:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_CHUNK_ROWS", rows)
+            mp.setattr(kernels, "_CHUNK_BYTES", size)
             assert _all_ranks(stack, ctx, w, tail) == (subsets, want)
 
 
@@ -104,9 +104,9 @@ def matrices(draw):
 def test_first_dependent_columns_matches_lex_first_loop(case):
     m, k = case
     want = helpers.lex_first_dependent_columns(m, k) if k else None
-    for rows in CHUNKS:
+    for size in CHUNKS:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_CHUNK_ROWS", rows)
+            mp.setattr(kernels, "_CHUNK_BYTES", size)
             assert first_dependent_columns(m, k) == want
 
 
@@ -284,11 +284,13 @@ def test_min_distance_matches_brute_force_on_every_route(code):
     worst = comb(n, k) + sum(comb(n, w) for w in range(1, n - k + 1))
     budgets = [kernels.DEFAULT_BUDGET] + ([total - 1] if worst < total
                                           else [])
-    for rows in CHUNKS:
+    for size in CHUNKS:
         for budget in budgets:
             fresh = code_from_generator(code.generator)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(kernels, "_CHUNK_ROWS", rows)
+                # the same small sizes split the codeword route's folds
+                mp.setattr(kernels, "_CHUNK_BYTES", size)
+                mp.setattr(kernels, "_BLOCK_ROWS", size)
                 assert fresh.min_distance(budget) == want
                 assert fresh.is_mds(budget) == (want == n - k + 1)
 

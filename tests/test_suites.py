@@ -7,9 +7,11 @@ import json
 import types
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from mdsx import cli, serialize, suites
+import helpers
+from mdsx import cli, kernels, serialize, suites
 from mdsx.constructions import (
     GrsSpec,
     egrs,
@@ -18,6 +20,8 @@ from mdsx.constructions import (
     thm12_u,
 )
 from mdsx.covering import covering_radius, is_deep_hole
+from mdsx.errors import BudgetExceeded
+from mdsx.field import field_new
 
 
 def test_thm7_reports_a_wrong_u(monkeypatch):
@@ -229,3 +233,19 @@ def test_dp_vs_bruteforce_reports_each_part(monkeypatch, target, flip, part,
         assert (got["q"], got["code"]) == (3, first["code"])
     else:
         assert rep["counterexample"] == cx
+
+
+@pytest.mark.parametrize("pm, n", [((2, 1), 5), ((3, 1), 3), ((2, 2), 3),
+                                   ((5, 1), 2)])
+@pytest.mark.parametrize("rows", [1 << 14, 4])
+def test_all_vectors_run_in_product_order(pm, n, rows, monkeypatch):
+    # the vectors u of the suites: every vector, the first entry slowest,
+    # in blocks of at most max(rows, q) rows, q^n against the budget
+    ctx = field_new(*pm)
+    monkeypatch.setattr(kernels, "_BLOCK_ROWS", rows)
+    blocks = list(suites._all_vectors(ctx, n, ctx.q ** n))
+    assert max(map(len, blocks)) <= max(rows, ctx.q)
+    assert np.concatenate(blocks).tolist() \
+        == [[e.value for e in v] for v in helpers.all_vectors(ctx, n)]
+    with pytest.raises(BudgetExceeded):
+        next(suites._all_vectors(ctx, n, ctx.q ** n - 1))
