@@ -213,8 +213,16 @@ def extensions_mds(code: LinearCode, us, budget=DEFAULT_BUDGET):
     codeword per scalar orbit is enough.  At k = 0 no extension is MDS, as
     in `LinearCode.is_mds`.  The q^k codewords count against the budget.
     """
+    us = _rows_of_length(us, code.n, code.ctx.q)
+    return _extension_test(code, budget)(us)
+
+
+def _extension_test(code: LinearCode, budget=DEFAULT_BUDGET):
+    """`extensions_mds` for one code and many blocks of u: the code's
+    light codewords, one per scalar orbit, are scanned once, here, and
+    the returned map takes an array of rows u (encodings in [0, q), not
+    checked) to their verdicts."""
     n, k = code.n, code.k
-    us = _rows_of_length(us, n, code.ctx.q)
     light = [np.zeros((0, n), dtype=np.int64)]
     for block in kernels.orbit_blocks(code.generator._rows, n, code.ctx,
                                       budget):
@@ -222,8 +230,9 @@ def extensions_mds(code: LinearCode, us, budget=DEFAULT_BUDGET):
         light.append(block[(wt > 0) & (wt <= n - k + 1)])
     light = np.concatenate(light)
     if k == 0 or (np.count_nonzero(light, axis=1) <= n - k).any():
-        return np.zeros(len(us), dtype=bool)
-    return (kernels.mat_vecs(light, n, code.ctx, us) != 0).all(axis=1)
+        return lambda us: np.zeros(len(us), dtype=bool)
+    return lambda us: \
+        (kernels.mat_vecs(light, n, code.ctx, us) != 0).all(axis=1)
 
 
 def full_radius_witness(code: LinearCode, budget=DEFAULT_BUDGET):

@@ -31,11 +31,13 @@ there.  It settles one weight layer at a time, in whichever direction
 visits fewer vectors (direction-optimizing BFS).  Push enumerates the
 C(n, w)(q-1)^(w-1) weight-w error vectors whose first nonzero entry is 1,
 stacking the supports of a layer into blocks.  Pull takes the `left`
-orbits still uncovered, one representative each, and tests its n(q-1)
-neighbours s + c*h_j for leader weight w-1: left*n*(q-1) vectors.  Both
-work on scalar orbits: c*e has the weight of e and the syndrome c*s for
-every c != 0, so one leader weight holds on all of {c*s}, and each newly
-settled syndrome's weight goes to its q-1 multiples.  Scaling acts on
+orbits still uncovered, one representative each, and tests its
+neighbours s + c*h_j for leader weight w-1 column by column, q-1 at a
+time, stopping at its first hit: between left*(q-1) and left*n*(q-1)
+vectors, priced at left*(q-1).  Both work on scalar orbits: c*e has the
+weight of e and the syndrome c*s for every c != 0, so one leader weight
+holds on all of {c*s}, and each newly settled syndrome's weight goes to
+its q-1 multiples.  Scaling acts on
 each digit alone, so the multiples of a packed syndrome are the sums of its
 digit blocks' multiples, read from one packed block table per sweep,
 (q^a, q-1) int64 within 2^16 entries; a one-digit table fits up to
@@ -350,10 +352,13 @@ def _packed_multiples(ctx, r: int):
 
 
 def _pull_is_cheaper(n: int, q: int, w: int, left: int) -> bool:
-    """Whether pulling layer w, n(q-1) neighbours for each of the `left`
-    uncovered orbits, visits fewer vectors than pushing it, the
-    C(n, w)(q-1)^(w-1) error vectors whose first nonzero entry is 1."""
-    return left * n * (q - 1) < comb(n, w) * (q - 1) ** (w - 1)
+    """Whether pulling layer w, priced at the q-1 neighbours of one column
+    for each of the `left` uncovered orbits, visits fewer vectors than
+    pushing it, the C(n, w)(q-1)^(w-1) error vectors whose first nonzero
+    entry is 1.  A pull stops at each orbit's first hit, so it visits at
+    least that price, and exactly that on the last layer of a full-radius
+    MDS code, where the first column always hits."""
+    return left * (q - 1) < comb(n, w) * (q - 1) ** (w - 1)
 
 
 def _pushed(w: int, n: int, table, add):
@@ -387,17 +392,30 @@ def _pulled(w: int, leader, slices, steps, add, pack, unpack):
     """Yield, in batches, the uncovered orbit representatives whose leader
     weight is w: those with a neighbour s + c*h_j of leader weight w-1.
 
-    `slices` hold one representative per orbit; `steps` are the n(q-1)
-    syndromes c*h_j, so a batch of representatives and their neighbours
-    stays within _BLOCK_ROWS rows.
+    `slices` hold one representative per orbit; steps[j] are the q-1
+    syndromes c*h_j.  A batch of up to _BLOCK_ROWS // (q-1) representatives
+    goes column by column: at column j it tests the q-1 neighbours of the
+    representatives still open, marks those with a hit and drops them, and
+    it stops once none is open, so a representative settled at column j
+    costs (j+1)(q-1) tests, not n(q-1).
     """
-    per = max(1, _BLOCK_ROWS // len(steps))
+    n, q1 = steps.shape[:2]
+    per = max(1, _BLOCK_ROWS // q1)
     for part in slices:
         reps = np.flatnonzero(leader[part] == 0xFF) + part.start
         for i in range(0, reps.size, per):
             s = reps[i:i + per]
-            near = leader[pack(_outer_sum([unpack(s), steps], add))]
-            yield s[(near.reshape(s.size, -1) == w - 1).any(axis=1)]
+            hit = np.zeros(s.size, dtype=bool)
+            open_ = np.arange(s.size)
+            digits = unpack(s)
+            for j in range(n):
+                near = leader[pack(_outer_sum([digits, steps[j]], add))]
+                found = (near.reshape(open_.size, q1) == w - 1).any(axis=1)
+                hit[open_[found]] = True
+                open_, digits = open_[~found], digits[~found]
+                if not open_.size:
+                    break
+            yield s[hit]
 
 
 def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
@@ -418,8 +436,9 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
     r digits, scaling them and repacking.
 
     Before layer w, with `left` orbits still uncovered, the sweep pushes
-    if C(n, w)(q-1)^(w-1) <= left*n*(q-1), and pulls otherwise; layer 1
-    always pushes, as n <= left*n*(q-1) while any orbit is left.
+    if C(n, w)(q-1)^(w-1) <= left*(q-1), and pulls otherwise: a pull stops
+    at each orbit's first hit, so it is priced at one column per orbit.
+    Layer 1 pushes unless q^r - 1 < n.
 
     Push enumerates the weight-w error vectors whose first nonzero entry is
     1, stacked supports at a time (`_pushed`), and settles the syndromes it
@@ -431,13 +450,18 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
 
     Pull (`_pulled`) takes one representative per uncovered orbit, the
     packed s in [q^t, 2q^t) whose top nonzero digit is 1, and settles s at
-    weight w iff some s + c*h_j has leader weight w-1.  If a leader e of s
-    weighs w, e - c*e_j for a nonzero entry c at j weighs w-1 and has the
-    syndrome s - c*h_j, whose leader weight is then w-1, as by the
-    triangle inequality it is at least w-1.  Conversely, a vector of weight
-    w-1 with syndrome s + c*h_j, minus c*e_j, gives s a vector of weight at
-    most w, and s, uncovered after layers 0..w-1, weighs at least w.  The
-    representatives are distinct orbits, so the covered count stays exact.
+    weight w iff some s + c*h_j has leader weight w-1; it tests the columns
+    j in order and stops at the first hit, which the order cannot change.
+    If a leader e of s weighs w, e - c*e_j for a nonzero entry c at j
+    weighs w-1 and has the syndrome s - c*h_j, whose leader weight is then
+    w-1, as by the triangle inequality it is at least w-1.  Conversely, a
+    vector of weight w-1 with syndrome s + c*h_j, minus c*e_j, gives s a
+    vector of weight at most w, and s, uncovered after layers 0..w-1,
+    weighs at least w.  The representatives are distinct orbits, so the
+    covered count stays exact.
+    On the last layer of a full-radius MDS code, w = r, the first column
+    always hits: any r columns of H that include j are a basis, and in it
+    s has a nonzero coefficient at j, or it would weigh at most r-1.
 
     A layer that settles no syndrome refuses H as rank deficient: if every
     weight-w syndrome has a lighter vector, so has e = e1 + c*e_j of weight
@@ -476,13 +500,11 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
             np.count_nonzero(leader[part] == 0xFF) for part in slices)
 
     covered = 1
-    steps = None
     for w in range(1, n + 1):
         before = covered
         if _pull_is_cheaper(n, q, w, (total - covered) // (q - 1)):
-            if steps is None:
-                steps = table[:, 1:].reshape(-1, *table.shape[2:])
-            for found in _pulled(w, leader, slices, steps, add, pack, unpack):
+            for found in _pulled(w, leader, slices, table[:, 1:], add, pack,
+                                 unpack):
                 settle(found, w)
                 covered += (q - 1) * found.size
         else:

@@ -16,9 +16,9 @@ import numpy as np
 from . import kernels, serialize
 from .code import extend_g
 from .covering import (
+    _extension_test,
     covering_radius,
     deep_holes_via_mds,
-    extensions_mds,
     is_deep_hole,
     syndrome_criteria,
 )
@@ -105,9 +105,10 @@ def suite_thm6_exhaustive(params):
                     for k in range(1, n):
                         code = grs(GrsSpec.make(ctx, nodes, mult, k))
                         rep = covering_radius(code.dual(), budget)
+                        extension_mds = _extension_test(code, budget)
                         checked_codes += 1
                         for us in _all_vectors(ctx, n, budget):
-                            lhs = extensions_mds(code, us, budget)
+                            lhs = extension_mds(us)
                             rhs = (rep.rho == k) & (rep.leader_weights(us)
                                                     == rep.rho)
                             checked_u += len(us)

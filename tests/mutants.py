@@ -13,7 +13,8 @@ a failing test or a package that no longer imports kills the mutant.
 It exits 1 if the tests pass on some mutant (the mutant survived) or if
 some old text is no longer found once (the patch is stale: update it with
 the code it mutates).  pytest does not collect this file, since its name
-does not start with test_; the whole run takes about three minutes.
+does not start with test_; the whole run takes about three and a half
+minutes.
 """
 
 from __future__ import annotations
@@ -81,6 +82,16 @@ MUTANTS = [
      ["tests/test_kernels.py"]),
     ("pull reads leader weight w - 2", "kernels.py",
      "== w - 1).any(axis=1)", "== w - 2).any(axis=1)",
+     ["tests/test_kernels.py"]),
+    ("pull keeps testing representatives that already hit", "kernels.py",
+     "                open_, digits = open_[~found], digits[~found]\n", "",
+     ["tests/test_kernels.py"]),
+    ("pull tests only the first column", "kernels.py",
+     "            for j in range(n):\n                near = ",
+     "            for j in range(1):\n                near = ",
+     ["tests/test_kernels.py"]),
+    ("pull is priced at n(q-1) per orbit", "kernels.py",
+     "return left * (q - 1) < comb(", "return left * n * (q - 1) < comb(",
      ["tests/test_kernels.py"]),
     ("orbit representatives drop the end of [q^t, 2q^t)", "kernels.py",
      "slice(q ** t, 2 * q ** t)", "slice(q ** t, 2 * q ** t - 1)",

@@ -467,19 +467,40 @@ def test_entries_outside_the_field_are_refused(entry):
     assert issubclass(BadEncoding, MdsxError)
 
 
+def test_thm6_suite_scans_each_codes_orbits_once(monkeypatch):
+    # 8-row blocks cut GF(3)^3 into nine blocks of vectors u; the light
+    # codewords of a code are still scanned once, not once per block
+    real = kernels.orbit_blocks
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return real(*args)
+    want = suites.run_suite("thm6-exhaustive", {"qs": [3], "max_n": 3})
+    monkeypatch.setattr(kernels, "orbit_blocks", counted)
+    monkeypatch.setattr(kernels, "_BLOCK_ROWS", 8)
+    assert suites.run_suite("thm6-exhaustive",
+                            {"qs": [3], "max_n": 3}) == want
+    assert len(scans) == sum(case["codes"] for case in want["cases"]) == 10
+
+
 def test_thm6_suite_reports_the_first_disagreement(monkeypatch):
     # flip the left side at the fifth and the eighth u of every code: every
     # case fails and still checks all its codes, and the report names the
     # first code, eval[2,1] on nodes (0, 1) over GF(3), at its fifth u,
     # (1, 1), in product order
-    real = suites.extensions_mds
+    real = suites._extension_test
 
-    def flipped(code, us, budget):
-        out = real(code, us, budget)
-        out[[4, 7]] ^= True
-        return out
+    def flipped(code, budget):
+        test = real(code, budget)
 
-    monkeypatch.setattr(suites, "extensions_mds", flipped)
+        def flip(us):
+            out = test(us)
+            out[[4, 7]] ^= True
+            return out
+        return flip
+
+    monkeypatch.setattr(suites, "_extension_test", flipped)
     rep = suites.run_suite("thm6-exhaustive", {"qs": [3], "max_n": 3})
     assert not rep["passed"]
     assert [c["ok"] for c in rep["cases"]] == [False, False]

@@ -145,7 +145,8 @@ def _recording_routes(monkeypatch, routes):
 def test_each_route_alone_matches_brute_force(q, pull, monkeypatch):
     # every layer takes one route (weight 1 pulls from syndrome 0);
     # 16-row blocks stack a few supports and fold the larger ones alone,
-    # and cut the pull into batches of one or a few representatives
+    # and cut the pull into batches of a few representatives; 1-row blocks
+    # fold every support alone and pull one representative per batch
     monkeypatch.setattr(kernels, "_pull_is_cheaper", lambda *args: pull)
     routes = []
     _recording_routes(monkeypatch, routes)
@@ -153,13 +154,77 @@ def test_each_route_alone_matches_brute_force(q, pull, monkeypatch):
         code = _fresh(code)
         H = code.parity.to_int_rows()
         want = helpers.brute_coset_leaders(code)
-        for rows in (1 << 14, 16):
+        for rows in (1 << 14, 16, 1):
             monkeypatch.setattr(kernels, "_BLOCK_ROWS", rows)
             routes.clear()
             leader, rho = kernels.coset_leader_weights(H, code.n, code.ctx)
             assert (leader.tolist(), rho) == want
             assert routes == [("pulled" if pull else "pushed", w)
                               for w in range(1, rho + 1)]
+
+
+def _recording_pull_visits(monkeypatch, visits):
+    """Record [w, left, tested] for every layer the sweep pulls: the
+    uncovered orbits it starts from and the neighbours it tests, the rows
+    of every `_outer_sum` made while `_pulled` runs."""
+    real_pulled, real_outer = kernels._pulled, kernels._outer_sum
+    pulling = []
+
+    def pulled(w, leader, slices, *rest):
+        left = sum(np.count_nonzero(leader[part] == 0xFF) for part in slices)
+        visits.append([w, int(left), 0])
+        pulling.append(w)
+        yield from real_pulled(w, leader, slices, *rest)
+        pulling.pop()
+
+    def outer(parts, add):
+        out = real_outer(parts, add)
+        if pulling:
+            visits[-1][2] += len(out)
+        return out
+    monkeypatch.setattr(kernels, "_pulled", pulled)
+    monkeypatch.setattr(kernels, "_outer_sum", outer)
+
+
+@pytest.mark.parametrize("q", [4, 5, 8, 9])
+def test_pull_stops_at_each_orbits_first_hit(q, monkeypatch):
+    # full-radius MDS codes, every layer pulled: an orbit tests at least
+    # one column and at most all n, and on the last layer, w = n - k, the
+    # first column always hits (any n - k columns of H are a basis)
+    codes = [_fresh(c) for c in _small_codes(q)]
+    if q in (4, 8):
+        codes.append(prs(codes[0].ctx, 2))  # [q+1, 2], rho q-1
+    codes = [c for c in codes
+             if c.is_mds() and covering_radius(c).rho == c.n - c.k]
+    assert codes
+    monkeypatch.setattr(kernels, "_pull_is_cheaper", lambda *args: True)
+    visits = []
+    _recording_pull_visits(monkeypatch, visits)
+    for code in codes:
+        visits.clear()
+        _, rho = kernels.coset_leader_weights(
+            code.parity.to_int_rows(), code.n, code.ctx)
+        assert rho == code.n - code.k
+        assert [w for w, _, _ in visits] == list(range(1, rho + 1))
+        for _, left, tested in visits:
+            assert left * (q - 1) <= tested <= left * code.n * (q - 1)
+        _, left, tested = visits[-1]
+        assert tested == left * (q - 1)
+
+
+@pytest.mark.parametrize("make, pushed, rho", [
+    (lambda: prs(field_new(2, 3), 2), 5, 7),
+    (lambda: grs(GrsSpec.make(field_new(11, 1), range(11), 1, 6)), 3, 5),
+], ids=["prs9.2-gf8", "grs11.6-gf11"])
+def test_pull_takes_the_layers_where_one_column_per_orbit_is_cheaper(
+        make, pushed, rho, monkeypatch):
+    # left*(q-1) < C(n, w)(q-1)^(w-1) first holds at w = pushed + 1;
+    # priced at left*n*(q-1), layer pushed + 1 would be pushed too
+    routes = []
+    _recording_routes(monkeypatch, routes)
+    assert covering_radius(make()).rho == rho
+    assert routes == [("pushed", w) for w in range(1, pushed + 1)] + \
+        [("pulled", w) for w in range(pushed + 1, rho + 1)]
 
 
 def test_prime_field_beyond_the_addition_table():
