@@ -20,7 +20,7 @@ from .errors import (
 )
 from .field import FieldCtx
 from .kernels import DEFAULT_BUDGET
-from .matrix import Matrix, _box, _of, first_dependent_columns
+from .matrix import Matrix, _box, _kernel, _of, first_dependent_columns
 
 
 class LinearCode:
@@ -43,7 +43,7 @@ class LinearCode:
     @property
     def parity(self) -> Matrix:
         if self._parity is None:
-            self._parity = self.generator.nullspace()
+            self._parity = _kernel(self.ctx, self.generator._rows, self.n)
         return self._parity
 
     def dual(self) -> "LinearCode":

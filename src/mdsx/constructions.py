@@ -10,8 +10,8 @@ computed by dynamic programming over subset size.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 from .code import LinearCode, code_from_generator, full_code
@@ -32,8 +32,8 @@ from .field import (
     quadratic_extension,
 )
 from .kernels import DEFAULT_BUDGET
-from .matrix import Matrix, egrs_generator, grs_generator, \
-    _normalize_nodes_multipliers
+from .matrix import egrs_generator, grs_generator, _box, _of, \
+    _normalize_nodes_multipliers, _power_row
 
 
 # ---------------------------------------------------------------------------
@@ -50,19 +50,14 @@ class GrsSpec:
 
     def __post_init__(self):
         ctx, a, v = _normalize_nodes_multipliers(self.a, self.v)
-        object.__setattr__(self, "a", tuple(a))
-        object.__setattr__(self, "v", tuple(v))
+        object.__setattr__(self, "a", _box(ctx, a))
+        object.__setattr__(self, "v", _box(ctx, v))
         if not 1 <= self.k <= len(a):
             raise BadDims(f"need 1 <= k <= {len(a)}, got {self.k}")
 
     @classmethod
     def make(cls, ctx: FieldCtx, nodes, multipliers=1, k=1):
-        a = tuple(ctx.elem(x) for x in nodes)
-        if isinstance(multipliers, (int, FieldElement)):
-            v = tuple([ctx.elem(multipliers)] * len(a))
-        else:
-            v = tuple(ctx.elem(x) for x in multipliers)
-        return cls(a, v, k)
+        return cls(ctx.vector(nodes), multipliers, k)
 
     @property
     def n(self) -> int:
@@ -84,15 +79,20 @@ def egrs(spec: GrsSpec) -> LinearCode:
 def grs_dual_weights(a, v) -> tuple:
     """The column multipliers w making the w-twisted evaluation code on the
     same nodes the dual: w_i = 1 / (v_i * prod_{j != i} (a_i - a_j))."""
-    _, a, v = _normalize_nodes_multipliers(a, v)
-    out = []
-    for i, ai in enumerate(a):
-        prod = v[i]
-        for j, aj in enumerate(a):
-            if j != i:
-                prod = prod * (ai - aj)
-        out.append(prod.inv())
-    return tuple(out)
+    ctx, _, lw = _dual_weight_logs(a, v, 1)
+    return _box(ctx, map(ctx._exp.__getitem__, lw))
+
+
+def _dual_weight_logs(a, v, k: int):
+    """The field, the node encodings and the logs of grs_dual_weights(a, v),
+    for a dimension k in 1..n."""
+    ctx, a, v = _normalize_nodes_multipliers(a, v)
+    if not 1 <= k <= len(a):
+        raise BadDims(f"need 1 <= k <= n = {len(a)}, got {k}")
+    log, n1, sub = ctx._log, ctx.q - 1, ctx.sub_i
+    return ctx, a, [
+        -(log[vi] + sum(log[sub(ai, aj)] for aj in a if aj != ai)) % n1
+        for ai, vi in zip(a, v)]
 
 
 def prs(ctx: FieldCtx, k: int) -> LinearCode:
@@ -109,12 +109,12 @@ def prs(ctx: FieldCtx, k: int) -> LinearCode:
 def roth_lempel(a, k: int, delta) -> LinearCode:
     """[n+2, k] code: the coefficient-extended evaluation code on the nodes
     with unit multipliers, and one more column (0,..,0,1,delta)^T."""
-    _, a, _ = _normalize_nodes_multipliers(a, 1)
+    ctx, a, _ = _normalize_nodes_multipliers(a, 1)
     n = len(a)
     if not 4 <= k + 1 <= n:
         raise BadDims(f"need 4 <= k+1 <= n, got k = {k}, n = {n}")
-    return code_from_generator(
-        egrs_generator(a, 1, k).with_col([0] * (k - 2) + [1, delta]))
+    return code_from_generator(egrs_generator(
+        _box(ctx, a), 1, k).with_col([0] * (k - 2) + [1, delta]))
 
 
 # ---------------------------------------------------------------------------
@@ -124,27 +124,18 @@ def roth_lempel(a, k: int, delta) -> LinearCode:
 def thm7_u(a, v, k: int) -> tuple:
     """The u with G_k u^T = (0,..,0,1)^T: extending the evaluation code by
     <u, .> appends exactly the degree-(k-1) coefficient."""
-    _, a, v = _normalize_nodes_multipliers(a, v)
-    n = len(a)
-    if not 1 <= k <= n:
-        raise BadDims(f"need 1 <= k <= n = {n}, got {k}")
-    w = grs_dual_weights(a, v)
-    return tuple(ai ** (n - k) * wi for ai, wi in zip(a, w))
+    ctx, a, lw = _dual_weight_logs(a, v, k)
+    return _box(ctx, _power_row(ctx, a, lw, len(a) - k))
 
 
 def thm12_u(a, k: int, delta) -> tuple:
     """Length n+1 vector u with G_{k,inf} u^T = (0,..,0,1,delta)^T, so the
     extension of the coefficient-extended code equals the Roth-Lempel code;
     unit multipliers assumed."""
-    ctx, a, _ = _normalize_nodes_multipliers(a, 1)
-    n = len(a)
-    if not 1 <= k <= n:
-        raise BadDims(f"need 1 <= k <= n = {n}, got {k}")
-    delta = ctx.elem(delta)
-    w = grs_dual_weights(a, 1)
-    head = [ai ** (n + 1 - k) * wi for ai, wi in zip(a, w)]
-    node_sum = sum(a, ctx.zero)
-    return tuple(head + [delta - node_sum])
+    ctx, a, lw = _dual_weight_logs(a, 1, k)
+    head = _power_row(ctx, a, lw, len(a) + 1 - k)
+    return _box(ctx, head + [ctx.sub_i(ctx.encode(delta),
+                                       reduce(ctx.add_i, a))])
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +143,15 @@ def thm12_u(a, k: int, delta) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _distinct_elements(s):
+    """The field and the sorted encodings of distinct elements s."""
     s = list(s)
     if not s:
         raise BadK("empty element set")
     ctx = s[0].ctx
-    s = [ctx.elem(x) for x in s]
-    if len({x.value for x in s}) != len(s):
+    s = sorted(map(ctx.encode, s))
+    if len(set(s)) != len(s):
         raise DuplicateNode("set elements must be pairwise distinct")
-    return ctx, sorted(s, key=lambda e: e.value)
+    return ctx, s
 
 
 def _subset_folds(items, m: int, unit, op) -> set:
@@ -177,7 +169,7 @@ def subset_sums(s, m: int) -> set:
     ctx, s = _distinct_elements(s)
     if not 0 <= m <= len(s):
         raise BadK(f"need 0 <= m <= {len(s)}, got {m}")
-    return _subset_folds(s, m, ctx.zero, operator.add)
+    return set(_box(ctx, _subset_folds(s, m, 0, ctx.add_i)))
 
 
 def nk_delta_set_check(s, k: int, delta) -> bool:
@@ -189,13 +181,14 @@ def nk_delta_set_check(s, k: int, delta) -> bool:
 def t_set(a, pi, m: int) -> set:
     """Reciprocals of m-fold products of (pi - a_i) over m-subsets."""
     ctx, a = _distinct_elements(a)
-    pi = ctx.elem(pi)
-    if any(x == pi for x in a):
-        raise PoleCollision(f"pole {pi.value} collides with a node")
+    pi = ctx.encode(pi)
+    if pi in a:
+        raise PoleCollision(f"pole {pi} collides with a node")
     if not 0 <= m <= len(a):
         raise BadK(f"need 0 <= m <= {len(a)}, got {m}")
-    factors = [pi - x for x in a]
-    return {x.inv() for x in _subset_folds(factors, m, ctx.one, operator.mul)}
+    factors = [ctx.sub_i(pi, x) for x in a]
+    prods = _subset_folds(factors, m, 1, ctx.mul_i)
+    return set(_box(ctx, map(ctx.inv_i, prods)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,27 +219,24 @@ def thm14_vector(kind: str, a, k: int, delta, pi=None) -> DeepHoleCandidate:
     When the code's covering radius equals k, valid coincides with the
     brute-force deep-hole verdict.
     """
-    ctx, a, _ = _normalize_nodes_multipliers(a, 1)
-    n = len(a)
-    if not 1 <= k <= n:
-        raise BadDims(f"need 1 <= k <= n = {n}, got {k}")
+    ctx, a, lw = _dual_weight_logs(a, 1, k)
     delta = ctx.elem(delta)
-    w = grs_dual_weights(a, 1)
-    m = n + 1 - k
+    m = len(a) + 1 - k
     if kind == "monomial":
-        head = [wi * (ai ** m) for ai, wi in zip(a, w)]
-        valid = (-delta) not in subset_sums(a, m)
-        return DeepHoleCandidate("thm14_monomial", tuple(head + [delta]),
+        head = _power_row(ctx, a, lw, m)
+        valid = (-delta) not in subset_sums(_box(ctx, a), m)
+        return DeepHoleCandidate("thm14_monomial",
+                                 _box(ctx, head + [delta.value]),
                                  delta=delta, valid=valid)
     if kind == "pole":
         if pi is None:
             raise PoleCollision("pole kind needs a pole location")
         pi = ctx.elem(pi)
-        if any(x == pi for x in a):
+        if pi.value in a:
             raise PoleCollision(f"pole {pi.value} collides with a node")
-        head = [wi / (ai - pi) for ai, wi in zip(a, w)]
-        valid = delta not in t_set(a, pi, m)
-        return DeepHoleCandidate("thm14_pole", tuple(head + [delta]),
+        head = _power_row(ctx, [ctx.sub_i(x, pi.value) for x in a], lw, -1)
+        valid = delta not in t_set(_box(ctx, a), pi, m)
+        return DeepHoleCandidate("thm14_pole", _box(ctx, head + [delta.value]),
                                  pi=pi, delta=delta, valid=valid)
     raise BadK(f"unknown candidate kind {kind!r}")
 
@@ -288,11 +278,10 @@ def cyclic_cu(m: int, u: int) -> LinearCode:
     spec = cyclic_spec(m, u)
     base = spec.gen_poly.ctx
     n = spec.q + 1
-    coeffs = [c for c in spec.gen_poly.coeffs]
-    k = n - spec.gen_poly.degree
-    rows = [[0] * i + [c.value for c in coeffs] + [0] * (n - len(coeffs) - i)
-            for i in range(k)]
-    return code_from_generator(Matrix(base, rows))
+    coeffs = tuple(c.value for c in spec.gen_poly.coeffs)
+    rows = tuple((0,) * i + coeffs + (0,) * (n - len(coeffs) - i)
+                 for i in range(n - spec.gen_poly.degree))
+    return code_from_generator(_of(base, rows, n))
 
 
 @dataclass(frozen=True)
@@ -353,6 +342,7 @@ def cu_extension_facts(m: int, u: int,
 
 def subset_sums_bruteforce(s, m: int) -> set:
     ctx, s = _distinct_elements(s)
+    s = _box(ctx, s)
     if not 0 <= m <= len(s):
         raise BadK(f"need 0 <= m <= {len(s)}, got {m}")
     out = set()
@@ -363,6 +353,7 @@ def subset_sums_bruteforce(s, m: int) -> set:
 
 def t_set_bruteforce(a, pi, m: int) -> set:
     ctx, a = _distinct_elements(a)
+    a = _box(ctx, a)
     pi = ctx.elem(pi)
     if any(x == pi for x in a):
         raise PoleCollision(f"pole {pi.value} collides with a node")

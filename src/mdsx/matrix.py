@@ -6,6 +6,8 @@ matrices are immutable values.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from . import kernels
@@ -33,6 +35,36 @@ def _of(ctx: FieldCtx, rows: tuple, cols: int) -> "Matrix":
 
 def _box(ctx: FieldCtx, values) -> tuple:
     return tuple(map(ctx._elems.__getitem__, values))
+
+
+def _updater(ctx: FieldCtx):
+    """y + c x on encodings, as f(y, log c, logs of x with -1 at zeros):
+    XOR in characteristic 2, add lists for odd q <= _ADD_TABLE_LIMIT, else
+    add_i."""
+    exp, n, add = ctx._exp, ctx.q - 1, ctx._add
+    if ctx.p == 2:
+        return lambda y, c, lx: tuple([a ^ exp[(c + b) % n] if b >= 0 else a
+                                       for a, b in zip(y, lx)])
+    if add is not None:
+        return lambda y, c, lx: tuple([add[a][exp[(c + b) % n]] if b >= 0
+                                       else a for a, b in zip(y, lx)])
+    add = ctx.add_i
+    return lambda y, c, lx: tuple([add(a, exp[(c + b) % n]) if b >= 0 else a
+                                   for a, b in zip(y, lx)])
+
+
+def _kernel(ctx: FieldCtx, red, nc: int) -> "Matrix":
+    """A basis of {x : M x^T = 0} in RREF, from the rows of M's reduced
+    form, whose nonzero rows each start at a pivot column."""
+    pivots = [next(j for j, e in enumerate(r) if e) for r in red if any(r)]
+    basis = []
+    for f in (j for j in range(nc) if j not in pivots):
+        v = [0] * nc
+        v[f] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = ctx.neg_i(red[r][f])
+        basis.append(tuple(v))
+    return _of(ctx, tuple(basis), nc).rref()[0] if basis else _of(ctx, (), nc)
 
 
 class Matrix:
@@ -104,15 +136,11 @@ class Matrix:
 
     def _dot_rows(self, v) -> tuple:
         """M v^T on an encoded vector, as encodings."""
-        add, mul = self.ctx.add_i, self.ctx.mul_i
-        out = []
-        for r in self._rows:
-            acc = 0
-            for a, b in zip(r, v):
-                if a and b:
-                    acc = add(acc, mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        ctx = self.ctx
+        exp, log, n1, add = ctx._exp, ctx._log, ctx.q - 1, ctx.add_i
+        lv = [log[b] if b else -1 for b in v]
+        return tuple(reduce(add, [exp[(log[a] + b) % n1] for a, b in zip(r, lv)
+                                  if a and b >= 0], 0) for r in self._rows)
 
     def transpose(self) -> "Matrix":
         return _of(self.ctx,
@@ -125,9 +153,8 @@ class Matrix:
         if self.cols != other.rows:
             raise BadDims(f"{self.rows}x{self.cols} times "
                           f"{other.rows}x{other.cols}")
-        ot = other.transpose()
-        return _of(self.ctx,
-                   tuple(ot._dot_rows(r) for r in self._rows), other.cols)
+        return _of(self.ctx, tuple(map(other.transpose()._dot_rows,
+                                       self._rows)), other.cols)
 
     def mat_vec(self, v) -> tuple:
         v = tuple(map(self.ctx.encode, v))
@@ -179,33 +206,28 @@ class Matrix:
     def _eliminate(self):
         """rref's elimination: the reduced form, the pivot columns, the
         pivot entries before their rows are scaled to 1, and the number
-        of row swaps."""
+        of row swaps.  Row updates read the scaled pivot row's logs."""
         ctx = self.ctx
-        sub, mul = ctx.sub_i, ctx.mul_i
+        exp, log, n1 = ctx._exp, ctx._log, ctx.q - 1
+        lneg = log[ctx.neg_i(1)]  # log(-1)
+        update = _updater(ctx)
         rows = list(self._rows)
         nr, nc = self.rows, self.cols
-        pivots = []
-        values = []
-        swaps = 0
-        pr = 0
+        pivots, values, swaps, pr = [], [], 0, 0
         for pc in range(nc):
-            pivot = None
-            for i in range(pr, nr):
-                if rows[i][pc]:
-                    pivot = i
-                    break
+            pivot = next((i for i in range(pr, nr) if rows[i][pc]), None)
             if pivot is None:
                 continue
             swaps += pivot != pr
             rows[pr], rows[pivot] = rows[pivot], rows[pr]
             values.append(rows[pr][pc])
-            inv = ctx.inv_i(rows[pr][pc])
-            prow = rows[pr] = tuple(mul(e, inv) for e in rows[pr])
+            s = n1 - log[rows[pr][pc]]
+            lp = [(log[b] + s) % n1 if b else -1 for b in rows[pr]]
+            rows[pr] = tuple([exp[lb] if lb >= 0 else 0 for lb in lp])
             for i in range(nr):
                 f = rows[i][pc]
                 if i != pr and f:
-                    rows[i] = tuple(sub(a, mul(f, b))
-                                    for a, b in zip(rows[i], prow))
+                    rows[i] = update(rows[i], (log[f] + lneg) % n1, lp)
             pivots.append(pc)
             pr += 1
             if pr == nr:
@@ -225,25 +247,12 @@ class Matrix:
         _, pivots, values, swaps = self._eliminate()
         if len(pivots) < self.rows:
             return ctx.zero
-        det = ctx.neg_i(1) if swaps % 2 else 1
-        for v in values:
-            det = ctx.mul_i(det, v)
-        return ctx._elems[det]
+        lg = sum(map(ctx._log.__getitem__, [ctx.neg_i(1)] * swaps + values))
+        return ctx._elems[ctx._exp[lg % (ctx.q - 1)]]
 
     def nullspace(self) -> "Matrix":
         """Rows form a basis of the right kernel {x : M x^T = 0}, in RREF."""
-        red, pivots = self.rref()
-        nc = self.cols
-        free = [j for j in range(nc) if j not in pivots]
-        basis = []
-        for f in free:
-            v = [0] * nc
-            v[f] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = self.ctx.neg_i(red._rows[r][f])
-            basis.append(tuple(v))
-        return _of(self.ctx, tuple(basis), nc).rref()[0] if basis \
-            else _of(self.ctx, (), nc)
+        return _kernel(self.ctx, self.rref()[0]._rows, self.cols)
 
     def solve(self, b) -> tuple:
         """One solution of M x^T = b (free variables set to zero)."""
@@ -278,22 +287,30 @@ def first_dependent_columns(m: Matrix, k: int, budget=DEFAULT_BUDGET):
 
 
 def _normalize_nodes_multipliers(a, v):
+    """The field, and encodings of distinct nodes and nonzero multipliers."""
     a = list(a)
     if not a:
         raise BadDims("empty node vector")
     ctx = a[0].ctx
-    a = [ctx.elem(x) for x in a]
-    if len({x.value for x in a}) != len(a):
+    a = list(map(ctx.encode, a))
+    if len(set(a)) != len(a):
         raise DuplicateNode("evaluation nodes must be pairwise distinct")
     n = len(a)
-    if isinstance(v, (int, FieldElement)):
-        v = [v] * n
-    v = [ctx.elem(x) for x in v]
+    v = [ctx.encode(v)] * n if isinstance(v, (int, FieldElement)) \
+        else list(map(ctx.encode, v))
     if len(v) != n:
         raise BadDims("multiplier vector length does not match nodes")
-    if any(x.value == 0 for x in v):
+    if 0 in v:
         raise ZeroMultiplier("column multipliers must be nonzero")
     return ctx, a, v
+
+
+def _power_row(ctx: FieldCtx, a, lw, e: int) -> list:
+    """Encodings of w_j a_j^e, from the node encodings a and the logs lw
+    of the nonzero w (0^0 = 1)."""
+    exp, log, n1 = ctx._exp, ctx._log, ctx.q - 1
+    return [exp[(lb + e * log[x]) % n1] if x or not e else 0
+            for x, lb in zip(a, lw)]
 
 
 def grs_generator(a, v, k: int) -> Matrix:
@@ -302,17 +319,11 @@ def grs_generator(a, v, k: int) -> Matrix:
     n = len(a)
     if not 1 <= k <= n:
         raise BadDims(f"need 1 <= k <= n, got k = {k}, n = {n}")
-    a = [x.value for x in a]
-    rows = []
-    cur = [x.value for x in v]
-    for _ in range(k):
-        rows.append(cur)
-        cur = [ctx.mul_i(c, x) for c, x in zip(cur, a)]
-    return Matrix(ctx, rows)
+    lv = list(map(ctx._log.__getitem__, v))
+    return _of(ctx, tuple(tuple(_power_row(ctx, a, lv, i))
+                          for i in range(k)), n)
 
 
 def egrs_generator(a, v, k: int) -> Matrix:
     """The k x n evaluation matrix with an appended (0,...,0,1)^T column."""
-    g = grs_generator(a, v, k)
-    inf_col = [0] * (k - 1) + [1]
-    return g.with_col(inf_col)
+    return grs_generator(a, v, k).with_col([0] * (k - 1) + [1])

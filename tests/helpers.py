@@ -9,10 +9,11 @@ import numpy as np
 from mdsx import kernels
 from mdsx.constructions import DeepHoleCandidate
 from mdsx.covering import covering_radius
-from mdsx.errors import BadK, InvariantViolation, NoBaseField, NotMds
-from mdsx.field import Poly
+from mdsx.errors import BadDims, BadK, DuplicateNode, InvariantViolation, \
+    NoBaseField, NotMds, ZeroMultiplier
+from mdsx.field import FieldElement, Poly
 from mdsx.kernels import DEFAULT_BUDGET
-from mdsx.matrix import Matrix, _normalize_nodes_multipliers
+from mdsx.matrix import Matrix
 
 
 def all_vectors(ctx, n):
@@ -430,7 +431,7 @@ def deep_hole_family_rs(a, k, v=None):
     (multipliers v, default 1): the degree-k monomial vector and one simple
     pole per point outside the node set.  The pole family is empty when the
     nodes exhaust the field."""
-    ctx, a, v = _normalize_nodes_multipliers(a, 1 if v is None else v)
+    ctx, a, v = boxed_nodes_multipliers(a, 1 if v is None else v)
     n = len(a)
     if not 1 <= k < n:
         raise BadK(f"need 1 <= k < n = {n}, got {k}")
@@ -444,3 +445,73 @@ def deep_hole_family_rs(a, k, v=None):
         out.append(DeepHoleCandidate(
             "pole", tuple(vi / (ai - pi) for ai, vi in zip(a, v)), pi=pi))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Boxed twins of the builders, which compute on encodings: FieldElement
+# arithmetic only, from their own normalisation of nodes and multipliers.
+# ---------------------------------------------------------------------------
+
+def boxed_nodes_multipliers(a, v):
+    """(ctx, nodes, multipliers) as FieldElements, with the errors of
+    matrix._normalize_nodes_multipliers in the same order."""
+    a = list(a)
+    if not a:
+        raise BadDims("empty node vector")
+    ctx = a[0].ctx
+    a = [ctx.elem(x) for x in a]
+    if len({x.value for x in a}) != len(a):
+        raise DuplicateNode("evaluation nodes must be pairwise distinct")
+    n = len(a)
+    if isinstance(v, (int, FieldElement)):
+        v = [v] * n
+    v = [ctx.elem(x) for x in v]
+    if len(v) != n:
+        raise BadDims("multiplier vector length does not match nodes")
+    if any(x.value == 0 for x in v):
+        raise ZeroMultiplier("column multipliers must be nonzero")
+    return ctx, a, v
+
+
+def ref_grs_generator(a, v, k):
+    """Rows v_j * a_j^i for i = 0..k-1, as lists of FieldElements."""
+    _, a, v = boxed_nodes_multipliers(a, v)
+    return [[vj * aj ** i for aj, vj in zip(a, v)] for i in range(k)]
+
+
+def ref_grs_dual_weights(a, v):
+    _, a, v = boxed_nodes_multipliers(a, v)
+    out = []
+    for i, ai in enumerate(a):
+        prod = v[i]
+        for j, aj in enumerate(a):
+            if j != i:
+                prod = prod * (ai - aj)
+        out.append(prod.inv())
+    return tuple(out)
+
+
+def ref_thm7_u(a, v, k):
+    _, a, _ = boxed_nodes_multipliers(a, v)
+    w = ref_grs_dual_weights(a, v)
+    return tuple(ai ** (len(a) - k) * wi for ai, wi in zip(a, w))
+
+
+def ref_thm12_u(a, k, delta):
+    ctx, a, _ = boxed_nodes_multipliers(a, 1)
+    w = ref_grs_dual_weights(a, 1)
+    head = [ai ** (len(a) + 1 - k) * wi for ai, wi in zip(a, w)]
+    return tuple(head + [ctx.elem(delta) - sum(a, ctx.zero)])
+
+
+def ref_thm14_heads(a, k, pi=None):
+    """The first n entries of the monomial candidate and of the pole
+    candidate (None without a pole)."""
+    ctx, a, _ = boxed_nodes_multipliers(a, 1)
+    w = ref_grs_dual_weights(a, 1)
+    m = len(a) + 1 - k
+    monomial = [wi * (ai ** m) for ai, wi in zip(a, w)]
+    if pi is None:
+        return monomial, None
+    pi = ctx.elem(pi)
+    return monomial, [wi / (ai - pi) for ai, wi in zip(a, w)]

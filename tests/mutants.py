@@ -177,6 +177,14 @@ MUTANTS = [
     ("rref stops one pivot early", "matrix.py",
      "            if pr == nr:\n", "            if pr + 1 == nr:\n",
      ["tests/test_matrix_twin.py", "tests/test_matrix.py"]),
+    ("odd elimination adds f·pivot row", "matrix.py",
+     "update(rows[i], (log[f] + lneg) % n1, lp)",
+     "update(rows[i], log[f], lp)",
+     ["tests/test_matrix_twin.py", "tests/test_matrix.py"]),
+    ("GRS power rows read node 0 as 1", "matrix.py",
+     "exp[(lb + e * log[x]) % n1] if x or not e else 0",
+     "exp[(lb + e * log[x]) % n1]",
+     ["tests/test_constructions.py", "tests/test_matrix.py"]),
     ("log(0) one period short", "field.py",
      "log[0] = 2 * (q - 1)", "log[0] = q - 1",
      ["tests/test_field.py", "tests/test_kernels.py"]),
@@ -221,6 +229,9 @@ MUTANTS = [
      ["tests/test_constructions.py"]),
     ("Roth-Lempel column reversed", "constructions.py",
      "[1, delta]", "[delta, 1]",
+     ["tests/test_constructions.py"]),
+    ("int dual weights drop the multiplier v_i", "constructions.py",
+     "-(log[vi] + sum(", "-(sum(",
      ["tests/test_constructions.py"]),
 ]
 

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from mdsx.code import code_from_generator
@@ -432,3 +434,54 @@ class TestCuExtensionFacts:
     def test_rejects_other_u(self):
         with pytest.raises(BadU):
             cu_extension_facts(3, 3)
+
+
+# ---------------------------------------------------------------------------
+# The builders compute on encodings; their boxed twins in helpers.py compute
+# with FieldElement arithmetic.  GF(1031) is odd with q above the add lists.
+# ---------------------------------------------------------------------------
+
+TWIN_FIELDS = [field_new(p, m) for p, m in
+               ((2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (1031, 1))]
+
+
+@st.composite
+def builder_inputs(draw):
+    """(nodes, multipliers, k, delta, pole or None), with node 0 and k = n
+    each drawn half of the time."""
+    ctx = draw(st.sampled_from(TWIN_FIELDS))
+    values = st.integers(0, ctx.q - 1)
+    nodes = draw(st.lists(values, min_size=1, max_size=min(ctx.q, 7),
+                          unique=True))
+    if draw(st.booleans()) and 0 not in nodes:
+        nodes[draw(st.integers(0, len(nodes) - 1))] = 0
+    n = len(nodes)
+    k = n if draw(st.booleans()) else draw(st.integers(1, n))
+    mult = draw(st.lists(st.integers(1, ctx.q - 1), min_size=n, max_size=n))
+    poles = [x for x in range(min(ctx.q, 64)) if x not in nodes]
+    pole = draw(st.sampled_from(poles)) if poles else None
+    return (ctx.vector(nodes), ctx.vector(mult), k, draw(values), pole)
+
+
+def encodings(vec):
+    return [e.value for e in vec]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(builder_inputs())
+def test_builders_match_boxed_twins(case):
+    a, v, k, delta, pole = case
+    assert grs_generator(a, v, k).to_int_rows() == \
+        [encodings(r) for r in helpers.ref_grs_generator(a, v, k)]
+    assert encodings(grs_dual_weights(a, v)) == \
+        encodings(helpers.ref_grs_dual_weights(a, v))
+    assert encodings(thm7_u(a, v, k)) == encodings(helpers.ref_thm7_u(a, v, k))
+    assert encodings(thm12_u(a, k, delta)) == \
+        encodings(helpers.ref_thm12_u(a, k, delta))
+    monomial, pole_head = helpers.ref_thm14_heads(a, k, pole)
+    n = len(a)
+    assert encodings(thm14_vector("monomial", a, k, delta).vector[:n]) == \
+        encodings(monomial)
+    if pole is not None:
+        cand = thm14_vector("pole", a, k, delta, pi=pole)
+        assert encodings(cand.vector[:n]) == encodings(pole_head)

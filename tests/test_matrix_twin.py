@@ -9,8 +9,11 @@ from mdsx.errors import ContextMismatch, InconsistentSystem
 from mdsx.field import field_new
 from mdsx.matrix import Matrix
 
+# XOR (characteristic 2), the add lists (odd q <= 1024) and add_i (GF(1031),
+# GF(3^7)) each carry elimination and the row update
 FIELDS = [field_new(p, m) for p, m in
-          ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+          ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+           (1031, 1), (3, 7), (2, 16))]
 SHAPES = ("zero-rows", "one-column", "full-rank", "rank-deficient", "random")
 
 
@@ -76,6 +79,7 @@ def test_solve_matches_twin(m, data):
     consistent = [sum((a * b for a, b in zip(r, x)), ctx.zero)
                   for r in m.row_list()]
     arbitrary = [data.draw(entry) for _ in range(m.rows)]
+    assert list(m.mat_vec(x)) == consistent
     assert m.solve(consistent) == helpers.ref_solve(m, consistent)
     want = helpers.ref_solve(m, arbitrary)
     if want is None:
