@@ -32,7 +32,7 @@ from .field import (
     quadratic_extension,
 )
 from .kernels import DEFAULT_BUDGET
-from .matrix import egrs_generator, grs_generator, _box, _of, \
+from .matrix import egrs_generator, grs_generator, _box, _grs, _of, \
     _normalize_nodes_multipliers, _power_row
 
 
@@ -113,8 +113,8 @@ def roth_lempel(a, k: int, delta) -> LinearCode:
     n = len(a)
     if not 4 <= k + 1 <= n:
         raise BadDims(f"need 4 <= k+1 <= n, got k = {k}, n = {n}")
-    return code_from_generator(egrs_generator(
-        _box(ctx, a), 1, k).with_col([0] * (k - 2) + [1, delta]))
+    g = _grs(ctx, a, [0] * n, k).with_col([0] * (k - 1) + [1])
+    return code_from_generator(g.with_col([0] * (k - 2) + [1, delta]))
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +186,13 @@ def t_set(a, pi, m: int) -> set:
         raise PoleCollision(f"pole {pi} collides with a node")
     if not 0 <= m <= len(a):
         raise BadK(f"need 0 <= m <= {len(a)}, got {m}")
+    return set(_box(ctx, _reciprocal_products(ctx, a, pi, m)))
+
+
+def _reciprocal_products(ctx: FieldCtx, a, pi: int, m: int) -> set:
+    """t_set on the node encodings a and the pole's encoding pi."""
     factors = [ctx.sub_i(pi, x) for x in a]
-    prods = _subset_folds(factors, m, 1, ctx.mul_i)
-    return set(_box(ctx, map(ctx.inv_i, prods)))
+    return set(map(ctx.inv_i, _subset_folds(factors, m, 1, ctx.mul_i)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +228,8 @@ def thm14_vector(kind: str, a, k: int, delta, pi=None) -> DeepHoleCandidate:
     m = len(a) + 1 - k
     if kind == "monomial":
         head = _power_row(ctx, a, lw, m)
-        valid = (-delta) not in subset_sums(_box(ctx, a), m)
+        valid = ctx.neg_i(delta.value) not in _subset_folds(a, m, 0,
+                                                             ctx.add_i)
         return DeepHoleCandidate("thm14_monomial",
                                  _box(ctx, head + [delta.value]),
                                  delta=delta, valid=valid)
@@ -235,7 +240,7 @@ def thm14_vector(kind: str, a, k: int, delta, pi=None) -> DeepHoleCandidate:
         if pi.value in a:
             raise PoleCollision(f"pole {pi.value} collides with a node")
         head = _power_row(ctx, [ctx.sub_i(x, pi.value) for x in a], lw, -1)
-        valid = delta not in t_set(_box(ctx, a), pi, m)
+        valid = delta.value not in _reciprocal_products(ctx, a, pi.value, m)
         return DeepHoleCandidate("thm14_pole", _box(ctx, head + [delta.value]),
                                  pi=pi, delta=delta, valid=valid)
     raise BadK(f"unknown candidate kind {kind!r}")

@@ -37,22 +37,6 @@ def _box(ctx: FieldCtx, values) -> tuple:
     return tuple(map(ctx._elems.__getitem__, values))
 
 
-def _updater(ctx: FieldCtx):
-    """y + c x on encodings, as f(y, log c, logs of x with -1 at zeros):
-    XOR in characteristic 2, add lists for odd q <= _ADD_TABLE_LIMIT, else
-    add_i."""
-    exp, n, add = ctx._exp, ctx.q - 1, ctx._add
-    if ctx.p == 2:
-        return lambda y, c, lx: tuple([a ^ exp[(c + b) % n] if b >= 0 else a
-                                       for a, b in zip(y, lx)])
-    if add is not None:
-        return lambda y, c, lx: tuple([add[a][exp[(c + b) % n]] if b >= 0
-                                       else a for a, b in zip(y, lx)])
-    add = ctx.add_i
-    return lambda y, c, lx: tuple([add(a, exp[(c + b) % n]) if b >= 0 else a
-                                   for a, b in zip(y, lx)])
-
-
 def _kernel(ctx: FieldCtx, red, nc: int) -> "Matrix":
     """A basis of {x : M x^T = 0} in RREF, from the rows of M's reduced
     form, whose nonzero rows each start at a pivot column."""
@@ -153,8 +137,9 @@ class Matrix:
         if self.cols != other.rows:
             raise BadDims(f"{self.rows}x{self.cols} times "
                           f"{other.rows}x{other.cols}")
-        return _of(self.ctx, tuple(map(other.transpose()._dot_rows,
-                                       self._rows)), other.cols)
+        ot = other.transpose()
+        return _of(self.ctx,
+                   tuple(ot._dot_rows(r) for r in self._rows), other.cols)
 
     def mat_vec(self, v) -> tuple:
         v = tuple(map(self.ctx.encode, v))
@@ -208,14 +193,20 @@ class Matrix:
         pivot entries before their rows are scaled to 1, and the number
         of row swaps.  Row updates read the scaled pivot row's logs."""
         ctx = self.ctx
-        exp, log, n1 = ctx._exp, ctx._log, ctx.q - 1
+        exp, log, n1, add = ctx._exp, ctx._log, ctx.q - 1, ctx.add_i
         lneg = log[ctx.neg_i(1)]  # log(-1)
-        update = _updater(ctx)
         rows = list(self._rows)
         nr, nc = self.rows, self.cols
-        pivots, values, swaps, pr = [], [], 0, 0
+        pivots = []
+        values = []
+        swaps = 0
+        pr = 0
         for pc in range(nc):
-            pivot = next((i for i in range(pr, nr) if rows[i][pc]), None)
+            pivot = None
+            for i in range(pr, nr):
+                if rows[i][pc]:
+                    pivot = i
+                    break
             if pivot is None:
                 continue
             swaps += pivot != pr
@@ -227,7 +218,9 @@ class Matrix:
             for i in range(nr):
                 f = rows[i][pc]
                 if i != pr and f:
-                    rows[i] = update(rows[i], (log[f] + lneg) % n1, lp)
+                    lf = log[f] + lneg  # log(-f)
+                    rows[i] = tuple([add(a, exp[(lf + b) % n1]) if b >= 0
+                                     else a for a, b in zip(rows[i], lp)])
             pivots.append(pc)
             pr += 1
             if pr == nr:
@@ -296,8 +289,9 @@ def _normalize_nodes_multipliers(a, v):
     if len(set(a)) != len(a):
         raise DuplicateNode("evaluation nodes must be pairwise distinct")
     n = len(a)
-    v = [ctx.encode(v)] * n if isinstance(v, (int, FieldElement)) \
-        else list(map(ctx.encode, v))
+    if isinstance(v, (int, FieldElement)):
+        v = [v] * n
+    v = list(map(ctx.encode, v))
     if len(v) != n:
         raise BadDims("multiplier vector length does not match nodes")
     if 0 in v:
@@ -319,11 +313,17 @@ def grs_generator(a, v, k: int) -> Matrix:
     n = len(a)
     if not 1 <= k <= n:
         raise BadDims(f"need 1 <= k <= n, got k = {k}, n = {n}")
-    lv = list(map(ctx._log.__getitem__, v))
+    return _grs(ctx, a, list(map(ctx._log.__getitem__, v)), k)
+
+
+def _grs(ctx: FieldCtx, a, lv, k: int) -> Matrix:
+    """grs_generator on the node encodings a and the multipliers' logs lv."""
     return _of(ctx, tuple(tuple(_power_row(ctx, a, lv, i))
-                          for i in range(k)), n)
+                          for i in range(k)), len(a))
 
 
 def egrs_generator(a, v, k: int) -> Matrix:
     """The k x n evaluation matrix with an appended (0,...,0,1)^T column."""
-    return grs_generator(a, v, k).with_col([0] * (k - 1) + [1])
+    g = grs_generator(a, v, k)
+    inf_col = [0] * (k - 1) + [1]
+    return g.with_col(inf_col)

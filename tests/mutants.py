@@ -178,8 +178,7 @@ MUTANTS = [
      "            if pr == nr:\n", "            if pr + 1 == nr:\n",
      ["tests/test_matrix_twin.py", "tests/test_matrix.py"]),
     ("odd elimination adds f·pivot row", "matrix.py",
-     "update(rows[i], (log[f] + lneg) % n1, lp)",
-     "update(rows[i], log[f], lp)",
+     "lf = log[f] + lneg", "lf = log[f]",
      ["tests/test_matrix_twin.py", "tests/test_matrix.py"]),
     ("GRS power rows read node 0 as 1", "matrix.py",
      "exp[(lb + e * log[x]) % n1] if x or not e else 0",

@@ -9,8 +9,9 @@ from mdsx.errors import ContextMismatch, InconsistentSystem
 from mdsx.field import field_new
 from mdsx.matrix import Matrix
 
-# XOR (characteristic 2), the add lists (odd q <= 1024) and add_i (GF(1031),
-# GF(3^7)) each carry elimination and the row update
+# each rule of add_i carries elimination and the row update: XOR
+# (characteristic 2), the add lists (odd q <= 1024) and the digit loop
+# (GF(1031), GF(3^7))
 FIELDS = [field_new(p, m) for p, m in
           ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
            (1031, 1), (3, 7), (2, 16))]
