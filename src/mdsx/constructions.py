@@ -284,8 +284,9 @@ def cyclic_cu(m: int, u: int) -> LinearCode:
     base = spec.gen_poly.ctx
     n = spec.q + 1
     coeffs = tuple(c.value for c in spec.gen_poly.coeffs)
+    k = n - spec.gen_poly.degree
     rows = tuple((0,) * i + coeffs + (0,) * (n - len(coeffs) - i)
-                 for i in range(n - spec.gen_poly.degree))
+                 for i in range(k))
     return code_from_generator(_of(base, rows, n))
 
 
