@@ -20,7 +20,8 @@ from .errors import (
 )
 from .field import FieldCtx
 from .kernels import DEFAULT_BUDGET
-from .matrix import Matrix, _box, _kernel, _of, first_dependent_columns
+from .matrix import Matrix, _box, _kernel, _of, _with_col, \
+    first_dependent_columns
 
 
 class LinearCode:
@@ -154,7 +155,7 @@ class LinearCode:
         """Append <u, c> as coordinate n+1: the reduced generator G with
         the column G u^T appended is still reduced."""
         col = self.generator._dot_rows(self._vec(u))
-        return LinearCode(self.ctx, self.generator.with_col(col))
+        return LinearCode(self.ctx, _with_col(self.generator, col))
 
     def extend_g(self, g) -> "LinearCode":
         return extend_g(self.generator, g)

@@ -33,7 +33,7 @@ from .field import (
 )
 from .kernels import DEFAULT_BUDGET
 from .matrix import egrs_generator, grs_generator, _box, _grs, _of, \
-    _normalize_nodes_multipliers, _power_row
+    _normalize_nodes_multipliers, _power_row, _with_col
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +113,9 @@ def roth_lempel(a, k: int, delta) -> LinearCode:
     n = len(a)
     if not 4 <= k + 1 <= n:
         raise BadDims(f"need 4 <= k+1 <= n, got k = {k}, n = {n}")
-    g = _grs(ctx, a, [0] * n, k).with_col([0] * (k - 1) + [1])
-    return code_from_generator(g.with_col([0] * (k - 2) + [1, delta]))
+    g = _with_col(_grs(ctx, a, [0] * n, k), [0] * (k - 1) + [1])
+    delta = ctx.encode(delta)
+    return code_from_generator(_with_col(g, [0] * (k - 2) + [1, delta]))
 
 
 # ---------------------------------------------------------------------------

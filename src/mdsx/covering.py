@@ -34,14 +34,13 @@ from .matrix import Matrix, _box
 class CoveringReport:
     """Coset-leader weights of a code, indexed by packed syndrome."""
 
-    __slots__ = ("code", "rho", "_leader", "_reps", "_syndromes")
+    __slots__ = ("code", "rho", "_leader", "_reps")
 
     def __init__(self, code: LinearCode, rho: int, leader):
         self.code = code
         self.rho = rho
         self._leader = leader
         self._reps = None
-        self._syndromes = None
 
     def leader_weight(self, v) -> int:
         """Coset-leader weight of the coset of v (= distance from v to the
@@ -50,13 +49,11 @@ class CoveringReport:
 
     def leader_weights(self, vectors):
         """leader_weight of every row of `vectors` (encodings), as an
-        array; the syndrome table is built on the first call and kept."""
-        code = self.code
-        vectors = _rows_of_length(vectors, code.n, code.ctx.q)
-        if self._syndromes is None:
-            self._syndromes = kernels.syndrome_map(code.parity._rows, code.n,
-                                                   code.ctx)
-        return self._leader[self._syndromes(vectors)]
+        array, read at the sweep's packing of H v^T (entry i times q^i)."""
+        code, q = self.code, self.code.ctx.q
+        s = kernels.mat_vecs(code.parity._rows, code.n, code.ctx,
+                             _rows_of_length(vectors, code.n, q))
+        return self._leader[s @ q ** np.arange(s.shape[1], dtype=np.int64)]
 
     @property
     def deep_hole_syndromes(self):

@@ -1,9 +1,9 @@
 """Vectorized kernels for the exhaustive searches.
 
-Codewords are enumerated as numpy arrays of integer encodings by one
-blocked fold, `_fold`, which sums one row from each of a list of tables;
-so are the error vectors of a support too large to stack with others in
-the coset-leader sweep.  There is one codeword scan, `coset_blocks`: it
+Every sum of one row from each of a list of tables comes from one
+blocked fold, `_fold`, which takes a batch of such lists at once: the
+codeword scans, the push blocks and pull batches of the coset-leader
+sweep all read it.  There is one codeword scan, `coset_blocks`: it
 yields offset + c for every codeword c, and every codeword question reads
 it.
 `codewords()` takes the zero offset, and the codeword route of the
@@ -20,10 +20,13 @@ The kernels read each field's numpy arrays, `ctx._arrays` = (log, exp,
 add), which the field builds with its tables: log(0) points past two
 periods of exp into zeros, so no product needs a modulo or a zero test,
 and add is the field's array addition, defined for every GF(q).  Every
-table of field multiples comes from `_multiples`.  In characteristic 2 the
-encoding makes XOR field addition on packed syndromes too, so the syndrome
-sweep packs before it sums; other fields sum rows of r*m base-p digits by
-GF(p)'s add, never packed GF(p^m) encodings, and pack the sums.
+table of field multiples comes from `_multiples`.  The one batched
+product, `mat_vecs` (M v^T for many v), sums the term rows of `_terms`,
+as the sweep and the lex search do.  In characteristic 2 the encoding
+makes XOR field addition on packed syndromes too, so the sweep packs
+before it sums; for odd q = p^m, m >= 2, the terms are rows of base-p
+digits summed by GF(p)'s add, never packed GF(p^m) encodings, and each
+sum is packed or turned back into entries once.
 
 The coset-leader sweep is a breadth-first search from syndrome 0 in the
 graph whose edges add some c*h_j, c != 0: a leader weight is a distance
@@ -85,54 +88,73 @@ def _multiples(ctx, vectors):
 
 
 def _outer_sum(parts, add):
-    """Every sum of one row from each part, the first part slowest."""
+    """Every sum of one row from each part, the first part slowest, for
+    each index of the leading batch axis: (b, rows_i, ...) parts give a
+    (b, prod rows_i, ...) array."""
     acc = parts[0]
     for nxt in parts[1:]:
-        acc = add(acc[:, None], nxt[None, :]).reshape(-1, *acc.shape[1:])
+        acc = add(acc[:, :, None], nxt[:, None]).reshape(
+            acc.shape[0], -1, *acc.shape[2:])
     return acc
 
 
 def _fold(parts, add):
     """Yield, in index order and in blocks, every sum of one row from each
-    part, the first part varying slowest.
+    part, the batch varying slowest, then the first part.
 
-    The trailing parts whose row counts multiply to at most _BLOCK_ROWS
-    rows (at least the last part) are summed once into a block; each sum
-    of the leading parts is then added to it as an offset.  Parts are 1-D
-    (packed syndromes) or 2-D (rows of digits).
+    Parts are (b, rows, ...) arrays: a batch of b lists of parts, of
+    packed syndromes or of rows of digits.  The trailing parts whose row
+    counts times b multiply to at most _BLOCK_ROWS rows (at least the last
+    part) are summed once into a block; each sum of the leading parts is
+    then added to its batch's block as an offset.
     """
     split = len(parts) - 1
-    rows = parts[split].shape[0]
-    while split > 0 and rows * parts[split - 1].shape[0] <= _BLOCK_ROWS:
+    rows = parts[split].shape[0] * parts[split].shape[1]
+    while split > 0 and rows * parts[split - 1].shape[1] <= _BLOCK_ROWS:
         split -= 1
-        rows *= parts[split].shape[0]
+        rows *= parts[split].shape[1]
     block = _outer_sum(parts[split:], add)
     if split == 0:
-        yield block
+        yield block.reshape(-1, *block.shape[2:])
         return
-    for offset in _outer_sum(parts[:split], add):
-        yield add(block, offset)
+    for sums, offsets in zip(block, _outer_sum(parts[:split], add)):
+        for offset in offsets:
+            yield add(sums, offset)
+
+
+def _terms(M_int, n: int, ctx):
+    """The terms of M v^T as table[j, c], the column c * M[:, j], the add
+    that sums them and the map from sums to rows of entries.  For p = 2
+    or prime q the terms are the entries; else each entry's m base-p
+    digits, digit j of entry i at mi+j, summed by GF(p)'s add."""
+    r = len(M_int)
+    p, m = ctx.p, ctx.m
+    table = _multiples(ctx, np.array(M_int, dtype=np.int64).reshape(r, n).T)
+    if p == 2 or m == 1:
+        return table, ctx._arrays[2], np.asarray
+    unit = p ** np.arange(m, dtype=table.dtype)
+    digits = (table[..., None] // unit % p).reshape(n, ctx.q, r * m)
+    return (digits.astype(_dtype_for(p), copy=False),
+            field_new(p, 1)._arrays[2],
+            lambda s: s.reshape(*s.shape[:-1], r, m) @ unit)
 
 
 def _syndrome_table(H_int, n: int, ctx):
     """Syndromes of c * e_j as table[j, c], the add that sums them, the
     map from sums to packed syndromes (entry i times q^i) and its inverse.
-    Odd q gives each entry's m base-p digits: digit j of entry i packs as
-    p^(mi+j)."""
+    Odd q sums the m base-p digits of `_terms`: digit j of entry i packs
+    as p^(mi+j)."""
     r = len(H_int)
     p, m = ctx.p, ctx.m
-    table = _multiples(ctx, np.array(H_int, dtype=np.int64).reshape(r, n).T)
+    table, add, _ = _terms(H_int, n, ctx)
     radix = p ** np.arange(r * m, dtype=np.int64)
     if p == 2:
         # XOR on the packing is field addition: pack once, sum packed ints,
         # and packing and unpacking are the identity
-        return (table.astype(np.int64) @ radix[::m], np.bitwise_xor,
+        return (table.astype(np.int64) @ radix[::m], add,
                 np.asarray, np.asarray)
-    dt = _dtype_for(p)
-    digits = table[..., None] // p ** np.arange(m, dtype=table.dtype) % p
-    return (digits.reshape(n, ctx.q, r * m).astype(dt, copy=False),
-            field_new(p, 1)._arrays[2], lambda s: s.astype(np.int64) @ radix,
-            lambda s: (s[:, None] // radix % p).astype(dt))
+    return (table, add, lambda s: s.astype(np.int64) @ radix,
+            lambda s: (s[:, None] // radix % p).astype(table.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +168,10 @@ def coset_blocks(G_int, n: int, ctx, offset, budget=DEFAULT_BUDGET):
     k = len(G_int)
     if ctx.q ** k > budget:
         raise BudgetExceeded(f"q^k = {ctx.q ** k} exceeds budget {budget}")
-    offset = np.asarray(offset, dtype=_dtype_for(ctx.q)).reshape(1, n)
+    offset = np.asarray(offset, dtype=_dtype_for(ctx.q)).reshape(1, 1, n)
     rows = np.array(G_int, dtype=np.int64).reshape(k, n)
-    yield from _fold([offset, *_multiples(ctx, rows)], ctx._arrays[2])
+    yield from _fold([offset, *_multiples(ctx, rows)[:, None]],
+                     ctx._arrays[2])
 
 
 def orbit_blocks(G_int, n: int, ctx, budget=DEFAULT_BUDGET):
@@ -197,31 +220,13 @@ def distance_counts(G_int, n: int, ctx, v_int,
 
 def mat_vecs(M_int, n: int, ctx, vectors):
     """M v^T for every row v of `vectors`, as a (len(vectors), rows)
-    array of encodings."""
-    r = len(M_int)
+    array of encodings: the terms of `_terms`, summed column by column."""
+    table, add, entries = _terms(M_int, n, ctx)
     vectors = np.asarray(vectors, dtype=np.int64)
-    table = _multiples(ctx, np.array(M_int, dtype=np.int64).reshape(r, n).T)
-    add = ctx._arrays[2]
-    acc = np.zeros((vectors.shape[0], r), dtype=_dtype_for(ctx.q))
+    acc = np.zeros((vectors.shape[0], *table.shape[2:]), table.dtype)
     for j in range(n):
         acc = add(acc, table[j, vectors[:, j]])
-    return acc
-
-
-def syndrome_map(H_int, n: int, ctx):
-    """A map from an (m, n) int64 array of vectors to their m packed
-    syndromes under H (entry i times q^i), the sweep's packing; its table
-    is built once, here."""
-    table, add, pack, _ = _syndrome_table(H_int, n, ctx)
-    cols = np.arange(n)[:, None]
-
-    def packed(vectors):
-        terms = table[cols, vectors.T]
-        acc = np.zeros(terms.shape[1:], table.dtype)
-        for term in terms:
-            acc = add(acc, term)
-        return pack(acc)
-    return packed
+    return entries(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +345,8 @@ def _packed_multiples(ctx, r: int):
         return lambda s: \
             _multiples(ctx, s[:, None] // radix % q)[:, 1:] @ radix
     one = _multiples(ctx, np.arange(q)[:, None])[:, 1:, 0].astype(np.int64)
-    M = _outer_sum([one * q ** i for i in reversed(range(a))], np.add)
+    M = _outer_sum([one[None] * q ** i for i in reversed(range(a))],
+                   np.add)[0]
     A = q ** a
 
     def scale(s):
@@ -366,26 +372,15 @@ def _pushed(w: int, n: int, table, add):
     vectors whose first nonzero entry is 1, support by support in
     lexicographic order.
 
-    As many supports as fit in _BLOCK_ROWS rows are stacked: a (b, w)
-    array of supports gathers each position's multiples for all b at once,
-    and one batched outer sum adds them.  A support with more rows than a
-    block is folded on its own.
+    As many supports as fit in _BLOCK_ROWS rows, or else one, make a
+    (b, w) chunk: it gathers each position's multiples for all b at once,
+    and one `_fold` over that batch of b sums them, within the same bound.
     """
     per_support = (table.shape[1] - 1) ** (w - 1)
-    stack = _BLOCK_ROWS // per_support
-    if not stack:
-        for support in combinations(range(n), w):
-            parts = [table[support[0], 1:2]]
-            parts += [table[j, 1:] for j in support[1:]]
-            yield from _fold(parts, add)
-        return
-    for S in _subset_chunks(n, w, stack):
-        acc = table[S[:, 0], 1:2]
-        for j in range(1, w):
-            nxt = table[S[:, j], 1:]
-            acc = add(acc[:, :, None], nxt[:, None]).reshape(
-                len(S), -1, *acc.shape[2:])
-        yield acc.reshape(-1, *acc.shape[2:])
+    for S in _subset_chunks(n, w, max(1, _BLOCK_ROWS // per_support)):
+        # position 0 takes c = 1 only, the others every c != 0
+        rest = table[S[:, 1:], 1:].swapaxes(0, 1)
+        yield from _fold([table[S[:, 0], 1:2], *rest], add)
 
 
 def _pulled(w: int, leader, slices, steps, add, pack, unpack):
@@ -409,7 +404,8 @@ def _pulled(w: int, leader, slices, steps, add, pack, unpack):
             open_ = np.arange(s.size)
             digits = unpack(s)
             for j in range(n):
-                near = leader[pack(_outer_sum([digits, steps[j]], add))]
+                near = leader[pack(_outer_sum([digits[None], steps[j:j + 1]],
+                                              add)[0])]
                 found = (near.reshape(open_.size, q1) == w - 1).any(axis=1)
                 hit[open_[found]] = True
                 open_, digits = open_[~found], digits[~found]

@@ -33,6 +33,12 @@ def _of(ctx: FieldCtx, rows: tuple, cols: int) -> "Matrix":
     return m
 
 
+def _with_col(m: "Matrix", col) -> "Matrix":
+    """m with the encodings `col` appended as a column (no coercion)."""
+    return _of(m.ctx, tuple(r + (e,) for r, e in zip(m._rows, col)),
+               m.cols + 1)
+
+
 def _box(ctx: FieldCtx, values) -> tuple:
     return tuple(map(ctx._elems.__getitem__, values))
 
@@ -172,9 +178,7 @@ class Matrix:
         v = tuple(map(self.ctx.encode, v))
         if len(v) != self.rows:
             raise BadDims("column length does not match")
-        return _of(self.ctx,
-                   tuple(r + (e,) for r, e in zip(self._rows, v)),
-                   self.cols + 1)
+        return _with_col(self, v)
 
     def select_cols(self, idx) -> "Matrix":
         idx = list(idx)
@@ -324,6 +328,4 @@ def _grs(ctx: FieldCtx, a, lv, k: int) -> Matrix:
 
 def egrs_generator(a, v, k: int) -> Matrix:
     """The k x n evaluation matrix with an appended (0,...,0,1)^T column."""
-    g = grs_generator(a, v, k)
-    inf_col = [0] * (k - 1) + [1]
-    return g.with_col(inf_col)
+    return _with_col(grs_generator(a, v, k), [0] * (k - 1) + [1])

@@ -45,9 +45,10 @@ def field_from_dict(d) -> FieldCtx:
         raise
     except (TypeError, ValueError) as e:
         raise InvalidSpec(f"bad field descriptor: {e}")
-    if "modulus" in d and list(d["modulus"]) != list(ctx.modulus):
+    modulus = d.get("modulus", list(ctx.modulus))
+    if not isinstance(modulus, list) or modulus != list(ctx.modulus):
         raise InvalidSpec(
-            f"modulus {d['modulus']} is not the canonical modulus "
+            f"modulus {modulus!r} is not the canonical modulus "
             f"{list(ctx.modulus)} of GF({ctx.q})")
     return ctx
 

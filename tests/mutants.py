@@ -59,10 +59,10 @@ MUTANTS = [
      "radix = p ** np.arange(r * m, dtype=np.int64)[::-1]\n",
      ["tests/test_kernels.py"]),
     ("_fold without its offset", "kernels.py",
-     "        yield add(block, offset)", "        yield block",
+     "            yield add(sums, offset)", "            yield sums",
      ["tests/test_kernels.py"]),
     ("_fold ignores its row bound", "kernels.py",
-     "    while split > 0 and rows * parts[split - 1].shape[0] "
+     "    while split > 0 and rows * parts[split - 1].shape[1] "
      "<= _BLOCK_ROWS:\n", "    while split > 0:\n",
      ["tests/test_kernels.py"]),
     ("sweep writes only c = 1", "kernels.py",
@@ -103,9 +103,9 @@ MUTANTS = [
     ("push layer ends on its upper bound, not a recount", "kernels.py",
      "            covered = recount()\n", "            covered = bound\n",
      ["tests/test_kernels.py"]),
-    ("stacked push block drops its last support", "kernels.py",
-     "        yield acc.reshape(-1, *acc.shape[2:])",
-     "        yield acc[:-1].reshape(-1, *acc.shape[2:])",
+    ("push chunk drops its last support", "kernels.py",
+     "_BLOCK_ROWS // per_support)):\n",
+     "_BLOCK_ROWS // per_support)):\n        S = S[:-1]\n",
      ["tests/test_kernels.py"]),
     ("sweep stops one layer early", "kernels.py",
      "    for w in range(1, n + 1):\n        before = covered",
@@ -129,7 +129,8 @@ MUTANTS = [
      "    for i in range(1, k):\n        yield from coset_blocks(",
      ["tests/test_kernels.py"]),
     ("extend_u appends its column reversed", "code.py",
-     "self.generator.with_col(col))", "self.generator.with_col(col[::-1]))",
+     "_with_col(self.generator, col))",
+     "_with_col(self.generator, col[::-1]))",
      ["tests/test_kernels.py"]),
     ("distance histogram ignores v", "kernels.py",
      "neg_v = [ctx.neg_i(x) for x in v_int]", "neg_v = [0 for x in v_int]",
@@ -187,10 +188,14 @@ MUTANTS = [
     ("log(0) one period short", "field.py",
      "log[0] = 2 * (q - 1)", "log[0] = q - 1",
      ["tests/test_field.py", "tests/test_kernels.py"]),
-    # leader lookups through the kept syndrome table
-    ("syndrome map drops the last column", "kernels.py",
-     "        for term in terms:\n", "        for term in terms[:-1]:\n",
-     ["tests/test_covering.py"]),
+    # the one batched product: both sides of Theorem 6 and leader lookups
+    ("product drops the last column", "kernels.py",
+     "    for j in range(n):\n        acc = add(",
+     "    for j in range(n - 1):\n        acc = add(",
+     ["tests/test_kernels.py", "tests/test_covering.py"]),
+    ("mat_vecs repacks its digits high digit first", "kernels.py",
+     "r, m) @ unit)", "r, m) @ unit[::-1])",
+     ["tests/test_kernels.py"]),
     # the batched left side of Theorem 6
     ("extension test drops weight n-k+1", "covering.py",
      "(wt <= n - k + 1)", "(wt < n - k + 1)",

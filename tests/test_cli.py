@@ -137,6 +137,15 @@ class TestBuild:
         rc, _, err = run(capsys, ["build", spec_file(bad)])
         assert rc == 2
 
+    @pytest.mark.parametrize("modulus", [7, None, True, 2.5],
+                             ids=["int", "null", "bool", "float"])
+    def test_non_list_modulus_rejected(self, capsys, spec_file, modulus):
+        bad = dict(GRS_SPEC)
+        bad["field"] = {"p": 2, "m": 2, "modulus": modulus}
+        rc, out, err = run(capsys, ["build", spec_file(bad)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 class TestCovering:
     def test_example_1(self, capsys, spec_file):

@@ -22,7 +22,7 @@ from mdsx.covering import (
 )
 from mdsx.errors import BadDims, BudgetExceeded, InvariantViolation
 from mdsx.field import field_new
-from mdsx.matrix import Matrix
+from mdsx.matrix import Matrix, _of
 
 
 def _small_codes(q):
@@ -180,7 +180,7 @@ def _recording_pull_visits(monkeypatch, visits):
     def outer(parts, add):
         out = real_outer(parts, add)
         if pulling:
-            visits[-1][2] += len(out)
+            visits[-1][2] += out.shape[0] * out.shape[1]
         return out
     monkeypatch.setattr(kernels, "_pulled", pulled)
     monkeypatch.setattr(kernels, "_outer_sum", outer)
@@ -369,6 +369,61 @@ def test_sweep_matches_syndrome_oracle(code):
     report = covering_radius(code)
     assert (report._leader.tolist(), report.rho) \
         == helpers.brute_coset_leaders(code)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sweep_codes(), st.data())
+def test_leader_weights_read_the_scalar_packing(code, data):
+    report = covering_radius(code)
+    H = code.parity.to_int_rows()
+    entry = st.integers(0, code.ctx.q - 1)
+    us = data.draw(st.lists(st.lists(entry, min_size=code.n,
+                                     max_size=code.n), min_size=1,
+                            max_size=8))
+    assert report.leader_weights(us).tolist() == [
+        report._leader[helpers.scalar_syndrome(H, u, code.ctx)] for u in us]
+
+
+# 80 rows of GF(16) entries do not fit one int64 packing; odd q = p^m with
+# m >= 2 sums digit rows, prime q and characteristic 2 sum entries
+PRODUCT_FIELDS = [field_new(p, m) for p, m in
+                  ((2, 1), (2, 2), (2, 4), (2, 16), (3, 1), (3, 2), (5, 2),
+                   (3, 3), (3, 7), (1031, 1))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(PRODUCT_FIELDS), st.integers(1, 8),
+       st.integers(0, 80), st.integers(0, 12), st.sampled_from((0, .3, 1)),
+       st.integers(0, 2 ** 32 - 1))
+def test_mat_vecs_matches_scalar_rows(ctx, n, rows, count, zeros, seed):
+    # the one batched product against the scalar M v^T of
+    # Matrix._dot_rows, row by row; over GF(2^16) the (n, q, rows) table
+    # of multiples takes 2^16 entries per row and column, so 8 rows
+    rows = min(rows, 8) if ctx.q > 1 << 12 else rows
+    rng = np.random.default_rng(seed)
+    M, vectors = (np.where(rng.random(shape) < zeros, 0,
+                           rng.integers(0, ctx.q, shape))
+                  for shape in ((rows, n), (count, n)))
+    got = kernels.mat_vecs(M.tolist(), n, ctx, vectors)
+    m = _of(ctx, tuple(map(tuple, M.tolist())), n)
+    assert got.shape == (count, rows)
+    assert got.tolist() == [list(m._dot_rows(v)) for v in vectors.tolist()]
+
+
+@pytest.mark.parametrize("rows", [1, 5, 18, 36])
+def test_fold_sums_each_batch_in_order_within_the_row_bound(rows,
+                                                           monkeypatch):
+    # a batch of 3 lists of parts of 2, 3 and 2 rows of two GF(3) digits:
+    # 36 sums in all, 12 per batch, 6 of the trailing two parts
+    monkeypatch.setattr(kernels, "_BLOCK_ROWS", rows)
+    rng = np.random.default_rng(rows)
+    parts = [rng.integers(0, 3, (3, r, 2)).astype(np.uint8)
+             for r in (2, 3, 2)]
+    want = [(x + y + z) % 3 for i in range(3)
+            for x, y, z in product(*(part[i] for part in parts))]
+    blocks = list(kernels._fold(parts, field_new(3, 1)._arrays[2]))
+    assert max(len(b) for b in blocks) <= max(rows, 2)
+    assert np.concatenate(blocks).tolist() == np.array(want).tolist()
 
 
 @pytest.mark.parametrize("pm", [(2, 1), (3, 1), (2, 2)])
