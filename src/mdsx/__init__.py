@@ -10,12 +10,7 @@ from .field import (
     minimal_poly_over_base,
     quadratic_extension,
 )
-from .matrix import (
-    Matrix,
-    egrs_generator,
-    first_dependent_columns,
-    grs_generator,
-)
+from .matrix import Matrix, first_dependent_columns
 from .code import (
     LinearCode,
     code_from_generator,
@@ -44,8 +39,10 @@ from .constructions import (
     cyclic_spec,
     egrs,
     egrs_dual_code,
+    egrs_generator,
     grs,
     grs_dual_weights,
+    grs_generator,
     nk_delta_set_check,
     prs,
     roth_lempel,

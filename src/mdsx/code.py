@@ -188,13 +188,18 @@ def full_code(ctx: FieldCtx, n: int) -> LinearCode:
 
 
 def extend_g(g: Matrix, vec) -> LinearCode:
-    """Code generated by g with the column vec appended."""
-    if g.rank() < g.rows:
-        raise RankDeficient("generator rows are dependent")
+    """Code generated by g with the column vec appended, in one elimination:
+    rank(g) is the number of pivots of rref([g | vec]) left of vec."""
     vec = list(vec)
-    if len(vec) != g.rows:
+    ext = g.with_col(vec) if len(vec) == g.rows else g
+    red, pivots = ext.rref()
+    if sum(p < g.cols for p in pivots) < g.rows:
+        raise RankDeficient("generator rows are dependent")
+    if ext is g:
         raise BadDims(f"expected length {g.rows}, got {len(vec)}")
-    return code_from_generator(g.with_col(vec))
+    if not pivots:
+        raise ZeroMatrix("generator spans nothing")
+    return LinearCode(g.ctx, _of(g.ctx, red._rows[:len(pivots)], ext.cols))
 
 
 def extension_parity_check(h: Matrix, u) -> Matrix:

@@ -22,6 +22,7 @@ from .errors import (
     BadU,
     DuplicateNode,
     PoleCollision,
+    ZeroMultiplier,
 )
 from .field import (
     FieldCtx,
@@ -32,8 +33,7 @@ from .field import (
     quadratic_extension,
 )
 from .kernels import DEFAULT_BUDGET
-from .matrix import egrs_generator, grs_generator, _box, _grs, _of, \
-    _normalize_nodes_multipliers, _power_row, _with_col
+from .matrix import Matrix, _box, _of, _with_col
 
 
 # ---------------------------------------------------------------------------
@@ -43,17 +43,32 @@ from .matrix import egrs_generator, grs_generator, _box, _grs, _of, \
 @dataclass(frozen=True)
 class GrsSpec:
     """Evaluation-code parameters: distinct nodes a, nonzero multipliers v,
-    dimension k."""
+    dimension k.  Building one is the only check of such an input: every
+    builder on nodes and multipliers goes through it."""
     a: tuple
     v: tuple
     k: int
 
     def __post_init__(self):
-        ctx, a, v = _normalize_nodes_multipliers(self.a, self.v)
-        object.__setattr__(self, "a", _box(ctx, a))
-        object.__setattr__(self, "v", _box(ctx, v))
+        a = list(self.a)
+        if not a:
+            raise BadDims("empty node vector")
+        ctx = a[0].ctx
+        a = list(map(ctx.encode, a))
+        if len(set(a)) != len(a):
+            raise DuplicateNode("evaluation nodes must be pairwise distinct")
+        v = self.v
+        if isinstance(v, (int, FieldElement)):
+            v = [v] * len(a)
+        v = list(map(ctx.encode, v))
+        if len(v) != len(a):
+            raise BadDims("multiplier vector length does not match nodes")
+        if 0 in v:
+            raise ZeroMultiplier("column multipliers must be nonzero")
         if not 1 <= self.k <= len(a):
             raise BadDims(f"need 1 <= k <= {len(a)}, got {self.k}")
+        object.__setattr__(self, "a", _box(ctx, a))
+        object.__setattr__(self, "v", _box(ctx, v))
 
     @classmethod
     def make(cls, ctx: FieldCtx, nodes, multipliers=1, k=1):
@@ -68,31 +83,58 @@ class GrsSpec:
         return self.a[0].ctx
 
 
+def _power_row(ctx: FieldCtx, a, lw, e: int) -> list:
+    """Encodings of w_j a_j^e, from the node encodings a and the logs lw
+    of the nonzero w (0^0 = 1)."""
+    exp, log, n1 = ctx._exp, ctx._log, ctx.q - 1
+    return [exp[(lb + e * log[x]) % n1] if x or not e else 0
+            for x, lb in zip(a, lw)]
+
+
+def _rows(spec: GrsSpec) -> Matrix:
+    """grs_generator of a spec, which is checked already."""
+    ctx = spec.ctx
+    a = [x.value for x in spec.a]
+    lv = [ctx._log[x.value] for x in spec.v]
+    return _of(ctx, tuple(tuple(_power_row(ctx, a, lv, i))
+                          for i in range(spec.k)), len(a))
+
+
+def grs_generator(a, v, k: int) -> Matrix:
+    """k x n matrix with entry (i, j) = v_j * a_j^i for i = 0..k-1."""
+    return _rows(GrsSpec(a, v, k))
+
+
+def egrs_generator(a, v, k: int) -> Matrix:
+    """The k x n evaluation matrix with an appended (0,...,0,1)^T column."""
+    return _with_col(grs_generator(a, v, k), [0] * (k - 1) + [1])
+
+
 def grs(spec: GrsSpec) -> LinearCode:
-    return code_from_generator(grs_generator(spec.a, spec.v, spec.k))
+    return code_from_generator(_rows(spec))
 
 
 def egrs(spec: GrsSpec) -> LinearCode:
-    return code_from_generator(egrs_generator(spec.a, spec.v, spec.k))
+    return code_from_generator(
+        _with_col(_rows(spec), [0] * (spec.k - 1) + [1]))
 
 
 def grs_dual_weights(a, v) -> tuple:
     """The column multipliers w making the w-twisted evaluation code on the
     same nodes the dual: w_i = 1 / (v_i * prod_{j != i} (a_i - a_j))."""
-    ctx, _, lw = _dual_weight_logs(a, v, 1)
+    ctx, _, lw = _dual_weight_logs(GrsSpec(a, v, 1))
     return _box(ctx, map(ctx._exp.__getitem__, lw))
 
 
-def _dual_weight_logs(a, v, k: int):
-    """The field, the node encodings and the logs of grs_dual_weights(a, v),
-    for a dimension k in 1..n."""
-    ctx, a, v = _normalize_nodes_multipliers(a, v)
-    if not 1 <= k <= len(a):
-        raise BadDims(f"need 1 <= k <= n = {len(a)}, got {k}")
+def _dual_weight_logs(spec: GrsSpec):
+    """The field, the node encodings and the logs of the spec's
+    grs_dual_weights."""
+    ctx = spec.ctx
     log, n1, sub = ctx._log, ctx.q - 1, ctx.sub_i
+    a = [x.value for x in spec.a]
     return ctx, a, [
-        -(log[vi] + sum(log[sub(ai, aj)] for aj in a if aj != ai)) % n1
-        for ai, vi in zip(a, v)]
+        -(log[vi.value] + sum(log[sub(ai, aj)] for aj in a if aj != ai)) % n1
+        for ai, vi in zip(a, spec.v)]
 
 
 def prs(ctx: FieldCtx, k: int) -> LinearCode:
@@ -109,12 +151,11 @@ def prs(ctx: FieldCtx, k: int) -> LinearCode:
 def roth_lempel(a, k: int, delta) -> LinearCode:
     """[n+2, k] code: the coefficient-extended evaluation code on the nodes
     with unit multipliers, and one more column (0,..,0,1,delta)^T."""
-    ctx, a, _ = _normalize_nodes_multipliers(a, 1)
-    n = len(a)
-    if not 4 <= k + 1 <= n:
-        raise BadDims(f"need 4 <= k+1 <= n, got k = {k}, n = {n}")
-    g = _with_col(_grs(ctx, a, [0] * n, k), [0] * (k - 1) + [1])
-    delta = ctx.encode(delta)
+    spec = GrsSpec(a, 1, k)
+    if not 4 <= k + 1 <= spec.n:
+        raise BadDims(f"need 4 <= k+1 <= n, got k = {k}, n = {spec.n}")
+    g = _with_col(_rows(spec), [0] * (k - 1) + [1])
+    delta = spec.ctx.encode(delta)
     return code_from_generator(_with_col(g, [0] * (k - 2) + [1, delta]))
 
 
@@ -125,7 +166,7 @@ def roth_lempel(a, k: int, delta) -> LinearCode:
 def thm7_u(a, v, k: int) -> tuple:
     """The u with G_k u^T = (0,..,0,1)^T: extending the evaluation code by
     <u, .> appends exactly the degree-(k-1) coefficient."""
-    ctx, a, lw = _dual_weight_logs(a, v, k)
+    ctx, a, lw = _dual_weight_logs(GrsSpec(a, v, k))
     return _box(ctx, _power_row(ctx, a, lw, len(a) - k))
 
 
@@ -133,7 +174,7 @@ def thm12_u(a, k: int, delta) -> tuple:
     """Length n+1 vector u with G_{k,inf} u^T = (0,..,0,1,delta)^T, so the
     extension of the coefficient-extended code equals the Roth-Lempel code;
     unit multipliers assumed."""
-    ctx, a, lw = _dual_weight_logs(a, 1, k)
+    ctx, a, lw = _dual_weight_logs(GrsSpec(a, 1, k))
     head = _power_row(ctx, a, lw, len(a) + 1 - k)
     return _box(ctx, head + [ctx.sub_i(ctx.encode(delta),
                                        reduce(ctx.add_i, a))])
@@ -202,7 +243,7 @@ def _reciprocal_products(ctx: FieldCtx, a, pi: int, m: int) -> set:
 
 @dataclass(frozen=True)
 class DeepHoleCandidate:
-    kind: str                 # monomial | pole | thm14_monomial | thm14_pole
+    kind: str                 # thm14_monomial | thm14_pole
     vector: tuple
     pi: FieldElement | None = None
     delta: FieldElement | None = None
@@ -212,7 +253,7 @@ class DeepHoleCandidate:
 def egrs_dual_code(a, k: int) -> LinearCode:
     """The dual of the coefficient-extended code on nodes a with unit
     multipliers; target of the thm14 candidates."""
-    return egrs(GrsSpec.make(a[0].ctx, a, 1, k)).dual()
+    return egrs(GrsSpec(a, 1, k)).dual()
 
 
 def thm14_vector(kind: str, a, k: int, delta, pi=None) -> DeepHoleCandidate:
@@ -224,7 +265,7 @@ def thm14_vector(kind: str, a, k: int, delta, pi=None) -> DeepHoleCandidate:
     When the code's covering radius equals k, valid coincides with the
     brute-force deep-hole verdict.
     """
-    ctx, a, lw = _dual_weight_logs(a, 1, k)
+    ctx, a, lw = _dual_weight_logs(GrsSpec(a, 1, k))
     delta = ctx.elem(delta)
     m = len(a) + 1 - k
     if kind == "monomial":

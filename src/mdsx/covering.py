@@ -188,10 +188,14 @@ def syndrome_criteria(h: Matrix, us, rho: int, budget=DEFAULT_BUDGET):
 
 
 def _rows_of_length(us, n: int, q: int):
-    """`us` as an int64 array of rows of n encodings in [0, q)."""
+    """`us` as an int64 array of rows of n encodings in [0, q); an empty
+    list is the batch of no rows."""
     us = np.asarray(us, dtype=np.int64)
+    if us.shape == (0,):
+        us = us.reshape(0, n)
     if us.ndim != 2 or us.shape[1] != n:
-        raise LengthMismatch(f"expected length {n}, got {us.shape[-1]}")
+        raise LengthMismatch(f"expected rows of length {n}, got an array "
+                             f"of shape {us.shape}")
     # read as unsigned, a negative entry is >= 2^63: one comparison
     if np.count_nonzero(us.view(np.uint64) >= q):
         raise BadEncoding(f"entries must be encodings in [0, {q})")

@@ -15,10 +15,8 @@ from .errors import (
     BadDims,
     BadK,
     ContextMismatch,
-    DuplicateNode,
     InconsistentSystem,
     NotSquare,
-    ZeroMultiplier,
 )
 from .field import FieldCtx, FieldElement
 from .kernels import DEFAULT_BUDGET
@@ -266,7 +264,7 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Column-subset tests and Vandermonde-style builders
+# Column-subset tests
 # ---------------------------------------------------------------------------
 
 def first_dependent_columns(m: Matrix, k: int, budget=DEFAULT_BUDGET):
@@ -282,50 +280,3 @@ def first_dependent_columns(m: Matrix, k: int, budget=DEFAULT_BUDGET):
             return tuple(int(j) for j in subsets[hits[0]])
     return None
 
-
-def _normalize_nodes_multipliers(a, v):
-    """The field, and encodings of distinct nodes and nonzero multipliers."""
-    a = list(a)
-    if not a:
-        raise BadDims("empty node vector")
-    ctx = a[0].ctx
-    a = list(map(ctx.encode, a))
-    if len(set(a)) != len(a):
-        raise DuplicateNode("evaluation nodes must be pairwise distinct")
-    n = len(a)
-    if isinstance(v, (int, FieldElement)):
-        v = [v] * n
-    v = list(map(ctx.encode, v))
-    if len(v) != n:
-        raise BadDims("multiplier vector length does not match nodes")
-    if 0 in v:
-        raise ZeroMultiplier("column multipliers must be nonzero")
-    return ctx, a, v
-
-
-def _power_row(ctx: FieldCtx, a, lw, e: int) -> list:
-    """Encodings of w_j a_j^e, from the node encodings a and the logs lw
-    of the nonzero w (0^0 = 1)."""
-    exp, log, n1 = ctx._exp, ctx._log, ctx.q - 1
-    return [exp[(lb + e * log[x]) % n1] if x or not e else 0
-            for x, lb in zip(a, lw)]
-
-
-def grs_generator(a, v, k: int) -> Matrix:
-    """k x n matrix with entry (i, j) = v_j * a_j^i for i = 0..k-1."""
-    ctx, a, v = _normalize_nodes_multipliers(a, v)
-    n = len(a)
-    if not 1 <= k <= n:
-        raise BadDims(f"need 1 <= k <= n, got k = {k}, n = {n}")
-    return _grs(ctx, a, list(map(ctx._log.__getitem__, v)), k)
-
-
-def _grs(ctx: FieldCtx, a, lv, k: int) -> Matrix:
-    """grs_generator on the node encodings a and the multipliers' logs lv."""
-    return _of(ctx, tuple(tuple(_power_row(ctx, a, lv, i))
-                          for i in range(k)), len(a))
-
-
-def egrs_generator(a, v, k: int) -> Matrix:
-    """The k x n evaluation matrix with an appended (0,...,0,1)^T column."""
-    return _with_col(grs_generator(a, v, k), [0] * (k - 1) + [1])

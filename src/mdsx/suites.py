@@ -28,8 +28,10 @@ from .constructions import (
     cyclic_cu,
     egrs,
     egrs_dual_code,
+    egrs_generator,
     grs,
     grs_dual_weights,
+    grs_generator,
     nk_delta_set_check,
     prs,
     roth_lempel,
@@ -44,7 +46,6 @@ from .constructions import (
 from .errors import UnknownSuite
 from .field import _prime_factors, field_new
 from .kernels import DEFAULT_BUDGET
-from .matrix import egrs_generator, grs_generator
 
 
 def _ctx_for_q(q: int):
@@ -153,9 +154,9 @@ def suite_thm7_identity(params):
                 gk = grs_generator(a, v, k)
                 col = gk.mat_vec(u)
                 ident = [e.value for e in col] == [0] * (k - 1) + [1]
-                code = grs(GrsSpec.make(ctx, nodes, mult, k))
-                ext_ok = code.extend_u(u).same_code(
-                    egrs(GrsSpec.make(ctx, nodes, mult, k)))
+                spec = GrsSpec.make(ctx, nodes, mult, k)
+                code = grs(spec)
+                ext_ok = code.extend_u(u).same_code(egrs(spec))
                 case_ok = ident and ext_ok
                 if case_ok and q ** k <= budget:
                     dual = code.dual()

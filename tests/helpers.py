@@ -332,6 +332,67 @@ def scalar_tables(ctx, add_limit=1024):
 
 
 # ---------------------------------------------------------------------------
+# A certificate for the coset-leader sweep: the sweep's scalable twin.  It
+# checks the output, not the route, and shares nothing with the sweep's
+# pushes, pulls, stacking, exits or scaling table.
+# ---------------------------------------------------------------------------
+
+_CERTIFY_ENTRIES = 1 << 20  # digits per block of the certificate
+
+
+def certify_leader_array(H, n, ctx, leader) -> bool:
+    """Whether `leader` holds the coset-leader weight of every packed
+    syndrome (entry i times q^i) under the int rows H.
+
+    That weight is the breadth-first distance d from 0 in the graph whose
+    edges add c*h_j, c != 0.  A map L is d iff L(0) = 0, no entry is unset
+    and, for every s != 0, the least L over the n(q-1) neighbours of s is
+    L(s) - 1: L <= d by induction along a shortest path, and L >= d by
+    induction on L.  With L(g*s) = L(s) for a primitive g also checked,
+    the neighbours of c*s are c times those of s, so the neighbour test
+    runs on one representative per scalar orbit, the s in [q^t, 2q^t)
+    whose top digit is 1: about q^r n gathers in all.  The field tables
+    come from scalar operations (`scalar_tables`, so odd q <= 1024)."""
+    q, r = ctx.q, len(H)
+    leader = np.asarray(leader)
+    if leader.shape != (q ** r,) or leader[0] != 0 or leader.max() > n:
+        return False
+    _, exp, log, add, _ = scalar_tables(ctx)
+    exp = np.array(exp, dtype=np.int64)
+    log = np.array([0 if x is None else x for x in log], dtype=np.int64)
+    table = None if ctx.p == 2 else np.array(add, dtype=np.int64)
+    radix = q ** np.arange(r, dtype=np.int64)
+
+    def digits(s):
+        return s[:, None] // radix % q
+
+    def times(c, x):
+        """g^c * x entrywise, for the primitive g of the tables."""
+        return np.where(x == 0, 0, exp[(log[x] + c) % (q - 1)])
+
+    def blocks(lo, hi, rows):
+        for b in range(lo, hi, rows):
+            yield np.arange(b, min(b + rows, hi), dtype=np.int64)
+
+    rows = max(1, _CERTIFY_ENTRIES // max(r, 1))
+    if any((leader[times(1, digits(s)) @ radix] != leader[s]).any()
+           for s in blocks(0, q ** r, rows)):
+        return False
+    # the digits of c * h_j, for every column j and c = g^0 .. g^(q-2)
+    cols = np.array(H, dtype=np.int64).reshape(r, n).T
+    steps = np.concatenate([times(c, cols) for c in range(q - 1)])[None]
+    rows = max(1, rows // len(steps[0]))
+    for t in range(r):
+        for s in blocks(q ** t, 2 * q ** t, rows):
+            d = digits(s)[:, None]
+            near = (d ^ steps if table is None else table[d, steps]) @ radix
+            if (leader[near].min(axis=1)
+                    != leader[s].astype(np.int64) - 1).any():
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Two twins of covering.extensions_mds and the suite's batched check: the
 # same batch over all codewords, and Theorem 6 one u at a time, where each
 # u builds the extension with extend_u and settles its MDS status by
@@ -454,7 +515,7 @@ def deep_hole_family_rs(a, k, v=None):
 
 def boxed_nodes_multipliers(a, v):
     """(ctx, nodes, multipliers) as FieldElements, with the errors of
-    matrix._normalize_nodes_multipliers in the same order."""
+    constructions.GrsSpec's node and multiplier checks in the same order."""
     a = list(a)
     if not a:
         raise BadDims("empty node vector")

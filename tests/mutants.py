@@ -181,10 +181,6 @@ MUTANTS = [
     ("odd elimination adds f·pivot row", "matrix.py",
      "lf = log[f] + lneg", "lf = log[f]",
      ["tests/test_matrix_twin.py", "tests/test_matrix.py"]),
-    ("GRS power rows read node 0 as 1", "matrix.py",
-     "exp[(lb + e * log[x]) % n1] if x or not e else 0",
-     "exp[(lb + e * log[x]) % n1]",
-     ["tests/test_constructions.py", "tests/test_matrix.py"]),
     ("log(0) one period short", "field.py",
      "log[0] = 2 * (q - 1)", "log[0] = q - 1",
      ["tests/test_field.py", "tests/test_kernels.py"]),
@@ -235,8 +231,22 @@ MUTANTS = [
      "[1, delta]", "[delta, 1]",
      ["tests/test_constructions.py"]),
     ("int dual weights drop the multiplier v_i", "constructions.py",
-     "-(log[vi] + sum(", "-(sum(",
+     "-(log[vi.value] + sum(", "-(sum(",
      ["tests/test_constructions.py"]),
+    # the one gate for evaluation-code inputs, and the rows built on it
+    ("GrsSpec accepts k = n + 1", "constructions.py",
+     "if not 1 <= self.k <= len(a):", "if not 1 <= self.k <= len(a) + 1:",
+     ["tests/test_constructions.py"]),
+    ("spec rows ignore the multipliers", "constructions.py",
+     "lv = [ctx._log[x.value] for x in spec.v]", "lv = [0 for x in spec.v]",
+     ["tests/test_constructions.py"]),
+    ("GRS power rows read node 0 as 1", "constructions.py",
+     "exp[(lb + e * log[x]) % n1] if x or not e else 0",
+     "exp[(lb + e * log[x]) % n1]",
+     ["tests/test_constructions.py", "tests/test_matrix.py"]),
+    ("extend_g counts the new column's pivot", "code.py",
+     "p < g.cols", "p <= g.cols",
+     ["tests/test_code.py"]),
 ]
 
 

@@ -10,9 +10,10 @@ from mdsx.code import (
     full_code,
     zero_code,
 )
-from mdsx.constructions import GrsSpec, egrs, grs, grs_dual_weights, \
-    roth_lempel, thm7_u
+from mdsx.constructions import GrsSpec, egrs, egrs_generator, grs, \
+    grs_dual_weights, grs_generator, roth_lempel, thm7_u
 from mdsx.errors import (
+    BadDims,
     BudgetExceeded,
     LengthMismatch,
     RankDeficient,
@@ -20,8 +21,7 @@ from mdsx.errors import (
 )
 from mdsx.field import field_new
 from mdsx.kernels import DEFAULT_BUDGET
-from mdsx.matrix import Matrix, egrs_generator, first_dependent_columns, \
-    grs_generator
+from mdsx.matrix import Matrix, first_dependent_columns
 
 gf2 = field_new(2, 1)
 gf3 = field_new(3, 1)
@@ -252,6 +252,17 @@ class TestExtendG:
         extend_g(good, [0, 1])  # fine
         with pytest.raises(RankDeficient):
             extend_g(bad, [0, 1])
+
+    def test_error_order(self):
+        # a dependent g is reported before a column of the wrong length,
+        # and a row-free g spans nothing
+        bad = Matrix(gf5, [[1, 2, 3, 4], [2, 4, 1, 3]])
+        with pytest.raises(RankDeficient):
+            extend_g(bad, [0])
+        with pytest.raises(BadDims):
+            extend_g(GRS42.generator, [0])
+        with pytest.raises(ZeroMatrix):
+            extend_g(Matrix(gf5, [], cols=4), [])
 
 
 class TestExtensionParityCheck:

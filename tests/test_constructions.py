@@ -15,8 +15,10 @@ from mdsx.constructions import (
     cyclic_spec,
     egrs,
     egrs_dual_code,
+    egrs_generator,
     grs,
     grs_dual_weights,
+    grs_generator,
     nk_delta_set_check,
     prs,
     roth_lempel,
@@ -31,7 +33,7 @@ from mdsx.constructions import (
 from mdsx.covering import covering_radius, is_deep_hole
 from mdsx.errors import BadDims, BadK, BadU, DuplicateNode, PoleCollision
 from mdsx.field import Poly, field_new
-from mdsx.matrix import egrs_generator, grs_generator
+from mdsx.matrix import Matrix
 
 gf3 = field_new(3, 1)
 gf4 = field_new(2, 2)
@@ -485,3 +487,100 @@ def test_builders_match_boxed_twins(case):
     if pole is not None:
         cand = thm14_vector("pole", a, k, delta, pi=pole)
         assert encodings(cand.vector[:n]) == encodings(pole_head)
+
+
+# ---------------------------------------------------------------------------
+# One gate: every evaluation-code entry point checks its nodes, multipliers
+# and k by building a GrsSpec, so it fails as that spec fails and, on a
+# valid input, builds from what the spec holds.  roth_lempel's k stays in
+# its own range 3 <= k <= n-1.
+# ---------------------------------------------------------------------------
+
+GATE_NODES = gf7.vector([3, 0, 6, 1, 5])
+GATE_INPUTS = [
+    (GATE_NODES, [2, 1, 4, 3, 6], 3),                    # valid
+    (gf7.vector([3, 0, 6, 0, 5]), 1, 3),                 # duplicate node
+    ((), 1, 3),                                          # empty nodes
+    (GATE_NODES, [2, 1, 0, 3, 6], 3),                    # zero multiplier
+    (GATE_NODES, [2, 1, 4], 3),                          # multiplier length
+    (GATE_NODES, 1, 0),                                  # k = 0
+    (GATE_NODES, 1, 6),                                  # k = n + 1
+    (GATE_NODES[:4] + (gf5.elem(2),), 1, 3),             # mixed fields
+    (GATE_NODES, 1, "2"),                                # k not an int
+]
+
+
+def _twin_generator(spec, *cols):
+    """The boxed twin's evaluation matrix of the spec, with the given
+    columns appended."""
+    rows = helpers.ref_grs_generator(spec.a, spec.v, spec.k)
+    return Matrix(spec.ctx, [r + [c[i] for c in cols]
+                             for i, r in enumerate(rows)])
+
+
+def _unit(k, *tail):
+    return [0] * (k - 1 - len(tail)) + [1, *tail]
+
+
+# name: (the spec it gates, the call, the boxed twin on that spec)
+GATED = {
+    "GrsSpec.make": (
+        lambda a, v, k: (a, v, k),
+        lambda a, v, k: GrsSpec.make(gf7, a, v, k),
+        lambda s: s),
+    "grs_generator": (
+        lambda a, v, k: (a, v, k), grs_generator, _twin_generator),
+    "egrs_generator": (
+        lambda a, v, k: (a, v, k), egrs_generator,
+        lambda s: _twin_generator(s, _unit(s.k))),
+    "grs_dual_weights": (
+        lambda a, v, k: (a, v, 1),
+        lambda a, v, k: grs_dual_weights(a, v),
+        lambda s: helpers.ref_grs_dual_weights(s.a, s.v)),
+    "thm7_u": (
+        lambda a, v, k: (a, v, k), thm7_u,
+        lambda s: helpers.ref_thm7_u(s.a, s.v, s.k)),
+    "thm12_u": (
+        lambda a, v, k: (a, 1, k),
+        lambda a, v, k: thm12_u(a, k, 2),
+        lambda s: helpers.ref_thm12_u(s.a, s.k, 2)),
+    "thm14_vector": (
+        lambda a, v, k: (a, 1, k),
+        lambda a, v, k: thm14_vector("monomial", a, k, 2).vector,
+        lambda s: (*helpers.ref_thm14_heads(s.a, s.k)[0], s.ctx.elem(2))),
+    "roth_lempel": (
+        lambda a, v, k: (a, 1, k),
+        lambda a, v, k: roth_lempel(a, k, 2),
+        lambda s: code_from_generator(
+            _twin_generator(s, _unit(s.k), _unit(s.k, 2)))),
+    "egrs_dual_code": (
+        lambda a, v, k: (a, 1, k),
+        lambda a, v, k: egrs_dual_code(a, k),
+        lambda s: code_from_generator(
+            _twin_generator(s, _unit(s.k))).dual()),
+}
+
+
+def _plain(result):
+    """Integer rows or encodings of a builder's result."""
+    if isinstance(result, GrsSpec):
+        return result
+    if hasattr(result, "generator"):
+        result = result.generator
+    if isinstance(result, Matrix):
+        return result.to_int_rows()
+    return encodings(result)
+
+
+@pytest.mark.parametrize("name", list(GATED))
+def test_every_grs_entry_point_goes_through_the_gate(name):
+    gate, call, twin = GATED[name]
+    for a, v, k in GATE_INPUTS:
+        try:
+            spec = GrsSpec(*gate(a, v, k))
+        except Exception as refused:
+            with pytest.raises(Exception) as info:
+                call(a, v, k)
+            assert type(info.value) is type(refused), (a, v, k)
+        else:
+            assert _plain(call(a, v, k)) == _plain(twin(spec)), (a, v, k)

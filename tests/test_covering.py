@@ -467,6 +467,24 @@ def test_entries_outside_the_field_are_refused(entry):
     assert issubclass(BadEncoding, MdsxError)
 
 
+@pytest.mark.parametrize("call", [
+    lambda us: covering_radius(DUAL42).leader_weights(us),
+    lambda us: extensions_mds(GRS42, us),
+    lambda us: deep_holes_via_mds(DUAL42, us),
+    lambda us: syndrome_criteria(DUAL42.parity, us, 2),
+], ids=["leader_weights", "extensions_mds", "deep_holes_via_mds",
+        "syndrome_criteria"])
+def test_batches_are_two_dimensional(call):
+    # an empty list is the batch of no rows, as an empty (0, n) array is;
+    # a bare vector or a row of the wrong length is refused by its shape
+    for empty in ([], np.empty((0, 4), dtype=np.int64)):
+        assert call(empty).shape == (0,)
+    for bad, shape in (([1, 2, 3, 4], r"\(4,\)"), ([[]], r"\(1, 0\)"),
+                       ([[0, 1, 2]], r"\(1, 3\)")):
+        with pytest.raises(LengthMismatch, match=shape):
+            call(bad)
+
+
 def test_thm6_suite_scans_each_codes_orbits_once(monkeypatch):
     # 8-row blocks cut GF(3)^3 into nine blocks of vectors u; the light
     # codewords of a code are still scanned once, not once per block

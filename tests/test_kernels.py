@@ -75,6 +75,8 @@ def _results(code, vectors):
                       for v in vectors],
         "leaders": (report._leader.tolist(), report.rho),
         "leader_counts": report.coset_leader_weight_counts(),
+        "certified": helpers.certify_leader_array(
+            code.parity.to_int_rows(), code.n, code.ctx, report._leader),
     }
 
 
@@ -110,6 +112,7 @@ def test_split_fold_matches_unsplit_and_brute_force(q, monkeypatch):
                 code, code.ctx.vector(v)) for v in vectors],
             "leaders": helpers.brute_coset_leaders(_fresh(code)),
             "leader_counts": helpers.brute_coset_leader_weight_counts(code),
+            "certified": True,
         }
         assert whole == brute
         # 1 row: every fold part but the last becomes an offset, each push
@@ -159,6 +162,7 @@ def test_each_route_alone_matches_brute_force(q, pull, monkeypatch):
             routes.clear()
             leader, rho = kernels.coset_leader_weights(H, code.n, code.ctx)
             assert (leader.tolist(), rho) == want
+            assert helpers.certify_leader_array(H, code.n, code.ctx, leader)
             assert routes == [("pulled" if pull else "pushed", w)
                               for w in range(1, rho + 1)]
 
@@ -202,8 +206,9 @@ def test_pull_stops_at_each_orbits_first_hit(q, monkeypatch):
     _recording_pull_visits(monkeypatch, visits)
     for code in codes:
         visits.clear()
-        _, rho = kernels.coset_leader_weights(
-            code.parity.to_int_rows(), code.n, code.ctx)
+        H = code.parity.to_int_rows()
+        leader, rho = kernels.coset_leader_weights(H, code.n, code.ctx)
+        assert helpers.certify_leader_array(H, code.n, code.ctx, leader)
         assert rho == code.n - code.k
         assert [w for w, _, _ in visits] == list(range(1, rho + 1))
         for _, left, tested in visits:
@@ -369,6 +374,70 @@ def test_sweep_matches_syndrome_oracle(code):
     report = covering_radius(code)
     assert (report._leader.tolist(), report.rho) \
         == helpers.brute_coset_leaders(code)
+    assert helpers.certify_leader_array(code.parity.to_int_rows(), code.n,
+                                        code.ctx, report._leader)
+
+
+@st.composite
+def certified_codes(draw):
+    """Random [n, n-r] codes past the reach of the brute-force oracle, q^n
+    up to 9^12, with at most 2^14 syndromes: systematic generators
+    [I | A], so that no dependent row adds syndromes."""
+    ctx = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(2, 12))
+    r = draw(st.integers(1, max(r for r in range(1, n + 1)
+                                if ctx.q ** r <= 1 << 14)))
+    entry = st.one_of(st.just(0), st.integers(0, ctx.q - 1))
+    rows = [[int(i == j) for j in range(n - r)] + [draw(entry)
+                                                   for _ in range(r)]
+            for i in range(n - r)]
+    return code_from_generator(Matrix(ctx, rows, cols=n), allow_zero=True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(certified_codes())
+def test_sweep_passes_the_certificate_beyond_brute_force(code):
+    report = covering_radius(code)
+    assert helpers.certify_leader_array(code.parity.to_int_rows(), code.n,
+                                        code.ctx, report._leader)
+
+
+# the covering-sweep benchmark's codes whose certificate takes under 0.5 s
+SWEEP_CODES = {
+    "prs17.12-gf16": lambda: prs(field_new(2, 4), 12),
+    "prs10.4-gf9": lambda: prs(field_new(3, 2), 4),
+    "grs8.2-gf9": lambda: grs(GrsSpec.make(field_new(3, 2), range(8), 1, 2)),
+    "grs11.6-gf11": lambda: grs(GrsSpec.make(field_new(11, 1), range(11), 1,
+                                             6)),
+    "grs16.11-gf16": lambda: grs(GrsSpec.make(field_new(2, 4), range(16), 1,
+                                              11)),
+}
+
+
+@pytest.mark.parametrize("make", list(SWEEP_CODES.values()),
+                         ids=list(SWEEP_CODES))
+def test_benchmark_sweeps_pass_the_certificate(make):
+    code = make()
+    report = covering_radius(code)
+    assert helpers.certify_leader_array(code.parity.to_int_rows(), code.n,
+                                        code.ctx, report._leader)
+
+
+def test_certificate_rejects_a_corrupted_leader_array():
+    # a weight-2 entry raised to 3, the last deep hole raised to rho + 1,
+    # an unset entry, and a nonzero weight at syndrome 0
+    code = prs(field_new(3, 2), 4)
+    report = covering_radius(code)
+    H = code.parity.to_int_rows()
+    leader = report._leader
+    assert helpers.certify_leader_array(H, code.n, code.ctx, leader)
+    for at, value in ((np.flatnonzero(leader == 2)[0], 3),
+                      (np.flatnonzero(leader == report.rho)[-1],
+                       report.rho + 1),
+                      (len(leader) // 2, 0xFF), (0, 1)):
+        bad = leader.copy()
+        bad[at] = value
+        assert not helpers.certify_leader_array(H, code.n, code.ctx, bad)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

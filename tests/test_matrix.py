@@ -10,13 +10,9 @@ from mdsx.errors import (
     NotSquare,
     ZeroMultiplier,
 )
+from mdsx.constructions import egrs_generator, grs_generator
 from mdsx.field import field_new
-from mdsx.matrix import (
-    Matrix,
-    egrs_generator,
-    first_dependent_columns,
-    grs_generator,
-)
+from mdsx.matrix import Matrix, first_dependent_columns
 
 gf4 = field_new(2, 2)
 gf5 = field_new(5, 1)
