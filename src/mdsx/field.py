@@ -25,7 +25,6 @@ from .errors import (
 )
 
 SIZE_LIMIT = 1 << 16
-_ADD_TABLE_LIMIT = 1024  # odd q up to this size add scalars by q*q lists
 
 _construction_lock = threading.Lock()
 
@@ -153,7 +152,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "m", "q", "modulus", "base", "_primitive_value",
-        "_exp", "_log", "_add", "_neg", "_raw_mul", "_quad_ext",
+        "_exp", "_log", "_zech", "_neg", "_raw_mul", "_quad_ext",
         "_arrays", "_elems", "__weakref__",
     )
 
@@ -190,8 +189,8 @@ class FieldCtx:
         return r
 
     def _build_tables(self):
-        """exp and log, the neg and scalar add lists of odd p, and the
-        kernels' arrays `_arrays` = (log, exp, add).
+        """exp and log, the neg and Zech lists of odd p, and the kernels'
+        arrays `_arrays` = (log, exp, add).
 
         An encoding is a vector of base-p digits (in a quadratic extension,
         the base field's digits low and the second coordinate's high), so
@@ -203,8 +202,8 @@ class FieldCtx:
         In the arrays, log(0) = 2(q-1) and exp runs over two periods and
         then zeros, so the sum of two logs indexes exp directly; the logs
         are int64, numpy's index type (int32 logs cost every gather a
-        conversion).  add is XOR in characteristic 2, else `_odd_add`; the
-        scalar add lists come from it, and -a = a * g^((q-1)/2) from exp.
+        conversion).  add is XOR in characteristic 2, else `_odd_add`, which
+        gives the Zech logs log(1 + g^i); -a = a g^((q-1)/2) comes from exp.
         """
         p, m, q = self.p, self.m, self.q
         prim = next(a for a in range(1, q) if self._order(a) == q - 1)
@@ -227,8 +226,7 @@ class FieldCtx:
         log = np.empty(q, np.int64)
         log[0] = 2 * (q - 1)
         log[exp] = np.arange(q - 1)
-        # the Python lists share one int object per element: 2 MB less at
-        # q = 2^16, and 24 MB less for the add lists at q = 1021
+        # the lists share one int object per element, 2 MB less at q = 2^16
         ints = list(range(q))
         self._exp = [ints[e] for e in exp]
         self._log = [0] + [ints[i] for i in log[1:]]
@@ -236,14 +234,14 @@ class FieldCtx:
         padded[:q - 1] = padded[q - 1:2 * (q - 1)] = exp
 
         if p == 2:
-            self._add = self._neg = None
+            self._zech = self._neg = None
             add = np.bitwise_xor
         else:
             self._neg = [ints[v] for v in padded[log + (q - 1) // 2].tolist()]
             add = _odd_add(p, m, dt)
-            e = np.arange(q, dtype=dt)
-            self._add = None if q > _ADD_TABLE_LIMIT else \
-                [[ints[v] for v in row.tolist()] for row in add(e[:, None], e)]
+            # 1 + g^((q-1)/2) = 0, whose log(0) = 2(q-1) is marked -1
+            self._zech = [ints[z] if z < q else -1
+                          for z in log[add(exp, 1)].tolist()]
         self._arrays = (log, padded, add)
 
     # -- integer-encoding arithmetic (kernel API) ---------------------------
@@ -251,15 +249,13 @@ class FieldCtx:
     def add_i(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if self._add is not None:
-            return self._add[a][b]
-        # `_odd_add`'s rule on ints; on one-element arrays GF(3^7) takes 100 us
-        p, out, unit = self.p, 0, 1
-        while a or b:
-            s = a % p + b % p
-            out += (s - p if s >= p else s) * unit
-            a, b, unit = a // p, b // p, unit * p
-        return out
+        if not a or not b:
+            return a or b
+        # a + b = a (1 + b/a) = g^(log a + zech(log b - log a)); the logs
+        # index lists of q - 1 entries, where a negative index wraps mod q - 1
+        n, la = self.q - 1, self._log[a]
+        z = self._zech[self._log[b] - la]
+        return self._exp[la + z - n] if z >= 0 else 0
 
     def neg_i(self, a: int) -> int:
         if self.p == 2:

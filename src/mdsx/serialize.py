@@ -146,7 +146,10 @@ def code_from_spec(d) -> tuple[FieldCtx, LinearCode]:
         raise InvalidSpec("spec needs a field")
     ctx = field_from_dict(d["field"])
     if "code" in d:
-        return ctx, _code_from_part(ctx, d["code"])
+        try:
+            return ctx, _code_from_part(ctx, d["code"])
+        except RecursionError:
+            raise InvalidSpec("code part is nested too deeply")
     if "generator" in d:
         # shorthand: {field, generator} is the generator-type spec
         return ctx, _code_from_part(
@@ -164,6 +167,8 @@ def load_spec_file(path) -> tuple[FieldCtx, LinearCode]:
         d = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+    except RecursionError:
+        raise ParseError(f"{path}: JSON is nested too deeply")
     return code_from_spec(d)
 
 

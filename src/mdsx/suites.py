@@ -19,7 +19,6 @@ from .covering import (
     _extension_test,
     covering_radius,
     deep_holes_via_mds,
-    is_deep_hole,
     syndrome_criteria,
 )
 from .constructions import (
@@ -250,31 +249,26 @@ def suite_thm14_consistency(params):
                                   "assumption_holds": False, "checked": 0,
                                   "ok": True})
                     continue
-                checked = 0
-                ok = True
+                cands = []
                 for dv in range(q):
-                    cands = [thm14_vector("monomial", a, k, dv)]
-                    for pv in range(q):
-                        if pv in nodes:
-                            continue
-                        cands.append(thm14_vector("pole", a, k, dv, pi=pv))
-                    for cand in cands:
-                        brute = is_deep_hole(target, cand.vector, budget)
-                        checked += 1
-                        if cand.valid != brute:
-                            ok = False
-                            if counterexample is None:
-                                counterexample = {
-                                    "field": serialize.field_to_dict(ctx),
-                                    "kind": cand.kind,
-                                    "nodes": nodes, "k": k, "delta": dv,
-                                    "pi": None if cand.pi is None
-                                    else cand.pi.value,
-                                    "set_verdict": cand.valid,
-                                    "brute_force": brute}
+                    cands.append(thm14_vector("monomial", a, k, dv))
+                    cands += [thm14_vector("pole", a, k, dv, pi=pv)
+                              for pv in range(q) if pv not in nodes]
+                deep = rep.leader_weights(
+                    [target._vec(c.vector) for c in cands]) == rep.rho
+                bad = [(c, b) for c, b in zip(cands, deep.tolist())
+                       if c.valid != b]
+                if bad and counterexample is None:
+                    cand, brute = bad[0]
+                    counterexample = {
+                        "field": serialize.field_to_dict(ctx),
+                        "kind": cand.kind, "nodes": nodes, "k": k,
+                        "delta": cand.delta.value,
+                        "pi": None if cand.pi is None else cand.pi.value,
+                        "set_verdict": cand.valid, "brute_force": brute}
                 cases.append({"q": q, "n": n, "k": k, "rho": rep.rho,
-                              "assumption_holds": True, "checked": checked,
-                              "ok": ok})
+                              "assumption_holds": True,
+                              "checked": len(cands), "ok": not bad})
     return cases, counterexample
 
 

@@ -43,9 +43,18 @@ MUTANTS = [
      "    wide = np.uint8 if p <= 127 else np.uint16 if p <= 32749 else "
      "np.uint32\n", "    wide = dt\n",
      ["tests/test_field.py"]),
-    ("scalar add above the lists keeps s where s >= p", "field.py",
-     "out += (s - p if s >= p else s) * unit",
-     "out += s * unit",
+    ("Zech log of a/b instead of b/a", "field.py",
+     "z = self._zech[self._log[b] - la]", "z = self._zech[la - self._log[b]]",
+     ["tests/test_field.py"]),
+    ("add_i returns b when a summand is 0", "field.py",
+     "            return a or b\n", "            return b\n",
+     ["tests/test_field.py"]),
+    ("Zech marker read as a log", "field.py",
+     "return self._exp[la + z - n] if z >= 0 else 0",
+     "return self._exp[la + z - n]",
+     ["tests/test_field.py"]),
+    ("Zech logs of 2 + g^i", "field.py",
+     "log[add(exp, 1)]", "log[add(exp, 2)]",
      ["tests/test_field.py"]),
     ("exp doubling step is not squared", "field.py",
      "            step = step @ step % p\n", "",

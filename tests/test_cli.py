@@ -10,6 +10,7 @@ import pytest
 from mdsx import kernels
 from mdsx.cli import main
 from mdsx.constructions import GrsSpec, grs
+from mdsx.errors import InvalidSpec
 from mdsx.serialize import code_from_spec
 
 
@@ -67,6 +68,39 @@ class TestBuild:
         rc, _, err = run(capsys, ["build", str(p)])
         assert rc == 2
         assert ":" in err  # carries line/column info
+
+    @staticmethod
+    def _dual_chain_text(depth):
+        """JSON of a spec whose code part is `depth` dual levels over the
+        [3,2] GRS code over GF(5), written out since json.dumps recurses."""
+        return ('{"field": {"p": 5, "m": 1}, "code": '
+                + '{"type": "dual", "inner": ' * depth
+                + '{"type": "grs", "nodes": [0, 1, 2], "k": 2}'
+                + "}" * (depth + 1))
+
+    def test_deeply_nested_file_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text(self._dual_chain_text(5000), encoding="utf-8")
+        rc, _, err = run(capsys, ["build", str(p)])
+        assert rc == 2
+        assert "nested too deeply" in err
+
+    def test_deeply_nested_spec_is_invalid(self):
+        spec = json.loads(self._dual_chain_text(0))
+        for _ in range(2000):
+            spec["code"] = {"type": "dual", "inner": spec["code"]}
+        with pytest.raises(InvalidSpec, match="nested too deeply"):
+            code_from_spec(spec)
+
+    def test_nine_hundred_nested_levels_still_build(self, capsys, tmp_path):
+        # an even number of duals is the code itself
+        p = tmp_path / "deep.json"
+        p.write_text(self._dual_chain_text(900), encoding="utf-8")
+        rc, out, _ = run(capsys, ["build", str(p), "--json"])
+        assert rc == 0
+        assert json.loads(out)["k"] == 2
+        _, code = code_from_spec(json.loads(self._dual_chain_text(900)))
+        assert code.same_code(grs(GrsSpec.make(code.ctx, [0, 1, 2], 1, 2)))
 
     def test_invalid_spec_exits_2(self, capsys, spec_file):
         bad = {"field": {"p": 5, "m": 1}, "code": {"type": "nonsense"}}

@@ -440,7 +440,7 @@ class TestCuExtensionFacts:
 
 # ---------------------------------------------------------------------------
 # The builders compute on encodings; their boxed twins in helpers.py compute
-# with FieldElement arithmetic.  GF(1031) is odd with q above the add lists.
+# with FieldElement arithmetic.  GF(1031) is odd with uint16 encodings.
 # ---------------------------------------------------------------------------
 
 TWIN_FIELDS = [field_new(p, m) for p, m in

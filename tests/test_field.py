@@ -130,7 +130,7 @@ class TestArithmetic:
 
 
 # Every field the suites and tests build, the largest of each kind, odd
-# fields past the scalar add lists, prime and not, and the primes on each
+# fields with uint16 encodings, prime and not, and the primes on each
 # side of the digit sum's dtype boundaries (2p - 2 in uint8, uint16)
 TWIN_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                (11, 1), (13, 1), (2, 4), (17, 1), (5, 2), (3, 3), (2, 5),
@@ -141,13 +141,19 @@ TWIN_EXTENSIONS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (7, 1), (3, 2)]
 
 
 def _assert_tables_match_twin(ctx):
-    prim, exp, log, add, neg = helpers.scalar_tables(ctx)
+    prim, exp, log, _, neg = helpers.scalar_tables(ctx, add_limit=0)
     q = ctx.q
     assert ctx.primitive.value == prim
     assert ctx._exp == exp
     assert ctx._log[1:] == log[1:]
-    assert ctx._add == add
     assert ctx._neg == neg
+    if ctx.p == 2:
+        assert ctx._zech is None
+    else:
+        # Zech logarithms log(1 + g^i), -1 where 1 + g^i = 0
+        ones = [helpers.raw_add(ctx, e, 1) for e in exp]
+        assert ctx._zech == [log[s] if s else -1 for s in ones]
+        assert len(ctx._zech) == q - 1
     # the kernels' arrays: log(0) past two periods of exp, then zeros
     log_arr, exp_arr, add_arr = ctx._arrays
     assert log_arr.tolist() == [2 * (q - 1)] + log[1:]
@@ -159,6 +165,14 @@ def _assert_tables_match_twin(ctx):
     assert add_arr(a, b).tolist() == want
     assert [ctx.add_i(a_, b_) for a_, b_ in zip(a.tolist(), b.tolist())] \
         == want
+    # the pairs random sampling misses once q is large: a zero summand,
+    # a + (-a) = 0 (the Zech marker) and a + a
+    for v in sorted({1, q - 1, *rng.integers(1, q, size=40).tolist()}):
+        nv = helpers.raw_neg(ctx, v)
+        for x, y in ((0, v), (v, 0), (v, nv), (nv, v), (v, v), (0, 0)):
+            want = helpers.raw_add(ctx, x, y)
+            assert ctx.add_i(x, y) == want, (x, y)
+            assert ctx.sub_i(want, y) == x, (want, y)
 
 
 class TestTableTwin:

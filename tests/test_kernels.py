@@ -233,7 +233,7 @@ def test_pull_takes_the_layers_where_one_column_per_orbit_is_cheaper(
 
 
 def test_prime_field_beyond_the_addition_table():
-    # GF(1031) has no scalar addition table; add_i sums on ints
+    # GF(1031): uint16 encodings, and add_i reads 1030 Zech logarithms
     gf = field_new(1031, 1)
     code = grs(GrsSpec.make(gf, [0, 1, 2], 1, 1))
     dual = code.dual()
@@ -307,7 +307,7 @@ def test_sweep_on_each_side_of_the_block_table_boundary(pm, width):
 
 @pytest.mark.parametrize("pm", [(3, 7), (5, 5)], ids=["gf2187", "gf3125"])
 def test_non_prime_field_beyond_the_addition_table(pm):
-    # no scalar addition table: add_i sums digit by digit on ints
+    # uint16 encodings of several digits; add_i reads Zech logarithms
     gf = field_new(*pm)
     q = gf.q
     code = grs(GrsSpec.make(gf, [0, 1, 2], 1, 1))

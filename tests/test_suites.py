@@ -19,7 +19,7 @@ from mdsx.constructions import (
     grs,
     thm12_u,
 )
-from mdsx.covering import covering_radius, is_deep_hole
+from mdsx.covering import CoveringReport, covering_radius, is_deep_hole
 from mdsx.errors import BudgetExceeded
 from mdsx.field import field_new
 
@@ -79,12 +79,16 @@ def test_thm12_reports_a_wrong_roth_lempel_code(monkeypatch):
 
 
 def test_thm14_reports_a_flipped_deep_hole_verdict(monkeypatch):
-    real = suites.is_deep_hole
+    # over GF(5) every leader weight reads as a deep hole's iff it is not
+    real = CoveringReport.leader_weights
 
-    def flipped(code, v, budget):
-        return real(code, v, budget) != (code.ctx.q == 5)
+    def flipped(self, vectors):
+        w = real(self, vectors)
+        if self.code.ctx.q != 5:
+            return w
+        return np.where(w == self.rho, self.rho - 1, self.rho)
 
-    monkeypatch.setattr(suites, "is_deep_hole", flipped)
+    monkeypatch.setattr(CoveringReport, "leader_weights", flipped)
     rep = suites.run_suite("thm14-consistency", {"qs": [4, 5]})
     assert not rep["passed"]
     for c in rep["cases"]:
@@ -97,6 +101,7 @@ def test_thm14_reports_a_flipped_deep_hole_verdict(monkeypatch):
         5, list(range(first["n"])), first["k"])
     assert (cx["kind"], cx["delta"], cx["pi"]) == ("thm14_monomial", 0, None)
     assert cx["brute_force"] != cx["set_verdict"]
+    assert type(cx["brute_force"]) is bool
 
 
 def test_examples_report_a_wrong_radius(monkeypatch):
