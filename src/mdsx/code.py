@@ -20,7 +20,7 @@ from .errors import (
 )
 from .field import FieldCtx
 from .kernels import DEFAULT_BUDGET
-from .matrix import Matrix, _box, _kernel, _of, _with_col, \
+from .matrix import Matrix, _box_rows, _kernel, _of, _with_col, \
     first_dependent_columns
 
 
@@ -73,8 +73,7 @@ class LinearCode:
         at most DEFAULT_BUDGET)."""
         for block in kernels.coset_blocks(self.generator._rows, self.n,
                                           self.ctx, [0] * self.n):
-            for word in block.tolist():
-                yield _box(self.ctx, word)
+            yield from _box_rows(self.ctx, block)
 
     def _vec(self, v) -> tuple:
         """Encodings of a length-n vector of ints or field elements."""

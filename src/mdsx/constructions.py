@@ -166,8 +166,14 @@ def roth_lempel(a, k: int, delta) -> LinearCode:
 def thm7_u(a, v, k: int) -> tuple:
     """The u with G_k u^T = (0,..,0,1)^T: extending the evaluation code by
     <u, .> appends exactly the degree-(k-1) coefficient."""
-    ctx, a, lw = _dual_weight_logs(GrsSpec(a, v, k))
-    return _box(ctx, _power_row(ctx, a, lw, len(a) - k))
+    spec = GrsSpec(a, v, k)
+    return _box(spec.ctx, _thm7_row(spec))
+
+
+def _thm7_row(spec: GrsSpec) -> list:
+    """Encodings of thm7_u of a spec, which is checked already."""
+    ctx, a, lw = _dual_weight_logs(spec)
+    return _power_row(ctx, a, lw, spec.n - spec.k)
 
 
 def thm12_u(a, k: int, delta) -> tuple:

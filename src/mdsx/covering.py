@@ -28,7 +28,7 @@ from .errors import (
 )
 from .code import LinearCode
 from .kernels import DEFAULT_BUDGET
-from .matrix import Matrix, _box
+from .matrix import Matrix, _box_rows
 
 
 class CoveringReport:
@@ -74,24 +74,23 @@ class CoveringReport:
         """Canonical deep-hole representatives: per deep-hole coset, the
         lexicographically first minimum-weight vector (desk scale: the
         vectors the search tests count against the budget)."""
-        return [_box(self.code.ctx, r)
-                for r in self._representative_ints(limit, budget)]
+        return _box_rows(self.code.ctx,
+                         self._representative_ints(limit, budget))
 
-    def _representative_ints(self, limit, budget) -> list[tuple]:
-        """representatives as tuples of encodings; the full list is
+    def _representative_ints(self, limit, budget):
+        """representatives as a (count, n) array of encodings, one row per
+        deep-hole coset in ascending syndrome order; the full array is
         cached.  A negative limit is refused, not counted from the end."""
         if limit is not None and limit < 0:
             raise BadLimit(f"limit = {limit} is negative")
-        if self._reps is None:
-            targets = self.deep_hole_syndromes[:limit].tolist()
-            found = kernels.lex_first_weight_vectors(
-                self.code.parity._rows, self.code.n, self.code.ctx,
-                self.rho, set(targets), budget=budget)
-            reps = [found[t] for t in targets]
-            if limit is None:
-                self._reps = reps
-            return reps
-        return self._reps if limit is None else self._reps[:limit]
+        if self._reps is not None:
+            return self._reps[:limit]
+        reps = kernels.lex_first_weight_vectors(
+            self.code.parity._rows, self.code.n, self.code.ctx, self.rho,
+            self.deep_hole_syndromes[:limit], budget=budget)
+        if limit is None:
+            self._reps = reps
+        return reps
 
     def to_dict(self, include_representatives=False, limit=None,
                 budget=DEFAULT_BUDGET) -> dict:
@@ -103,8 +102,8 @@ class CoveringReport:
             "coset_leader_weight_counts": self.coset_leader_weight_counts(),
         }
         if include_representatives:
-            d["representatives"] = [
-                list(r) for r in self._representative_ints(limit, budget)]
+            d["representatives"] = \
+                self._representative_ints(limit, budget).tolist()
         return d
 
 
@@ -227,10 +226,10 @@ def _extension_test(code: LinearCode, budget=DEFAULT_BUDGET):
     light = [np.zeros((0, n), dtype=np.int64)]
     for block in kernels.orbit_blocks(code.generator._rows, n, code.ctx,
                                       budget):
-        wt = np.count_nonzero(block, axis=1)
+        wt = kernels.row_weights(block)
         light.append(block[(wt > 0) & (wt <= n - k + 1)])
     light = np.concatenate(light)
-    if k == 0 or (np.count_nonzero(light, axis=1) <= n - k).any():
+    if k == 0 or (kernels.row_weights(light) <= n - k).any():
         return lambda us: np.zeros(len(us), dtype=bool)
     return lambda us: \
         (kernels.mat_vecs(light, n, code.ctx, us) != 0).all(axis=1)
@@ -246,11 +245,9 @@ def full_radius_witness(code: LinearCode, budget=DEFAULT_BUDGET):
     report = covering_radius(code, budget)
     if report.rho != code.n - code.k:
         return None
-    targets = set(report.deep_hole_syndromes.tolist())
-    found = kernels.lex_first_weight_vectors(
-        code.parity._rows, code.n, code.ctx, report.rho, targets,
-        stop_after_first=True, budget=budget)
-    vec = next(iter(found.values()))
-    if not deep_holes_via_mds(code, [vec], budget)[0]:
+    vec = kernels.lex_first_weight_vectors(
+        code.parity._rows, code.n, code.ctx, report.rho,
+        report.deep_hole_syndromes, stop_after_first=True, budget=budget)
+    if not deep_holes_via_mds(code, vec, budget)[0]:
         raise InvariantViolation("deep-hole witness failed the minor check")
-    return _box(code.ctx, vec)
+    return _box_rows(code.ctx, vec)[0]

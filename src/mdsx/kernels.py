@@ -187,11 +187,17 @@ def orbit_blocks(G_int, n: int, ctx, budget=DEFAULT_BUDGET):
         yield from coset_blocks(G_int[:i], n, ctx, G_int[i], budget)
 
 
+def row_weights(block):
+    """Nonzero entries of each row of a 2-d array, as int32 (n can reach
+    q + 1 = 65,537, past any 8- or 16-bit count)."""
+    return np.einsum("ij->i", block != 0, dtype=np.int32)
+
+
 def _histogram(blocks, n: int):
     """Counts of rows of each weight 0..n over `blocks`."""
     counts = np.zeros(n + 1, dtype=np.int64)
     for block in blocks:
-        counts += np.bincount(np.count_nonzero(block, axis=1), minlength=n + 1)
+        counts += np.bincount(row_weights(block), minlength=n + 1)
     return counts
 
 
@@ -530,8 +536,9 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
 def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
                              stop_after_first=False, budget=DEFAULT_BUDGET):
     """First weight-`weight` vector, in global lexicographic order, whose
-    packed syndrome lies in `targets`; one entry per target unless
-    stop_after_first.
+    packed syndrome lies in `targets` (ints): a (len(targets), n) array of
+    encodings, row i for the i-th smallest distinct target, or with
+    stop_after_first a (1, n) array, the first to reach any target.
 
     Depth-first over positions, a zero entry before the nonzero ones, down
     to the prefixes that leave b nonzero entries to place; each of them
@@ -544,14 +551,19 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
     [T(pos+1, j); c*e_pos + T(pos+1, j-1) for c = 1..q-1], so it is the
     first C(n-pos, j)(q-1)^j rows of T(0, j).  The table keeps each vector
     beside its syndrome, n entries of `_dtype_for(q)` (n bytes up to
-    q = 256, next to 8 bytes of syndrome, or r*m digits for odd q), and
-    a hit's vector is its row, zero before pos, with the prefix written
-    in.  The vectors of every batch count against the budget as tested.
+    q = 256, next to 8 bytes of syndrome, or r*m digits for odd q); a hit
+    goes straight into its target's row: its table row, zero before pos,
+    with the prefix written in.  The vectors of every batch count against
+    the budget as tested.
     """
     q = ctx.q
     table, add, pack, _ = _syndrome_table(H_int, n, ctx)
+    # return_index takes np.unique's sort route, 30x its hash route here
+    targets = np.unique(np.fromiter(targets, np.int64), return_index=True)[0]
     wanted = np.zeros(q ** len(H_int), dtype=bool)
-    wanted[list(targets)] = True
+    wanted[targets] = True
+    out = np.zeros((min(len(targets), 1) if stop_after_first
+                    else len(targets), n), _dtype_for(q))
     b = min(weight, 1)
     while b < weight and 8 * comb(n, b + 1) * (q - 1) ** (b + 1) \
             <= _CHUNK_BYTES:
@@ -570,7 +582,6 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
             vectors[j] = np.concatenate([vectors[j], placed])
     batch, batch_vectors = levels[b], vectors[b]
     del levels, vectors
-    found = {}
     remaining = len(targets)
     tested = 0
 
@@ -590,9 +601,10 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
             if stop_after_first:
                 hits = hits[:1]
             new, first = np.unique(syn[hits], return_index=True)
-            vecs = batch_vectors[hits[first]]
-            vecs[:, :pos] = prefix
-            found.update(zip(new.tolist(), map(tuple, vecs.tolist())))
+            at = slice(0, 1) if stop_after_first else \
+                np.searchsorted(targets, new)
+            out[at] = batch_vectors[hits[first]]
+            out[at, :pos] = prefix
             wanted[new] = False
             remaining = 0 if stop_after_first else remaining - new.size
             return
@@ -605,4 +617,4 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
     if remaining:
         raise InvariantViolation("no fixed-weight vector reaches some "
                                  "target syndrome")
-    return found
+    return out

@@ -41,6 +41,16 @@ def _box(ctx: FieldCtx, values) -> tuple:
     return tuple(map(ctx._elems.__getitem__, values))
 
 
+def _box_rows(ctx: FieldCtx, rows) -> list[tuple]:
+    """_box of every row of a 2-d array of encodings, in one pass over its
+    entries: one iterator, cut into rows of n by zip."""
+    count, n = rows.shape
+    if not n:
+        return [()] * count
+    entries = map(ctx._elems.__getitem__, rows.ravel().tolist())
+    return list(zip(*[entries] * n))
+
+
 def _kernel(ctx: FieldCtx, red, nc: int) -> "Matrix":
     """A basis of {x : M x^T = 0} in RREF, from the rows of M's reduced
     form, whose nonzero rows each start at a pivot column."""

@@ -9,12 +9,13 @@ counterexample as a replayable spec dict.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
 
 from . import kernels, serialize
-from .code import extend_g
+from .code import code_from_generator, extend_g
 from .covering import (
     _extension_test,
     covering_radius,
@@ -23,6 +24,8 @@ from .covering import (
 )
 from .constructions import (
     GrsSpec,
+    _rows,
+    _thm7_row,
     cu_extension_facts,
     cyclic_cu,
     egrs,
@@ -30,7 +33,6 @@ from .constructions import (
     egrs_generator,
     grs,
     grs_dual_weights,
-    grs_generator,
     nk_delta_set_check,
     prs,
     roth_lempel,
@@ -40,7 +42,6 @@ from .constructions import (
     t_set_bruteforce,
     thm12_u,
     thm14_vector,
-    thm7_u,
 )
 from .errors import UnknownSuite
 from .field import _prime_factors, field_new
@@ -146,15 +147,13 @@ def suite_thm7_identity(params):
             nodes = rng.sample(range(q), n)
             mult = [1] * n if s % 2 == 0 \
                 else [rng.randrange(1, q) for _ in range(n)]
-            a = ctx.vector(nodes)
-            v = ctx.vector(mult)
             for k in range(1, n):
-                u = thm7_u(a, v, k)
-                gk = grs_generator(a, v, k)
+                spec = GrsSpec.make(ctx, nodes, mult, k)
+                gk = _rows(spec)
+                u = _thm7_row(spec)
                 col = gk.mat_vec(u)
                 ident = [e.value for e in col] == [0] * (k - 1) + [1]
-                spec = GrsSpec.make(ctx, nodes, mult, k)
-                code = grs(spec)
+                code = code_from_generator(gk)
                 ext_ok = code.extend_u(u).same_code(egrs(spec))
                 case_ok = ident and ext_ok
                 if case_ok and q ** k <= budget:
@@ -168,8 +167,7 @@ def suite_thm7_identity(params):
                     ok = False
                     if counterexample is None:
                         counterexample = _grs_spec_dict(
-                            ctx, nodes, mult, k,
-                            u=[e.value for e in u])
+                            ctx, nodes, mult, k, u=u)
         cases.append({"q": q, "checked": checked,
                       "covering_checked": covered, "ok": ok})
     return cases, counterexample
@@ -197,8 +195,10 @@ def suite_thm12_identity(params):
             n = len(nodes)
             a = ctx.vector(nodes)
             w = grs_dual_weights(a, 1)
-            node_sum = sum(a, ctx.zero)
-            power_sum = sum((wi * ai ** n for wi, ai in zip(w, a)), ctx.zero)
+            node_sum = reduce(ctx.add_i, nodes)
+            power_sum = reduce(ctx.add_i, [
+                ctx.mul_i(wi.value, ctx.pow_i(ai, n))
+                for wi, ai in zip(w, nodes)])
             sum_ok = power_sum == node_sum
             checked = 0
             ok = sum_ok

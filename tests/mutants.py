@@ -127,6 +127,9 @@ MUTANTS = [
      "kernels.coset_blocks(self.generator._rows,",
      "kernels.coset_blocks(self.generator._rows[::-1],",
      ["tests/test_kernels.py"]),
+    ("row weights summed in uint8", "kernels.py",
+     "block != 0, dtype=np.int32)", "block != 0, dtype=np.uint8)",
+     ["tests/test_kernels.py"]),
     ("orbit histogram drops the q - 1 factor", "kernels.py",
      "    counts *= ctx.q - 1\n", "",
      ["tests/test_kernels.py"]),
@@ -160,7 +163,10 @@ MUTANTS = [
      "[heavier.reshape(-1, *zero.shape), levels[j]]",
      ["tests/test_kernels.py"]),
     ("hit's vector drops its prefix", "kernels.py",
-     "            vecs[:, :pos] = prefix\n", "",
+     "            out[at, :pos] = prefix\n", "",
+     ["tests/test_kernels.py"]),
+    ("hit written one target row off", "kernels.py",
+     "np.searchsorted(targets, new)", "np.searchsorted(targets, new) - 1",
      ["tests/test_kernels.py"]),
     ("vector table writes 1 for every c", "kernels.py",
      "placed[:, pos] = np.repeat(np.arange(1, q), len(vectors[j - 1]))",
@@ -169,10 +175,13 @@ MUTANTS = [
     ("vector table puts the zero branch last", "kernels.py",
      "[vectors[j], placed]", "[placed, vectors[j]]",
      ["tests/test_kernels.py"]),
-    # one FieldElement per value
+    # one FieldElement per value, boxed at the API edge
     ("interned element keeps a numpy value", "field.py",
      "        v = int(v)\n", "",
      ["tests/test_field.py"]),
+    ("_box_rows cuts rows one entry short", "matrix.py",
+     "zip(*[entries] * n)", "zip(*[entries] * (n - 1))",
+     ["tests/test_matrix.py"]),
     # the column-subset engine
     ("_ranks ignores used rows", "kernels.py",
      "live = unused & (A[:, :, c] != 0)", "live = A[:, :, c] != 0",

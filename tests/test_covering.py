@@ -32,7 +32,7 @@ from mdsx.errors import (
     NotMds,
 )
 from mdsx.field import field_new
-from mdsx.matrix import Matrix, first_dependent_columns
+from mdsx.matrix import Matrix, _box, first_dependent_columns
 
 gf2 = field_new(2, 1)
 gf3 = field_new(3, 1)
@@ -176,6 +176,23 @@ class TestRepresentatives:
                                limit=0)["representatives"] == []
             assert len(rep.representatives(limit=2)) == 2
             assert (rep._reps is not None) == cached
+            rep.representatives()
+
+    @pytest.mark.parametrize("limit", [None, 0, 2])
+    def test_representatives_box_the_encoding_rows(self, limit):
+        # the boxed rows are the per-row boxing of the rows to_dict emits,
+        # the same interned elements, before and after the cache fills
+        rep = covering_radius(prs(gf4, 2))
+        for cached in (False, True):
+            assert (rep._reps is not None) == cached
+            got = rep.representatives(limit=limit)
+            rows = rep.to_dict(include_representatives=True,
+                               limit=limit)["representatives"]
+            want = [_box(gf4, r) for r in rows]
+            assert len(want) == (3 if limit is None else limit)
+            assert got == want
+            assert all(a is b for g, w in zip(got, want)
+                       for a, b in zip(g, w))
             rep.representatives()
 
 

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -21,7 +21,7 @@ from mdsx.covering import (
     syndrome_criteria,
 )
 from mdsx.errors import BadDims, BudgetExceeded, InvariantViolation
-from mdsx.field import field_new
+from mdsx.field import _dtype_for, field_new
 from mdsx.matrix import Matrix, _of
 
 
@@ -583,6 +583,22 @@ def orbit_generators(draw):
     return ctx, G, n
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([np.uint8, np.uint16, np.int64]), st.integers(0, 4),
+       st.sampled_from([0, 1, 17, 255, 256, 300]),
+       st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2 ** 32 - 1))
+@example(np.uint8, 2, 300, 1.0, 0)  # 300 nonzero entries pass 8 bits
+def test_row_weights_match_count_nonzero(dtype, rows, cols, density, seed):
+    rng = np.random.default_rng(seed)
+    info = np.iinfo(dtype)
+    block = rng.integers(info.min, info.max, (rows, cols), dtype=dtype,
+                         endpoint=True)
+    block[rng.random((rows, cols)) >= density] = 0
+    got = kernels.row_weights(block)
+    assert got.dtype == np.int32
+    assert got.tolist() == np.count_nonzero(block, axis=1).tolist()
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(orbit_generators())
 def test_orbit_histogram_matches_full_scan_and_messages(case):
@@ -783,14 +799,16 @@ LEX_CHUNK_BYTES = (kernels._CHUNK_BYTES, 256, 16, 1)
 
 
 def _check_lex_first(case, stop_after_first):
+    # rows of encodings: one per target, ascending, or with
+    # stop_after_first the first vector to reach any target, whose
+    # syndrome is a target's
     ctx, H, n, weight, targets = case
     first = helpers.brute_lex_first_weight_vectors(H, n, ctx, weight)
     reached = {t: first[t] for t in targets if t in first}
     if stop_after_first and reached:
-        t = min(reached, key=reached.get)
-        want = {t: reached[t]}
+        want = [min(reached.values())]
     elif not stop_after_first and len(reached) == len(targets):
-        want = reached
+        want = [reached[t] for t in sorted(targets)]
     else:
         want = None
     for size in LEX_CHUNK_BYTES:
@@ -799,9 +817,15 @@ def _check_lex_first(case, stop_after_first):
                 with pytest.raises(InvariantViolation):
                     kernels.lex_first_weight_vectors(
                         H, n, ctx, weight, targets, stop_after_first)
-            else:
-                assert kernels.lex_first_weight_vectors(
-                    H, n, ctx, weight, targets, stop_after_first) == want
+                continue
+            got = kernels.lex_first_weight_vectors(
+                H, n, ctx, weight, targets, stop_after_first)
+            assert got.dtype == _dtype_for(ctx.q)
+            assert got.shape == (len(want), n)
+            assert list(map(tuple, got.tolist())) == want
+            if stop_after_first:
+                assert helpers.scalar_syndrome(H, got[0].tolist(), ctx) \
+                    in targets
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -831,8 +855,8 @@ def test_lex_first_search_counts_tested_vectors_against_the_budget():
             (kernels._CHUNK_BYTES, 24)):
         with mock.patch.object(kernels, "_CHUNK_BYTES", size):
             assert kernels.lex_first_weight_vectors(
-                H, 4, ctx, 2, {target}, budget=tested) \
-                == {target: (0, 1, 1, 0)}
+                H, 4, ctx, 2, {target}, budget=tested).tolist() \
+                == [[0, 1, 1, 0]]
             with pytest.raises(BudgetExceeded):
                 kernels.lex_first_weight_vectors(H, 4, ctx, 2, {target},
                                                  budget=tested - 1)

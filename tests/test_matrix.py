@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from mdsx.errors import (
@@ -11,8 +12,8 @@ from mdsx.errors import (
     ZeroMultiplier,
 )
 from mdsx.constructions import egrs_generator, grs_generator
-from mdsx.field import field_new
-from mdsx.matrix import Matrix, first_dependent_columns
+from mdsx.field import _dtype_for, field_new
+from mdsx.matrix import Matrix, _box, _box_rows, first_dependent_columns
 
 gf4 = field_new(2, 2)
 gf5 = field_new(5, 1)
@@ -183,3 +184,19 @@ class TestZeroRowMatrices:
     def test_full_rank_square_has_empty_nullspace(self):
         ns = Matrix.identity(gf5, 3).nullspace()
         assert (ns.rows, ns.cols) == (0, 3)
+
+
+@pytest.mark.parametrize("pm", [(2, 1), (3, 2), (2, 16)],
+                         ids=["gf2", "gf9", "gf65536"])
+@pytest.mark.parametrize("shape", [(5, 7), (1, 1), (0, 7), (4, 0)])
+def test_box_rows_is_box_of_each_row(pm, shape):
+    # the same interned elements, one tuple per row, for no rows and for
+    # rows of no entries too
+    ctx = field_new(*pm)
+    rows = np.random.default_rng(3).integers(0, ctx.q, shape).astype(
+        _dtype_for(ctx.q))
+    got = _box_rows(ctx, rows)
+    want = [_box(ctx, r) for r in rows.tolist()]
+    assert got == want
+    assert all(type(r) is tuple for r in got)
+    assert all(a is b for g, w in zip(got, want) for a, b in zip(g, w))

@@ -27,13 +27,13 @@ from mdsx.field import field_new
 def test_thm7_reports_a_wrong_u(monkeypatch):
     # shift the last entry of every u over GF(5): G_k u^T is no longer the
     # last unit vector
-    real = suites.thm7_u
+    real = suites._thm7_row
 
-    def shifted(a, v, k):
-        u = real(a, v, k)
-        return u if a[0].ctx.q != 5 else u[:-1] + (u[-1] + 1,)
+    def shifted(spec):
+        u = real(spec)
+        return u if spec.ctx.q != 5 else u[:-1] + [(u[-1] + 1) % 5]
 
-    monkeypatch.setattr(suites, "thm7_u", shifted)
+    monkeypatch.setattr(suites, "_thm7_row", shifted)
     rep = suites.run_suite("thm7-identity", {"qs": [3, 5], "samples": 2})
     assert not rep["passed"]
     assert [(c["q"], c["ok"]) for c in rep["cases"]] == [(3, True),
