@@ -15,6 +15,7 @@ from .errors import (
     BadDims,
     ContextMismatch,
     LengthMismatch,
+    NotReduced,
     RankDeficient,
     ZeroMatrix,
 )
@@ -28,16 +29,20 @@ class LinearCode:
     __slots__ = ("ctx", "n", "k", "generator", "_parity", "_d", "_covering",
                  "_dual")
 
-    def __init__(self, ctx: FieldCtx, generator: Matrix, parity=None):
-        # generator must already be in RREF with no zero rows
-        self.ctx = ctx
-        self.generator = generator
-        self.n = generator.cols
-        self.k = generator.rows
-        self._parity = parity
-        self._d = None
-        self._covering = None
-        self._dual = None
+    def __init__(self, ctx: FieldCtx, generator: Matrix):
+        """The code generated by `generator`, which must be its own RREF
+        with no zero rows (`code_from_generator` reduces any generator)."""
+        if generator.ctx is not ctx:
+            raise ContextMismatch("generator over a different field")
+        red, pivots = generator.rref()
+        if red != generator or len(pivots) < generator.rows:
+            raise NotReduced("generator is not in RREF with no zero rows")
+        self._init(ctx, generator, None)
+
+    def _init(self, ctx, generator, parity):
+        self.ctx, self.generator, self._parity = ctx, generator, parity
+        self.n, self.k = generator.cols, generator.rows
+        self._d = self._covering = self._dual = None
 
     # -- structure -------------------------------------------------------------
 
@@ -51,8 +56,7 @@ class LinearCode:
         """The dual code, made once, so its caches persist; its dual is
         this code."""
         if self._dual is None:
-            self._dual = LinearCode(self.ctx, self.parity,
-                                    parity=self.generator)
+            self._dual = _code(self.ctx, self.parity, self.generator)
             self._dual._dual = self
         return self._dual
 
@@ -154,7 +158,7 @@ class LinearCode:
         """Append <u, c> as coordinate n+1: the reduced generator G with
         the column G u^T appended is still reduced."""
         col = self.generator._dot_rows(self._vec(u))
-        return LinearCode(self.ctx, _with_col(self.generator, col))
+        return _code(self.ctx, _with_col(self.generator, col))
 
     def extend_g(self, g) -> "LinearCode":
         return extend_g(self.generator, g)
@@ -168,22 +172,28 @@ class LinearCode:
 # Constructors
 # ---------------------------------------------------------------------------
 
+def _code(ctx: FieldCtx, generator: Matrix, parity=None) -> LinearCode:
+    """A code on a generator already in RREF with no zero rows, unchecked:
+    every construction inside the package goes through here."""
+    code = object.__new__(LinearCode)
+    code._init(ctx, generator, parity)
+    return code
+
+
 def code_from_generator(g: Matrix, allow_zero: bool = False) -> LinearCode:
     """Code spanned by the rows of g; rows are reduced to a canonical basis."""
     red, pivots = g.rref()
     if not pivots and not allow_zero:
         raise ZeroMatrix("generator spans nothing")
-    return LinearCode(g.ctx, _of(g.ctx, red._rows[:len(pivots)], g.cols))
+    return _code(g.ctx, _of(g.ctx, red._rows[:len(pivots)], g.cols))
 
 
 def zero_code(ctx: FieldCtx, n: int) -> LinearCode:
-    return LinearCode(ctx, Matrix(ctx, [], cols=n),
-                      parity=Matrix.identity(ctx, n))
+    return _code(ctx, Matrix(ctx, [], cols=n), Matrix.identity(ctx, n))
 
 
 def full_code(ctx: FieldCtx, n: int) -> LinearCode:
-    return LinearCode(ctx, Matrix.identity(ctx, n),
-                      parity=Matrix(ctx, [], cols=n))
+    return _code(ctx, Matrix.identity(ctx, n), Matrix(ctx, [], cols=n))
 
 
 def extend_g(g: Matrix, vec) -> LinearCode:
@@ -198,7 +208,7 @@ def extend_g(g: Matrix, vec) -> LinearCode:
         raise BadDims(f"expected length {g.rows}, got {len(vec)}")
     if not pivots:
         raise ZeroMatrix("generator spans nothing")
-    return LinearCode(g.ctx, _of(g.ctx, red._rows[:len(pivots)], ext.cols))
+    return _code(g.ctx, _of(g.ctx, red._rows[:len(pivots)], ext.cols))
 
 
 def extension_parity_check(h: Matrix, u) -> Matrix:

@@ -67,6 +67,10 @@ class LengthMismatch(MdsxError):
     pass
 
 
+class NotReduced(MdsxError):
+    """A code's generator is not its own RREF with no zero rows."""
+
+
 class BadEncoding(MdsxError):
     """A vector entry is not a field element's encoding in [0, q)."""
 

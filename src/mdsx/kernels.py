@@ -60,9 +60,10 @@ representatives) come from `lex_first_weight_vectors`: a depth-first
 search over prefixes that tests all completions of a prefix with its last
 few nonzero entries in one batch, cut from one lexicographic table that
 keeps each completion vector beside its syndrome.
-Everything here is deterministic; two bounds cap memory only, past one
+Everything here is deterministic; three bounds cap memory only, past one
 unit of work: _BLOCK_ROWS rows per block (fold, push, pull, expansion),
-_CHUNK_BYTES bytes of int64 per subset chunk or lex-search batch.
+_CHUNK_BYTES bytes of int64 per subset chunk or lex-search batch, and
+_SCALE_TABLE_ENTRIES entries per packed scaling table of the sweep.
 """
 
 from __future__ import annotations
@@ -536,9 +537,10 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
 def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
                              stop_after_first=False, budget=DEFAULT_BUDGET):
     """First weight-`weight` vector, in global lexicographic order, whose
-    packed syndrome lies in `targets` (ints): a (len(targets), n) array of
-    encodings, row i for the i-th smallest distinct target, or with
-    stop_after_first a (1, n) array, the first to reach any target.
+    packed syndrome lies in `targets` (an int array or list, not a set): a
+    (len(targets), n) array of encodings, row i for the i-th smallest
+    distinct target, or with stop_after_first a (1, n) array, the first to
+    reach any target.
 
     Depth-first over positions, a zero entry before the nonzero ones, down
     to the prefixes that leave b nonzero entries to place; each of them
@@ -559,7 +561,7 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
     q = ctx.q
     table, add, pack, _ = _syndrome_table(H_int, n, ctx)
     # return_index takes np.unique's sort route, 30x its hash route here
-    targets = np.unique(np.fromiter(targets, np.int64), return_index=True)[0]
+    targets = np.unique(np.asarray(targets, np.int64), return_index=True)[0]
     wanted = np.zeros(q ** len(H_int), dtype=bool)
     wanted[targets] = True
     out = np.zeros((min(len(targets), 1) if stop_after_first

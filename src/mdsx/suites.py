@@ -393,81 +393,68 @@ def suite_cyclic_cu(params):
 # the inner-product / appended-column extension correspondence.
 # ---------------------------------------------------------------------------
 
-def _criteria_agreement_cases(budget):
-    cases = []
-    first_bad = None
+def _small_codes():
+    """(name, code, extension_kind) for the small evaluation codes over
+    GF(2), GF(3) and GF(4), each built once, in report order;
+    extension_kind marks the ones that extension-kinds reads too, eval[n,k]
+    and ext-eval[n+1,n]."""
     for q in (2, 3, 4):
         ctx = _ctx_for_q(q)
-        codes = []
         for n in range(2, q + 1):
             nodes = list(range(n))
             for k in range(1, n):
-                codes.append((f"eval[{n},{k}]",
-                              grs(GrsSpec.make(ctx, nodes, 1, k))))
+                yield (f"eval[{n},{k}]", grs(GrsSpec.make(ctx, nodes, 1, k)),
+                       True)
             for k in range(1, n + 1):
-                if n + 1 <= 5:
-                    codes.append((f"ext-eval[{n + 1},{k}]",
-                                  egrs(GrsSpec.make(ctx, nodes, 1, k))))
-        for name, code in codes:
-            rep = covering_radius(code, budget)
-            full = rep.rho == code.n - code.k
-            mds = code.is_mds(budget)
-            applicable = mds and full and code.k < code.n
-            # every u at once, in product order; a verdict that differs
-            # from the leader weight's is a disagreement
-            us = np.concatenate(list(_all_vectors(ctx, code.n, budget)))
-            dh = rep.leader_weights(us) == rep.rho
-            bad = dh != syndrome_criteria(code.parity, us, rep.rho, budget)
-            if applicable:
-                bad |= dh != deep_holes_via_mds(code, us, budget)
-            checked = int(bad.argmax()) + 1 if bad.any() else len(us)
-            if bad.any() and first_bad is None:
-                first_bad = {"q": q, "code": name,
-                             "u": us[checked - 1].tolist()}
-            cases.append({"q": q, "code": name, "rho": rep.rho,
-                          "minor_test_applicable": bool(applicable),
-                          "checked": checked, "ok": not bad.any()})
-    return cases, first_bad
+                yield (f"ext-eval[{n + 1},{k}]",
+                       egrs(GrsSpec.make(ctx, nodes, 1, k)), k == n)
 
 
-def _extension_kind_cases(budget):
-    cases = []
-    first_bad = None
-    for q in (2, 3, 4):
-        ctx = _ctx_for_q(q)
-        codes = []
-        for n in range(2, q + 1):
-            nodes = list(range(n))
-            for k in range(1, n):
-                codes.append((f"eval[{n},{k}]",
-                              grs(GrsSpec.make(ctx, nodes, 1, k))))
-            if n + 1 <= 5:
-                codes.append((f"ext-eval[{n + 1},{n}]",
-                              egrs(GrsSpec.make(ctx, nodes, 1, n))))
-        for name, code in codes:
-            n, k = code.n, code.k
-            # the fibers of u -> G u^T, from one batched product; extend_u
-            # takes <u, row> by scalar ops
-            us = np.concatenate(list(_all_vectors(ctx, n, budget)))
-            gs = kernels.mat_vecs(code.generator._rows, n, ctx, us)
-            fibers = {}
-            for u, g in zip(map(tuple, us.tolist()), map(tuple, gs.tolist())):
-                fibers.setdefault(g, []).append(u)
-            sizes_ok = all(len(v) == q ** (n - k) for v in fibers.values())
-            match_ok = True
-            for g, us in sorted(fibers.items()):
-                target = extend_g(code.generator, g)
-                if not all(code.extend_u(u).same_code(target) for u in us):
-                    match_ok = False
-                    if first_bad is None:
-                        first_bad = {"q": q, "code": name, "g": list(g)}
-                    break
-            ok = sizes_ok and match_ok
-            if not ok and first_bad is None:
-                first_bad = {"q": q, "code": name, "fibers": "size"}
-            cases.append({"q": q, "code": name, "fibers": len(fibers),
-                          "fiber_size": q ** (n - k), "ok": ok})
-    return cases, first_bad
+def _small_code_cases(budget):
+    """criteria-agreement and extension-kinds in one pass over the small
+    codes, each with one all-u array: both parts' cases and each part's
+    first disagreement."""
+    agree, kinds = [], []
+    agree_bad = kinds_bad = None
+    for name, code, extension_kind in _small_codes():
+        ctx, n, k = code.ctx, code.n, code.k
+        q = ctx.q
+        rep = covering_radius(code, budget)
+        applicable = code.is_mds(budget) and rep.rho == n - k and k < n
+        # every u at once, in product order; a verdict that differs
+        # from the leader weight's is a disagreement
+        us = np.concatenate(list(_all_vectors(ctx, n, budget)))
+        dh = rep.leader_weights(us) == rep.rho
+        bad = dh != syndrome_criteria(code.parity, us, rep.rho, budget)
+        if applicable:
+            bad |= dh != deep_holes_via_mds(code, us, budget)
+        checked = int(bad.argmax()) + 1 if bad.any() else len(us)
+        if bad.any() and agree_bad is None:
+            agree_bad = {"q": q, "code": name, "u": us[checked - 1].tolist()}
+        agree.append({"q": q, "code": name, "rho": rep.rho,
+                      "minor_test_applicable": bool(applicable),
+                      "checked": checked, "ok": not bad.any()})
+        if not extension_kind:
+            continue
+        # the fibers of u -> G u^T, from one batched product; extend_u
+        # takes <u, row> by scalar ops
+        gs = kernels.mat_vecs(code.generator._rows, n, ctx, us)
+        fibers = {}
+        for u, g in zip(map(tuple, us.tolist()), map(tuple, gs.tolist())):
+            fibers.setdefault(g, []).append(u)
+        ok = all(len(v) == q ** (n - k) for v in fibers.values())
+        for g, fiber in sorted(fibers.items()):
+            target = extend_g(code.generator, g)
+            if not all(code.extend_u(u).same_code(target) for u in fiber):
+                if kinds_bad is None:
+                    kinds_bad = {"q": q, "code": name, "g": list(g)}
+                ok = False
+                break
+        if not ok and kinds_bad is None:
+            kinds_bad = {"q": q, "code": name, "fibers": "size"}
+        kinds.append({"q": q, "code": name, "fibers": len(fibers),
+                      "fiber_size": q ** (n - k), "ok": ok})
+    return agree, agree_bad, kinds, kinds_bad
 
 
 def suite_dp_vs_bruteforce(params):
@@ -487,11 +474,12 @@ def suite_dp_vs_bruteforce(params):
         checked = 0
         for vals in sets:
             s = ctx.vector(vals)
-            for m in range(len(vals) + 1):
-                dp = {e.value for e in subset_sums(s, m)}
-                bf = {e.value for e in subset_sums_bruteforce(s, m)}
+            # one enumeration per m, read by the DP and no-delta checks
+            sums = [{e.value for e in subset_sums_bruteforce(s, m)}
+                    for m in range(len(vals) + 1)]
+            for m, bf_sums in enumerate(sums):
                 checked += 1
-                if dp != bf:
+                if {e.value for e in subset_sums(s, m)} != bf_sums:
                     ok = False
             outside = [x for x in range(q) if x not in vals]
             for pv in outside[:2]:
@@ -503,11 +491,8 @@ def suite_dp_vs_bruteforce(params):
                         ok = False
             for dv in range(q):
                 for m in range(1, min(4, len(vals))):
-                    lhs = nk_delta_set_check(s, m, dv)
-                    rhs = (ctx.elem(dv)
-                           not in subset_sums_bruteforce(s, m))
                     checked += 1
-                    if lhs != rhs:
+                    if nk_delta_set_check(s, m, dv) != (dv not in sums[m]):
                         ok = False
         if not ok and counterexample is None:
             counterexample = {"dp_mismatch_q": q}
@@ -528,15 +513,13 @@ def suite_dp_vs_bruteforce(params):
                     counterexample = {"all-sums_failed": {"q": q, "k": k}}
         cases.append({"part": "all-sums", "q": q, "ks": ks, "ok": ok})
 
-    agree_cases, bad = _criteria_agreement_cases(budget)
-    cases.extend({"part": "criteria-agreement", **c} for c in agree_cases)
-    if bad is not None and counterexample is None:
-        counterexample = {"criteria_disagreement": bad}
-
-    ext_cases, bad = _extension_kind_cases(budget)
-    cases.extend({"part": "extension-kinds", **c} for c in ext_cases)
-    if bad is not None and counterexample is None:
-        counterexample = {"extension_kind_mismatch": bad}
+    agree, agree_bad, kinds, kinds_bad = _small_code_cases(budget)
+    cases.extend({"part": "criteria-agreement", **c} for c in agree)
+    cases.extend({"part": "extension-kinds", **c} for c in kinds)
+    if counterexample is None and agree_bad is not None:
+        counterexample = {"criteria_disagreement": agree_bad}
+    if counterexample is None and kinds_bad is not None:
+        counterexample = {"extension_kind_mismatch": kinds_bad}
 
     return cases, counterexample
 

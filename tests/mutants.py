@@ -13,8 +13,7 @@ a failing test or a package that no longer imports kills the mutant.
 It exits 1 if the tests pass on some mutant (the mutant survived) or if
 some old text is no longer found once (the patch is stale: update it with
 the code it mutates).  pytest does not collect this file, since its name
-does not start with test_; the whole run takes about three and a half
-minutes.
+does not start with test_; the whole run takes about five minutes.
 """
 
 from __future__ import annotations
@@ -228,6 +227,14 @@ MUTANTS = [
      "coset_blocks(np.eye(n, dtype=np.int64),",
      "coset_blocks(np.eye(n, dtype=np.int64)[::-1],",
      ["tests/test_suites.py"]),
+    # dp-vs-bruteforce's shared references
+    ("no-δ check reads the brute-force sums of m - 1", "suites.py",
+     "(dv not in sums[m])", "(dv not in sums[m - 1])",
+     ["tests/test_suites.py"]),
+    ("extension-kinds runs on every small code", "suites.py",
+     "egrs(GrsSpec.make(ctx, nodes, 1, k)), k == n)",
+     "egrs(GrsSpec.make(ctx, nodes, 1, k)), True)",
+     ["tests/test_suites.py"]),
     # specs from outside the program
     ("GRS spec entries unchecked", "serialize.py",
      "            nodes = _vector_from(ctx, part[\"nodes\"], "
@@ -264,6 +271,10 @@ MUTANTS = [
      ["tests/test_constructions.py", "tests/test_matrix.py"]),
     ("extend_g counts the new column's pivot", "code.py",
      "p < g.cols", "p <= g.cols",
+     ["tests/test_code.py"]),
+    ("LinearCode accepts a non-reduced generator", "code.py",
+     "        if red != generator or len(pivots) < generator.rows:\n",
+     "        if False:\n",
      ["tests/test_code.py"]),
 ]
 

@@ -4,6 +4,7 @@ import pytest
 
 import helpers
 from mdsx.code import (
+    LinearCode,
     code_from_generator,
     extend_g,
     extension_parity_check,
@@ -12,10 +13,13 @@ from mdsx.code import (
 )
 from mdsx.constructions import GrsSpec, egrs, egrs_generator, grs, \
     grs_dual_weights, grs_generator, roth_lempel, thm7_u
+from mdsx.covering import covering_radius
 from mdsx.errors import (
     BadDims,
     BudgetExceeded,
+    ContextMismatch,
     LengthMismatch,
+    NotReduced,
     RankDeficient,
     ZeroMatrix,
 )
@@ -51,6 +55,25 @@ class TestConstruction:
     def test_zero_generator_rejected(self):
         with pytest.raises(ZeroMatrix):
             code_from_generator(helpers.zeros(gf5, 2, 3))
+
+    def test_public_constructor_refuses_an_unreduced_generator(self):
+        # these rows span the [3,2] code with parity check (1, 3, 1); read
+        # as a reduced generator they gave a 2x3 parity check, covering
+        # radius 2 and dual distance 2
+        with pytest.raises(NotReduced):
+            LinearCode(gf5, Matrix(gf5, [[1, 1, 1], [1, 2, 3]]))
+        with pytest.raises(NotReduced):  # reduced, with a zero row
+            LinearCode(gf5, Matrix(gf5, [[1, 0, 4], [0, 0, 0]]))
+        with pytest.raises(ContextMismatch):
+            LinearCode(gf3, Matrix(gf5, [[1, 0, 4], [0, 1, 2]]))
+
+    def test_public_constructor_takes_a_canonical_generator(self):
+        want = code_from_generator(Matrix(gf5, [[1, 1, 1], [1, 2, 3]]))
+        c = LinearCode(gf5, Matrix(gf5, [[1, 0, 4], [0, 1, 2]]))
+        assert c.same_code(want) and c.parity == want.parity
+        assert c.parity.to_int_rows() == [[1, 3, 1]]
+        assert covering_radius(c).rho == 1
+        assert c.dual().min_distance() == 3
 
     def test_generator_parity_orthogonal(self):
         for c in (GRS42, EGRS52, GRS42.dual()):

@@ -804,6 +804,8 @@ def _check_lex_first(case, stop_after_first):
     # syndrome is a target's
     ctx, H, n, weight, targets = case
     first = helpers.brute_lex_first_weight_vectors(H, n, ctx, weight)
+    # the search reads an int array or list, not a set
+    listed = sorted(targets)
     reached = {t: first[t] for t in targets if t in first}
     if stop_after_first and reached:
         want = [min(reached.values())]
@@ -816,10 +818,10 @@ def _check_lex_first(case, stop_after_first):
             if want is None:
                 with pytest.raises(InvariantViolation):
                     kernels.lex_first_weight_vectors(
-                        H, n, ctx, weight, targets, stop_after_first)
+                        H, n, ctx, weight, listed, stop_after_first)
                 continue
             got = kernels.lex_first_weight_vectors(
-                H, n, ctx, weight, targets, stop_after_first)
+                H, n, ctx, weight, listed, stop_after_first)
             assert got.dtype == _dtype_for(ctx.q)
             assert got.shape == (len(want), n)
             assert list(map(tuple, got.tolist())) == want
@@ -855,8 +857,8 @@ def test_lex_first_search_counts_tested_vectors_against_the_budget():
             (kernels._CHUNK_BYTES, 24)):
         with mock.patch.object(kernels, "_CHUNK_BYTES", size):
             assert kernels.lex_first_weight_vectors(
-                H, 4, ctx, 2, {target}, budget=tested).tolist() \
+                H, 4, ctx, 2, [target], budget=tested).tolist() \
                 == [[0, 1, 1, 0]]
             with pytest.raises(BudgetExceeded):
-                kernels.lex_first_weight_vectors(H, 4, ctx, 2, {target},
+                kernels.lex_first_weight_vectors(H, 4, ctx, 2, [target],
                                                  budget=tested - 1)

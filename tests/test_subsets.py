@@ -174,7 +174,7 @@ def test_the_suite_keeps_the_first_disagreement(monkeypatch):
         return out
 
     monkeypatch.setattr(suites, "syndrome_criteria", flipped)
-    cases, first_bad = suites._criteria_agreement_cases(kernels.DEFAULT_BUDGET)
+    cases, first_bad, _, _ = suites._small_code_cases(kernels.DEFAULT_BUDGET)
     middles = []
     for case in cases:
         n = int(re.match(r"[a-z-]+\[(\d+),", case["code"]).group(1))

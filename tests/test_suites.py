@@ -4,6 +4,7 @@ that case (and, where it is a code spec, replays to the code)."""
 
 import dataclasses
 import json
+import re
 import types
 from collections import Counter
 
@@ -12,6 +13,7 @@ import pytest
 
 import helpers
 from mdsx import cli, kernels, serialize, suites
+from mdsx.code import LinearCode
 from mdsx.constructions import (
     GrsSpec,
     egrs,
@@ -238,6 +240,49 @@ def test_dp_vs_bruteforce_reports_each_part(monkeypatch, target, flip, part,
         assert (got["q"], got["code"]) == (3, first["code"])
     else:
         assert rep["counterexample"] == cx
+
+
+def test_dp_vs_bruteforce_derives_each_reference_once(monkeypatch):
+    # one brute-force enumeration per (set, m): 5 + 10 + 14 + 16 + 18 + 22
+    # over the sets of GF(4), GF(5), ..., GF(11); one build per small code,
+    # 10 eval and 16 ext-eval; the functions under test are called as
+    # often as when each part made its own references
+    calls = Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, call)
+
+    for name in ("subset_sums_bruteforce", "grs", "egrs", "subset_sums",
+                 "nk_delta_set_check", "t_set", "syndrome_criteria",
+                 "deep_holes_via_mds", "extend_g"):
+        counted(suites, name)
+    counted(LinearCode, "extend_u")
+    rep = suites.run_suite("dp-vs-bruteforce", {})
+    assert rep["passed"]
+    assert calls == {"subset_sums_bruteforce": 85, "grs": 10, "egrs": 16,
+                     "subset_sums": 98, "nk_delta_set_check": 247,
+                     "t_set": 70, "syndrome_criteria": 26,
+                     "deep_holes_via_mds": 21, "extend_g": 501,
+                     "extend_u": 2439}
+
+    def codes(part):
+        return [(c["q"], c["code"]) for c in rep["cases"]
+                if c["part"] == part]
+
+    # extension-kinds reads eval[n,k] and ext-eval[n+1,n] of those codes
+    small = codes("criteria-agreement")
+    assert len(small) == 26
+    kinds = []
+    for q, name in small:
+        n, k = map(int, re.findall(r"\d+", name))
+        if name.startswith("eval") or k == n - 1:
+            kinds.append((q, name))
+    assert codes("extension-kinds") == kinds
 
 
 @pytest.mark.parametrize("pm, n", [((2, 1), 5), ((3, 1), 3), ((2, 2), 3),
