@@ -32,14 +32,16 @@ from .matrix import Matrix, _box_rows
 
 
 class CoveringReport:
-    """Coset-leader weights of a code, indexed by packed syndrome."""
+    """Coset-leader weights of a code, indexed by packed syndrome, and the
+    sweep's `kernels.SyndromeMap`, which every lookup and search reads."""
 
-    __slots__ = ("code", "rho", "_leader", "_reps")
+    __slots__ = ("code", "rho", "_leader", "_syndromes", "_reps")
 
-    def __init__(self, code: LinearCode, rho: int, leader):
+    def __init__(self, code: LinearCode, rho: int, leader, syndromes):
         self.code = code
         self.rho = rho
         self._leader = leader
+        self._syndromes = syndromes
         self._reps = None
 
     def leader_weight(self, v) -> int:
@@ -49,11 +51,10 @@ class CoveringReport:
 
     def leader_weights(self, vectors):
         """leader_weight of every row of `vectors` (encodings), as an
-        array, read at the sweep's packing of H v^T (entry i times q^i)."""
-        code, q = self.code, self.code.ctx.q
-        s = kernels.mat_vecs(code.parity._rows, code.n, code.ctx,
-                             _rows_of_length(vectors, code.n, q))
-        return self._leader[s @ q ** np.arange(s.shape[1], dtype=np.int64)]
+        array, read at the packed syndromes of the sweep's map."""
+        code = self.code
+        return self._leader[self._syndromes.packed(
+            _rows_of_length(vectors, code.n, code.ctx.q))]
 
     @property
     def deep_hole_syndromes(self):
@@ -86,8 +87,8 @@ class CoveringReport:
         if self._reps is not None:
             return self._reps[:limit]
         reps = kernels.lex_first_weight_vectors(
-            self.code.parity._rows, self.code.n, self.code.ctx, self.rho,
-            self.deep_hole_syndromes[:limit], budget=budget)
+            self._syndromes, self.rho, self.deep_hole_syndromes[:limit],
+            budget=budget)
         if limit is None:
             self._reps = reps
         return reps
@@ -111,9 +112,9 @@ def covering_radius(code: LinearCode, budget=DEFAULT_BUDGET) -> CoveringReport:
     """Exact covering radius via the coset-leader sweep (cached per code)."""
     if code._covering is not None:
         return code._covering
-    leader, rho = kernels.coset_leader_weights(code.parity._rows, code.n,
-                                               code.ctx, budget)
-    report = CoveringReport(code, rho, leader)
+    leader, rho, syndromes = kernels.coset_leader_weights(
+        code.parity._rows, code.n, code.ctx, budget)
+    report = CoveringReport(code, rho, leader, syndromes)
     code._covering = report
     return report
 
@@ -246,8 +247,8 @@ def full_radius_witness(code: LinearCode, budget=DEFAULT_BUDGET):
     if report.rho != code.n - code.k:
         return None
     vec = kernels.lex_first_weight_vectors(
-        code.parity._rows, code.n, code.ctx, report.rho,
-        report.deep_hole_syndromes, stop_after_first=True, budget=budget)
+        report._syndromes, report.rho, report.deep_hole_syndromes,
+        stop_after_first=True, budget=budget)
     if not deep_holes_via_mds(code, vec, budget)[0]:
         raise InvariantViolation("deep-hole witness failed the minor check")
     return _box_rows(code.ctx, vec)[0]

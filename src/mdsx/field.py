@@ -579,17 +579,6 @@ class Poly:
     def one(cls, ctx):
         return cls(ctx, (1,))
 
-    @classmethod
-    def x(cls, ctx):
-        return cls(ctx, (0, 1))
-
-    @classmethod
-    def from_roots(cls, ctx, roots):
-        out = cls.one(ctx)
-        for r in roots:
-            out = out * cls(ctx, (-ctx.elem(r), ctx.one))
-        return out
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -649,23 +638,6 @@ class Poly:
         return Poly(self.ctx, out)
 
     __rmul__ = __mul__
-
-    def divmod(self, other) -> tuple["Poly", "Poly"]:
-        other = self._check(other)
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        quo = [self.ctx.zero] * max(self.degree - other.degree + 1, 0)
-        rem = list(self.coeffs)
-        inv_lead = other.leading().inv()
-        while len(rem) - 1 >= other.degree and rem:
-            shift = len(rem) - 1 - other.degree
-            factor = rem[-1] * inv_lead
-            quo[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - factor * c
-            while rem and rem[-1].value == 0:
-                rem.pop()
-        return Poly(self.ctx, quo), Poly(self.ctx, rem)
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and other.ctx is self.ctx

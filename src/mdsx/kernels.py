@@ -20,13 +20,16 @@ The kernels read each field's numpy arrays, `ctx._arrays` = (log, exp,
 add), which the field builds with its tables: log(0) points past two
 periods of exp into zeros, so no product needs a modulo or a zero test,
 and add is the field's array addition, defined for every GF(q).  Every
-table of field multiples comes from `_multiples`.  The one batched
-product, `mat_vecs` (M v^T for many v), sums the term rows of `_terms`,
-as the sweep and the lex search do.  In characteristic 2 the encoding
-makes XOR field addition on packed syndromes too, so the sweep packs
-before it sums; for odd q = p^m, m >= 2, the terms are rows of base-p
-digits summed by GF(p)'s add, never packed GF(p^m) encodings, and each
-sum is packed or turned back into entries once.
+table of field multiples comes from `_multiples`, and every sum of one
+term per column, M v^T (`mat_vecs`) or a syndrome lookup, from
+`_column_sums`.  `SyndromeMap` alone packs syndromes into leader-array
+indices: the sweep builds one per parity check and hands it back, and a
+covering report keeps it for every lookup and lex search.  In
+characteristic 2 the encoding makes XOR field addition on packed
+syndromes too, so the map packs before it sums; for odd q = p^m, m >= 2,
+the terms are rows of base-p digits summed by GF(p)'s add, never packed
+GF(p^m) encodings, and each sum is packed or turned back into entries
+once.
 
 The coset-leader sweep is a breadth-first search from syndrome 0 in the
 graph whose edges add some c*h_j, c != 0: a leader weight is a distance
@@ -140,22 +143,44 @@ def _terms(M_int, n: int, ctx):
             lambda s: s.reshape(*s.shape[:-1], r, m) @ unit)
 
 
-def _syndrome_table(H_int, n: int, ctx):
-    """Syndromes of c * e_j as table[j, c], the add that sums them, the
-    map from sums to packed syndromes (entry i times q^i) and its inverse.
-    Odd q sums the m base-p digits of `_terms`: digit j of entry i packs
-    as p^(mi+j)."""
-    r = len(H_int)
-    p, m = ctx.p, ctx.m
-    table, add, _ = _terms(H_int, n, ctx)
-    radix = p ** np.arange(r * m, dtype=np.int64)
-    if p == 2:
-        # XOR on the packing is field addition: pack once, sum packed ints,
-        # and packing and unpacking are the identity
-        return (table.astype(np.int64) @ radix[::m], add,
-                np.asarray, np.asarray)
-    return (table, add, lambda s: s.astype(np.int64) @ radix,
-            lambda s: (s[:, None] // radix % p).astype(table.dtype))
+def _column_sums(table, add, vectors):
+    """sum_j table[j, v_j] by `add`, column by column, for every row v of
+    `vectors` (encodings)."""
+    vectors = np.asarray(vectors, dtype=np.int64)
+    acc = np.zeros((vectors.shape[0], *table.shape[2:]), table.dtype)
+    for j in range(len(table)):
+        acc = add(acc, table[j, vectors[:, j]])
+    return acc
+
+
+class SyndromeMap:
+    """Syndromes of the c * e_j under H (r rows, n columns) as table[j, c],
+    the add that sums them, the map from sums to packed syndromes (entry i
+    times q^i) and its inverse.  Odd q sums the m base-p digits of
+    `_terms`: digit j of entry i packs as p^(mi+j)."""
+
+    __slots__ = ("n", "q", "r", "table", "add", "pack", "unpack")
+
+    def __init__(self, H_int, n: int, ctx):
+        r = len(H_int)
+        p, m = ctx.p, ctx.m
+        self.n, self.q, self.r = n, ctx.q, r
+        table, self.add, _ = _terms(H_int, n, ctx)
+        radix = p ** np.arange(r * m, dtype=np.int64)
+        if p == 2:
+            # XOR on the packing is field addition: pack once, sum packed
+            # ints, and packing and unpacking are the identity
+            self.table = table.astype(np.int64) @ radix[::m]
+            self.pack = self.unpack = np.asarray
+        else:
+            self.table = table
+            self.pack = lambda s: s.astype(np.int64) @ radix
+            self.unpack = lambda s: \
+                (s[:, None] // radix % p).astype(table.dtype)
+
+    def packed(self, vectors):
+        """Packed syndrome H v^T of every row v of `vectors` (encodings)."""
+        return self.pack(_column_sums(self.table, self.add, vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +252,9 @@ def distance_counts(G_int, n: int, ctx, v_int,
 
 def mat_vecs(M_int, n: int, ctx, vectors):
     """M v^T for every row v of `vectors`, as a (len(vectors), rows)
-    array of encodings: the terms of `_terms`, summed column by column."""
+    array of encodings: the terms of `_terms`, summed by `_column_sums`."""
     table, add, entries = _terms(M_int, n, ctx)
-    vectors = np.asarray(vectors, dtype=np.int64)
-    acc = np.zeros((vectors.shape[0], *table.shape[2:]), table.dtype)
-    for j in range(n):
-        acc = add(acc, table[j, vectors[:, j]])
-    return entries(acc)
+    return entries(_column_sums(table, add, vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +443,8 @@ def _pulled(w: int, leader, slices, steps, add, pack, unpack):
 
 
 def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
-    """Leader weight per packed syndrome, plus the covering radius.
+    """Leader weight per packed syndrome, the covering radius, and the
+    `SyndromeMap` that packs those syndromes, for later lookups.
 
     Settles syndromes by increasing leader weight, one layer per weight,
     and stops once every syndrome is covered.  The leader weight is the
@@ -478,10 +500,12 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
         raise BudgetExceeded(f"q^(n-k) = {total} exceeds budget {budget}")
     leader = np.full(total, 0xFF, dtype=np.uint8)
     leader[0] = 0
+    syndromes = SyndromeMap(H_int, n, ctx)
     if total == 1:
-        return leader, 0
+        return leader, 0, syndromes
 
-    table, add, pack, unpack = _syndrome_table(H_int, n, ctx)
+    table, add = syndromes.table, syndromes.add
+    pack, unpack = syndromes.pack, syndromes.unpack
     scale = _packed_multiples(ctx, r)
     # expansion batches keep the block table route's (batch, q-1) arrays
     # within _BLOCK_ROWS entries, and the digit route's (batch, q, r) ones
@@ -520,10 +544,10 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
                 if bound >= total:
                     bound = recount()
                     if bound == total:
-                        return leader, w
+                        return leader, w, syndromes
             covered = recount()
         if covered == total:
-            return leader, w
+            return leader, w, syndromes
         if covered == before:
             break
     raise InvariantViolation("syndrome sweep did not terminate; "
@@ -534,13 +558,13 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
 # Lexicographically-first fixed-weight coset leaders
 # ---------------------------------------------------------------------------
 
-def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
+def lex_first_weight_vectors(syndromes, weight: int, targets,
                              stop_after_first=False, budget=DEFAULT_BUDGET):
     """First weight-`weight` vector, in global lexicographic order, whose
-    packed syndrome lies in `targets` (an int array or list, not a set): a
-    (len(targets), n) array of encodings, row i for the i-th smallest
-    distinct target, or with stop_after_first a (1, n) array, the first to
-    reach any target.
+    packed syndrome under the `SyndromeMap` `syndromes` lies in `targets`
+    (an int array or list, not a set): a (len(targets), n) array of
+    encodings, row i for the i-th smallest distinct target, or with
+    stop_after_first a (1, n) array, the first to reach any target.
 
     Depth-first over positions, a zero entry before the nonzero ones, down
     to the prefixes that leave b nonzero entries to place; each of them
@@ -548,21 +572,21 @@ def lex_first_weight_vectors(H_int, n: int, ctx, weight: int, targets,
     `weight` such that no batch of any weight up to b holds more than
     _CHUNK_BYTES bytes of int64 syndromes (at least 1 if weight is).
 
-    The batches come from one table per call.  T(pos, j), the weight-j
-    vectors on positions pos..n-1 in lexicographic order, is
-    [T(pos+1, j); c*e_pos + T(pos+1, j-1) for c = 1..q-1], so it is the
-    first C(n-pos, j)(q-1)^j rows of T(0, j).  The table keeps each vector
-    beside its syndrome, n entries of `_dtype_for(q)` (n bytes up to
-    q = 256, next to 8 bytes of syndrome, or r*m digits for odd q); a hit
-    goes straight into its target's row: its table row, zero before pos,
-    with the prefix written in.  The vectors of every batch count against
-    the budget as tested.
+    The batches come from one table per call, summed from the map's table
+    of multiples.  T(pos, j), the weight-j vectors on positions pos..n-1 in
+    lexicographic order, is [T(pos+1, j); c*e_pos + T(pos+1, j-1) for c =
+    1..q-1], so it is the first C(n-pos, j)(q-1)^j rows of T(0, j).  The
+    table keeps each vector beside its syndrome, n entries of
+    `_dtype_for(q)` (n bytes up to q = 256, next to 8 bytes of syndrome, or
+    r*m digits for odd q); a hit goes straight into its target's row: its
+    table row, zero before pos, with the prefix written in.  The vectors of
+    every batch count against the budget as tested.
     """
-    q = ctx.q
-    table, add, pack, _ = _syndrome_table(H_int, n, ctx)
+    n, q = syndromes.n, syndromes.q
+    table, add, pack = syndromes.table, syndromes.add, syndromes.pack
     # return_index takes np.unique's sort route, 30x its hash route here
     targets = np.unique(np.asarray(targets, np.int64), return_index=True)[0]
-    wanted = np.zeros(q ** len(H_int), dtype=bool)
+    wanted = np.zeros(q ** syndromes.r, dtype=bool)
     wanted[targets] = True
     out = np.zeros((min(len(targets), 1) if stop_after_first
                     else len(targets), n), _dtype_for(q))

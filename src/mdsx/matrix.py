@@ -116,11 +116,12 @@ class Matrix:
         return [list(r) for r in self._rows]
 
     def __eq__(self, other):
+        # the width counts too: matrices with no rows differ only in it
         return (isinstance(other, Matrix) and other.ctx is self.ctx
-                and other._rows == self._rows)
+                and other._cols == self._cols and other._rows == self._rows)
 
     def __hash__(self):
-        return hash((id(self.ctx), self._rows))
+        return hash((id(self.ctx), self._cols, self._rows))
 
     def __repr__(self):
         body = "; ".join(" ".join(map(str, r)) for r in self._rows)

@@ -125,6 +125,15 @@ def brute_lex_first_weight_vectors(H, n, ctx, weight):
     return first
 
 
+def leader_weights_by_product(report, vectors):
+    """`CoveringReport.leader_weights` by a second route: H v^T from
+    `kernels.mat_vecs` as rows of entries, packed here as entry i times
+    q^i, not by the report's syndrome map."""
+    code, q = report.code, report.code.ctx.q
+    s = kernels.mat_vecs(code.parity._rows, code.n, code.ctx, vectors)
+    return report._leader[s @ q ** np.arange(s.shape[1], dtype=np.int64)]
+
+
 def mds_weight_enumerator(n, k, q):
     """Weight distribution shared by every [n, k] MDS code over GF(q)
     (closed form)."""
@@ -481,6 +490,31 @@ def lagrange_interpolate(points):
             den = den * (xi - xj)
         acc = acc + num * (yi / den)
     return acc
+
+
+def poly_from_roots(ctx, roots):
+    """The product of x - r over the roots."""
+    out = Poly.one(ctx)
+    for r in roots:
+        out = out * Poly(ctx, (-ctx.elem(r), ctx.one))
+    return out
+
+
+def poly_divmod(f, g):
+    """Quotient and remainder of f by a nonzero g, by long division."""
+    ctx = f.ctx
+    quo = [ctx.zero] * max(f.degree - g.degree + 1, 0)
+    rem = list(f.coeffs)
+    inv_lead = g.leading().inv()
+    while rem and len(rem) - 1 >= g.degree:
+        shift = len(rem) - 1 - g.degree
+        factor = rem[-1] * inv_lead
+        quo[shift] = factor
+        for i, c in enumerate(g.coeffs):
+            rem[shift + i] = rem[shift + i] - factor * c
+        while rem and rem[-1].value == 0:
+            rem.pop()
+    return Poly(ctx, quo), Poly(ctx, rem)
 
 
 def zeros(ctx, r, c):

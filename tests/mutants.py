@@ -201,11 +201,15 @@ MUTANTS = [
     ("log(0) one period short", "field.py",
      "log[0] = 2 * (q - 1)", "log[0] = q - 1",
      ["tests/test_field.py", "tests/test_kernels.py"]),
-    # the one batched product: both sides of Theorem 6 and leader lookups
-    ("product drops the last column", "kernels.py",
-     "    for j in range(n):\n        acc = add(",
-     "    for j in range(n - 1):\n        acc = add(",
+    # the one column sum: both sides of Theorem 6 and leader lookups
+    ("column sum drops the last column", "kernels.py",
+     "    for j in range(len(table)):\n        acc = add(",
+     "    for j in range(len(table) - 1):\n        acc = add(",
      ["tests/test_kernels.py", "tests/test_covering.py"]),
+    ("column sum skips the first column", "kernels.py",
+     "    for j in range(len(table)):\n        acc = add(",
+     "    for j in range(1, len(table)):\n        acc = add(",
+     ["tests/test_covering.py"]),
     ("mat_vecs repacks its digits high digit first", "kernels.py",
      "r, m) @ unit)", "r, m) @ unit[::-1])",
      ["tests/test_kernels.py"]),

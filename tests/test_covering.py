@@ -122,6 +122,60 @@ class TestCoveringRadius:
             assert rep.num_deep_hole_cosets == counts[rep.rho]
 
 
+def _twin_codes():
+    """Codes over GF(2), GF(16), GF(5), GF(9) and GF(2^16), and two with
+    k = n, whose syndrome maps have no rows."""
+    gf9, gf16 = field_new(3, 2), field_new(2, 4)
+    hamming = code_from_generator(Matrix(gf2, [
+        [1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1],
+        [0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 1]]))
+    return [hamming, grs(GrsSpec.make(gf16, range(6), 1, 3)), DUAL42,
+            grs(GrsSpec.make(gf9, range(5), [1, 2, 3, 4, 5], 2)),
+            grs(GrsSpec.make(field_new(2, 16), range(6), 1, 1)).dual(),
+            full_code(gf2, 3), full_code(gf9, 3)]
+
+
+TWIN_CODES = _twin_codes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(TWIN_CODES), st.integers(0, 40),
+       st.sampled_from((0, .5, 1)), st.integers(0, 2 ** 32 - 1))
+def test_leader_weights_match_the_product_twin(code, count, zeros, seed):
+    # the report's syndrome map against mat_vecs packed entry by entry
+    rng = np.random.default_rng(seed)
+    shape = (count, code.n)
+    vectors = np.where(rng.random(shape) < zeros, 0,
+                       rng.integers(0, code.ctx.q, shape))
+    rep = covering_radius(code)
+    got = rep.leader_weights(vectors)
+    assert got.tolist() == \
+        helpers.leader_weights_by_product(rep, vectors).tolist()
+    assert [rep.leader_weight(v) for v in vectors[:3]] == got[:3].tolist()
+
+
+def test_one_report_builds_one_table_of_multiples(monkeypatch):
+    # the sweep's syndrome map serves every later lookup and search
+    real = kernels._terms
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+    code = grs(GrsSpec.make(gf5, range(5), 1, 2))
+    monkeypatch.setattr(kernels, "_terms", counted)
+    rep = covering_radius(code)
+    assert rep.rho == code.n - code.k
+    for u in ([1, 2, 3, 4, 0], [0, 0, 0, 0, 1], [1, 1, 2, 3, 4]):
+        rep.leader_weight(u)
+    rep.leader_weights(list(product(range(5), repeat=5))[:100])
+    assert len(rep.representatives()) == rep.num_deep_hole_cosets
+    assert full_radius_witness(code) is not None
+    assert distance_to_code(code, [0, 0, 0, 0, 1]) == 1
+    assert is_deep_hole(code, rep.representatives()[0])
+    assert len(builds) == 1
+
+
 class TestRepresentatives:
     # odd characteristic and characteristic 2 (packed syndromes add by XOR)
     @pytest.mark.parametrize("code", [

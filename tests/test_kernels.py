@@ -160,7 +160,8 @@ def test_each_route_alone_matches_brute_force(q, pull, monkeypatch):
         for rows in (1 << 14, 16, 1):
             monkeypatch.setattr(kernels, "_BLOCK_ROWS", rows)
             routes.clear()
-            leader, rho = kernels.coset_leader_weights(H, code.n, code.ctx)
+            leader, rho, _ = kernels.coset_leader_weights(H, code.n,
+                                                          code.ctx)
             assert (leader.tolist(), rho) == want
             assert helpers.certify_leader_array(H, code.n, code.ctx, leader)
             assert routes == [("pulled" if pull else "pushed", w)
@@ -207,7 +208,7 @@ def test_pull_stops_at_each_orbits_first_hit(q, monkeypatch):
     for code in codes:
         visits.clear()
         H = code.parity.to_int_rows()
-        leader, rho = kernels.coset_leader_weights(H, code.n, code.ctx)
+        leader, rho, _ = kernels.coset_leader_weights(H, code.n, code.ctx)
         assert helpers.certify_leader_array(H, code.n, code.ctx, leader)
         assert rho == code.n - code.k
         assert [w for w, _, _ in visits] == list(range(1, rho + 1))
@@ -813,15 +814,16 @@ def _check_lex_first(case, stop_after_first):
         want = [reached[t] for t in sorted(targets)]
     else:
         want = None
+    syndromes = kernels.SyndromeMap(H, n, ctx)
     for size in LEX_CHUNK_BYTES:
         with mock.patch.object(kernels, "_CHUNK_BYTES", size):
             if want is None:
                 with pytest.raises(InvariantViolation):
                     kernels.lex_first_weight_vectors(
-                        H, n, ctx, weight, listed, stop_after_first)
+                        syndromes, weight, listed, stop_after_first)
                 continue
             got = kernels.lex_first_weight_vectors(
-                H, n, ctx, weight, listed, stop_after_first)
+                syndromes, weight, listed, stop_after_first)
             assert got.dtype == _dtype_for(ctx.q)
             assert got.shape == (len(want), n)
             assert list(map(tuple, got.tolist())) == want
@@ -848,6 +850,7 @@ def test_lex_first_search_counts_tested_vectors_against_the_budget():
     ctx = field_new(3, 1)
     H = [[1, 1, 1, 1], [0, 1, 2, 0]]
     target = helpers.scalar_syndrome(H, (0, 1, 1, 0), ctx)
+    syndromes = kernels.SyndromeMap(H, 4, ctx)
     for size, tested in (
             # 16 bytes hold no batch of weight 2 (24 syndromes), so b = 1:
             # the prefixes 0 0 1 and 0 0 2 test 2 vectors each, then the
@@ -857,8 +860,8 @@ def test_lex_first_search_counts_tested_vectors_against_the_budget():
             (kernels._CHUNK_BYTES, 24)):
         with mock.patch.object(kernels, "_CHUNK_BYTES", size):
             assert kernels.lex_first_weight_vectors(
-                H, 4, ctx, 2, [target], budget=tested).tolist() \
+                syndromes, 2, [target], budget=tested).tolist() \
                 == [[0, 1, 1, 0]]
             with pytest.raises(BudgetExceeded):
-                kernels.lex_first_weight_vectors(H, 4, ctx, 2, [target],
+                kernels.lex_first_weight_vectors(syndromes, 2, [target],
                                                  budget=tested - 1)

@@ -185,6 +185,13 @@ class TestZeroRowMatrices:
         ns = Matrix.identity(gf5, 3).nullspace()
         assert (ns.rows, ns.cols) == (0, 3)
 
+    def test_equality_counts_columns(self):
+        # with no rows, the width is all that tells two matrices apart
+        assert Matrix(gf5, [], cols=3) != Matrix(gf5, [], cols=4)
+        assert Matrix(gf5, [], cols=3) == Matrix(gf5, [], cols=3)
+        assert len({Matrix(gf5, [], cols=c) for c in (3, 3, 4)}) == 2
+        assert Matrix.identity(gf5, 3).nullspace() != Matrix(gf5, [], cols=4)
+
 
 @pytest.mark.parametrize("pm", [(2, 1), (3, 2), (2, 16)],
                          ids=["gf2", "gf9", "gf65536"])
