@@ -33,9 +33,11 @@ from .matrix import Matrix, _box_rows
 
 class CoveringReport:
     """Coset-leader weights of a code, indexed by packed syndrome, and the
-    sweep's `kernels.SyndromeMap`, which every lookup and search reads."""
+    sweep's `kernels.SyndromeMap`, which every lookup and search reads.
+    The leader array is read in place, by the chunked readers of
+    `kernels`; its histogram is counted once and cached."""
 
-    __slots__ = ("code", "rho", "_leader", "_syndromes", "_reps")
+    __slots__ = ("code", "rho", "_leader", "_syndromes", "_reps", "_counts")
 
     def __init__(self, code: LinearCode, rho: int, leader, syndromes):
         self.code = code
@@ -43,6 +45,7 @@ class CoveringReport:
         self._leader = leader
         self._syndromes = syndromes
         self._reps = None
+        self._counts = None
 
     def leader_weight(self, v) -> int:
         """Coset-leader weight of the coset of v (= distance from v to the
@@ -59,16 +62,22 @@ class CoveringReport:
     @property
     def deep_hole_syndromes(self):
         """Packed syndromes whose leader weight attains rho (ascending)."""
-        return np.flatnonzero(self._leader == self.rho)
+        return kernels.leader_positions(self._leader, self.rho)
 
     @property
     def num_deep_hole_cosets(self) -> int:
-        return int((self._leader == self.rho).sum())
+        return self._weight_counts()[-1]
 
     def coset_leader_weight_counts(self) -> list[int]:
         """Number of cosets per leader weight, 0..rho."""
-        counts = np.bincount(self._leader, minlength=self.rho + 1)
-        return [int(c) for c in counts[: self.rho + 1]]
+        return list(self._weight_counts())
+
+    def _weight_counts(self) -> tuple:
+        """coset_leader_weight_counts, counted on the first call."""
+        if self._counts is None:
+            self._counts = tuple(
+                int(c) for c in kernels.leader_counts(self._leader, self.rho))
+        return self._counts
 
     def representatives(self, limit=None,
                         budget=DEFAULT_BUDGET) -> list[tuple]:

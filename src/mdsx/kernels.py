@@ -63,9 +63,18 @@ representatives) come from `lex_first_weight_vectors`: a depth-first
 search over prefixes that tests all completions of a prefix with its last
 few nonzero entries in one batch, cut from one lexicographic table that
 keeps each completion vector beside its syndrome.
+
+The finished leader array, one uint8 per syndrome, is read in place by
+`leader_counts` (how many syndromes hold each weight) and
+`leader_positions` (where one weight sits), chunk by chunk: it is never
+widened to int64 or compared whole.
+
 Everything here is deterministic; three bounds cap memory only, past one
 unit of work: _BLOCK_ROWS rows per block (fold, push, pull, expansion),
-_CHUNK_BYTES bytes of int64 per subset chunk or lex-search batch, and
+_CHUNK_BYTES bytes of int64 per subset chunk or lex-search batch, and as
+many entries, _CHUNK_BYTES // 8, per chunk of the leader array that its
+readers compare (a bool temporary of 128 KB, where np.bincount would copy
+the whole array to int64, 8 bytes per syndrome), and
 _SCALE_TABLE_ENTRIES entries per packed scaling table of the sweep.
 """
 
@@ -552,6 +561,41 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
             break
     raise InvariantViolation("syndrome sweep did not terminate; "
                              "parity check matrix is rank deficient")
+
+
+def _leader_chunks(leader):
+    """(offset, view) of the leader array, as many entries a view as an
+    int64 chunk of _CHUNK_BYTES holds (at least one)."""
+    size = max(1, _CHUNK_BYTES // 8)
+    for start in range(0, leader.size, size):
+        yield start, leader[start:start + size]
+
+
+def leader_counts(leader, top: int):
+    """How many entries of the uint8 leader array hold each value 0..top,
+    as an int64 array.  Each value is counted in each chunk on its own,
+    so the only temporary is one chunk's bool array, never an int64 copy
+    of the whole array (as np.bincount would make)."""
+    counts = np.zeros(top + 1, dtype=np.int64)
+    for _, chunk in _leader_chunks(leader):
+        for v in range(top + 1):
+            counts[v] += np.count_nonzero(chunk == v)
+    return counts
+
+
+def leader_positions(leader, value: int):
+    """Ascending indices of the entries of the leader array equal to
+    `value`: counted chunk by chunk, then found chunk by chunk into an
+    array of that size, so no bool array of the whole leader array is
+    built."""
+    out = np.empty(sum(np.count_nonzero(chunk == value)
+                       for _, chunk in _leader_chunks(leader)), np.intp)
+    at = 0
+    for start, chunk in _leader_chunks(leader):
+        found = np.flatnonzero(chunk == value)
+        out[at:at + found.size] = found + start
+        at += found.size
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,30 @@ def _box(ctx: FieldCtx, values) -> tuple:
 
 
 def _box_rows(ctx: FieldCtx, rows) -> list[tuple]:
-    """_box of every row of a 2-d array of encodings, in one pass over its
-    entries: one iterator, cut into rows of n by zip."""
+    """_box of every row of a 2-d array of encodings, in chunks of as many
+    rows as hold _BLOCK_ROWS entries (at least one row), so that each
+    temporary stays within _BLOCK_ROWS pointers: the values present in a
+    chunk are boxed once into an object array, one slot each, and one
+    gather of it through the slot of each encoding, cut into columns, is
+    zipped into row tuples.  Only a bool and an index array are sized by
+    the largest value present, never by q, so a one-row call over
+    GF(2^16) boxes a few elements, not 65,536."""
     count, n = rows.shape
     if not n:
         return [()] * count
-    entries = map(ctx._elems.__getitem__, rows.ravel().tolist())
-    return list(zip(*[entries] * n))
+    out = []
+    per = max(1, kernels._BLOCK_ROWS // n)
+    for start in range(0, count, per):
+        chunk = rows[start:start + per]
+        seen = np.zeros(int(chunk.max()) + 1, dtype=bool)
+        seen[chunk] = True
+        present = np.flatnonzero(seen)
+        slot = np.empty(seen.size, dtype=np.intp)
+        slot[present] = np.arange(present.size)
+        elems = np.empty(present.size, dtype=object)
+        elems[:] = [ctx._elems[v] for v in present.tolist()]
+        out += zip(*elems[slot[chunk.T]])
+    return out
 
 
 def _kernel(ctx: FieldCtx, red, nc: int) -> "Matrix":

@@ -134,6 +134,27 @@ def leader_weights_by_product(report, vectors):
     return report._leader[s @ q ** np.arange(s.shape[1], dtype=np.int64)]
 
 
+def leader_counts_whole(leader, top):
+    """`kernels.leader_counts` by one np.bincount of the whole array, which
+    numpy widens to an int64 copy first."""
+    return np.bincount(leader, minlength=top + 1)[:top + 1]
+
+
+def leader_positions_whole(leader, value):
+    """`kernels.leader_positions` by one comparison of the whole array."""
+    return np.flatnonzero(leader == value)
+
+
+def box_rows_by_map(ctx, rows):
+    """`matrix._box_rows` by one map of the field's element lookup over all
+    the entries, cut into rows of n by zip."""
+    count, n = rows.shape
+    if not n:
+        return [()] * count
+    entries = map(ctx._elems.__getitem__, rows.ravel().tolist())
+    return list(zip(*[entries] * n))
+
+
 def mds_weight_enumerator(n, k, q):
     """Weight distribution shared by every [n, k] MDS code over GF(q)
     (closed form)."""

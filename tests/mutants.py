@@ -150,6 +150,15 @@ MUTANTS = [
      "next(w for w in range(1, self.n + 1) if counts[w])",
      "next(w for w in range(0, self.n + 1) if counts[w])",
      ["tests/test_kernels.py"]),
+    # the leader array's readers
+    ("leader reader drops its last chunk", "kernels.py",
+     "    for start in range(0, leader.size, size):\n",
+     "    for start in range(0, leader.size - size, size):\n",
+     ["tests/test_kernels.py"]),
+    ("leader histogram counts from value 1", "kernels.py",
+     "        for v in range(top + 1):\n",
+     "        for v in range(1, top + 1):\n",
+     ["tests/test_kernels.py"]),
     # the representative search
     ("lex-first search takes a batch's last hit", "kernels.py",
      "hits = hits[:1]", "hits = hits[-1:]",
@@ -178,8 +187,9 @@ MUTANTS = [
     ("interned element keeps a numpy value", "field.py",
      "        v = int(v)\n", "",
      ["tests/test_field.py"]),
-    ("_box_rows cuts rows one entry short", "matrix.py",
-     "zip(*[entries] * n)", "zip(*[entries] * (n - 1))",
+    ("_box_rows keeps only its last chunk", "matrix.py",
+     "        out += zip(*elems[slot[chunk.T]])\n",
+     "        out = list(zip(*elems[slot[chunk.T]]))\n",
      ["tests/test_matrix.py"]),
     # the column-subset engine
     ("_ranks ignores used rows", "kernels.py",

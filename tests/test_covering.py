@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -152,6 +153,39 @@ def test_leader_weights_match_the_product_twin(code, count, zeros, seed):
     assert got.tolist() == \
         helpers.leader_weights_by_product(rep, vectors).tolist()
     assert [rep.leader_weight(v) for v in vectors[:3]] == got[:3].tolist()
+
+
+@pytest.mark.parametrize("code", [
+    prs(gf4, 2), prs(field_new(3, 2), 4),
+    grs(GrsSpec.make(field_new(2, 16), range(6), 1, 1)).dual(),
+    full_code(gf5, 3),
+], ids=["prs5.2-gf4", "prs10.4-gf9", "grs6.1-dual-gf65536", "k=n"])
+def test_leader_histogram_and_deep_holes_match_the_whole_array_twin(code):
+    # PRS [10,4]/GF(9) spans several reader chunks, the k = n code's
+    # leader array has one entry
+    rep = covering_radius(code)
+    want = helpers.leader_counts_whole(rep._leader, rep.rho).tolist()
+    assert rep.coset_leader_weight_counts() == want
+    assert rep.num_deep_hole_cosets == want[-1]
+    assert rep.deep_hole_syndromes.tolist() == \
+        helpers.leader_positions_whole(rep._leader, rep.rho).tolist()
+    # the counts are cached once: a caller's list is its own
+    rep.coset_leader_weight_counts()[0] += 1
+    assert rep.to_dict()["coset_leader_weight_counts"] == want
+
+
+def test_leader_histogram_makes_no_copy_of_the_leader_array():
+    # PRS [17,12]/GF(16): q^r = 2^20 syndromes, one byte each.  The chunked
+    # reader's temporaries stay below that; an int64 copy takes 8 * q^r
+    rep = covering_radius(prs(field_new(2, 4), 12))
+    tracemalloc.start()
+    try:
+        rep.coset_leader_weight_counts()
+        assert rep.num_deep_hole_cosets == 36480
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rep._leader.nbytes == 16 ** 5
 
 
 def test_one_report_builds_one_table_of_multiples(monkeypatch):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import helpers
 from mdsx import kernels
@@ -537,6 +538,42 @@ def test_rank_deficient_sweep_stops_after_an_empty_layer(pm, layers,
 def test_leader_arrays_match_recorded_digests(pm, k, digest):
     leader = covering_radius(prs(field_new(*pm), k))._leader
     assert hashlib.sha256(leader.tobytes()).hexdigest() == digest
+
+
+@st.composite
+def leader_arrays(draw):
+    """A chunk of the leader readers, in entries, and a uint8 array of 0,
+    1, chunk - 1, chunk, chunk + 1 or several chunks of entries: leader
+    weights 0..7 and 0xFF, the mark of an unsettled syndrome."""
+    chunk = draw(st.integers(1, 12))
+    size = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1,
+                                 3 * chunk + draw(st.integers(1, chunk))]))
+    return chunk, draw(hnp.arrays(np.uint8, size, elements=st.integers(0, 7)
+                                  | st.just(0xFF)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(leader_arrays(), st.integers(0, 8))
+def test_leader_readers_match_the_whole_array_twin(case, top):
+    chunk, leader = case
+    # a chunk holds _CHUNK_BYTES // 8 entries
+    with mock.patch.object(kernels, "_CHUNK_BYTES", 8 * chunk):
+        counts = kernels.leader_counts(leader, top)
+        where = kernels.leader_positions(leader, top)
+    assert counts.tolist() == \
+        helpers.leader_counts_whole(leader, top).tolist()
+    assert where.tolist() == \
+        helpers.leader_positions_whole(leader, top).tolist()
+
+
+@pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1), (3, 5)])
+def test_leader_readers_at_the_real_chunk_size(chunks, extra):
+    size = chunks * kernels._CHUNK_BYTES // 8 + extra
+    leader = np.random.default_rng(size).integers(0, 6, size, np.uint8)
+    assert kernels.leader_counts(leader, 5).tolist() == \
+        helpers.leader_counts_whole(leader, 5).tolist()
+    assert kernels.leader_positions(leader, 5).tolist() == \
+        helpers.leader_positions_whole(leader, 5).tolist()
 
 
 ORBIT_FIELDS = {2: field_new(2, 1), 3: field_new(3, 1), 4: field_new(2, 2),

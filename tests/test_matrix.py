@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+import helpers
+from mdsx import kernels
 from mdsx.errors import (
     BadDims,
     BadK,
@@ -195,15 +197,17 @@ class TestZeroRowMatrices:
 
 @pytest.mark.parametrize("pm", [(2, 1), (3, 2), (2, 16)],
                          ids=["gf2", "gf9", "gf65536"])
-@pytest.mark.parametrize("shape", [(5, 7), (1, 1), (0, 7), (4, 0)])
+@pytest.mark.parametrize("shape", [(5, 7), (1, 1), (0, 7), (4, 0),
+                                   (2 * kernels._BLOCK_ROWS + 3, 3)])
 def test_box_rows_is_box_of_each_row(pm, shape):
-    # the same interned elements, one tuple per row, for no rows and for
-    # rows of no entries too
+    # the same interned elements, one tuple per row, for no rows, for rows
+    # of no entries and across several chunks too, as by the map of the
+    # element lookup over every entry
     ctx = field_new(*pm)
     rows = np.random.default_rng(3).integers(0, ctx.q, shape).astype(
         _dtype_for(ctx.q))
     got = _box_rows(ctx, rows)
     want = [_box(ctx, r) for r in rows.tolist()]
-    assert got == want
+    assert got == want == helpers.box_rows_by_map(ctx, rows)
     assert all(type(r) is tuple for r in got)
     assert all(a is b for g, w in zip(got, want) for a, b in zip(g, w))
