@@ -161,7 +161,7 @@ def cmd_verify(args) -> int:
         params["samples"] = args.samples
     if args.seed is not None:
         params["seed"] = args.seed
-    if args.budget != DEFAULT_BUDGET:
+    if args.budget is not None:
         params["budget"] = args.budget
     t0 = time.monotonic()
     report = suites.run_suite(args.suite, params)
@@ -254,10 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qs", help="comma-separated field sizes")
     p.add_argument("--ms", help="comma-separated extension degrees "
                                "(cyclic suite)")
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--max-n", type=_count, default=None)
+    p.add_argument("--samples", type=_count, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=None,
+                   help="enumeration budget (default: each suite's own)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

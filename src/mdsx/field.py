@@ -12,6 +12,7 @@ which also builds the kernels' arrays; digits add by XOR or by `_odd_add`.
 
 from __future__ import annotations
 
+import operator
 import threading
 
 import numpy as np
@@ -295,12 +296,14 @@ class FieldCtx:
     # -- elements ------------------------------------------------------------
 
     def encode(self, v) -> int:
-        """Integer encoding of an int or of an element of this field."""
+        """Integer encoding of an int (a bool or a numpy integer too) or of
+        an element of this field; a float or a string raises TypeError
+        rather than being truncated."""
         if isinstance(v, FieldElement):
             if v.ctx is not self:
                 raise ContextMismatch(f"element of {v.ctx!r} used in {self!r}")
             return v.value
-        return int(v) % self.q
+        return operator.index(v) % self.q
 
     def elem(self, v) -> "FieldElement":
         return self._elems[self.encode(v)]

@@ -3,7 +3,8 @@
 Each suite is a pure function of its parameters: same id and params give
 the same report dict (and hence byte-identical JSON).  A report carries one
 entry per case, an overall pass flag, and, on failure, the first
-counterexample as a replayable spec dict.
+counterexample as a replayable spec dict; one recorder, `_Cases`, keeps
+that first-counterexample rule for every suite.
 """
 
 from __future__ import annotations
@@ -60,17 +61,35 @@ def _ctx_for_q(q: int):
     return field_new(p, m)
 
 
-def _grs_spec_dict(ctx, nodes, mult, k, u=None):
-    d = {
-        "field": serialize.field_to_dict(ctx),
-        "code": {"type": "grs",
-                 "nodes": list(nodes), "multipliers": list(mult), "k": k},
-    }
+def _spec(ctx, code=None, u=None, **extra):
+    """A replayable spec over ctx: the code part `code`, extended by u when
+    u is given, beside the report's `extra` keys."""
     if u is not None:
-        d = {"field": d["field"],
-             "code": {"type": "extend", "inner": d["code"],
-                      "u": [int(x) for x in u]}}
-    return d
+        code = {"type": "extend", "inner": code, "u": [int(x) for x in u]}
+    spec = {"field": serialize.field_to_dict(ctx), **extra}
+    if code is not None:
+        spec["code"] = code
+    return spec
+
+
+class _Cases:
+    """The cases of one report, in report order, and its counterexample:
+    the first one offered by a failing case.  A failing case that offers
+    none (thm12's sum identity has no code to replay) leaves the choice to
+    the cases after it; a passing case's offer is dropped."""
+
+    def __init__(self):
+        self.cases = []
+        self.counterexample = None
+
+    def add(self, case: dict, counterexample=None) -> None:
+        self.cases.append(case)
+        if not case["ok"] and self.counterexample is None:
+            self.counterexample = counterexample
+
+    def result(self):
+        """(cases, counterexample), what every suite returns."""
+        return self.cases, self.counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +110,12 @@ def suite_thm6_exhaustive(params):
     seed = params.get("seed", 7)
     budget = params.get("budget", DEFAULT_BUDGET)
     rng = random.Random(seed)
-    cases = []
-    counterexample = None
+    cases = _Cases()
     for q in qs:
         ctx = _ctx_for_q(q)
         for n in range(2, min(q, max_n) + 1):
-            checked_codes = 0
-            checked_u = 0
-            ok = True
+            checked_codes = checked_u = 0
+            first = None
             for nodes in combinations(range(q), n):
                 mults = [[1] * n,
                          [rng.randrange(1, q) for _ in range(n)]]
@@ -114,14 +131,14 @@ def suite_thm6_exhaustive(params):
                                                     == rep.rho)
                             checked_u += len(us)
                             bad = np.flatnonzero(lhs != rhs)
-                            if bad.size:
-                                ok = False
-                                if counterexample is None:
-                                    counterexample = _grs_spec_dict(
-                                        ctx, nodes, mult, k, u=us[bad[0]])
-            cases.append({"q": q, "n": n, "codes": checked_codes,
-                          "u_checked": checked_u, "ok": ok})
-    return cases, counterexample
+                            if bad.size and first is None:
+                                first = _spec(ctx, {
+                                    "type": "grs", "nodes": list(nodes),
+                                    "multipliers": mult, "k": k},
+                                    u=us[bad[0]])
+            cases.add({"q": q, "n": n, "codes": checked_codes,
+                       "u_checked": checked_u, "ok": first is None}, first)
+    return cases.result()
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +152,11 @@ def suite_thm7_identity(params):
     seed = params.get("seed", 7)
     budget = params.get("budget", 8192)
     rng = random.Random(seed)
-    cases = []
-    counterexample = None
+    cases = _Cases()
     for q in qs:
         ctx = _ctx_for_q(q)
-        checked = 0
-        covered = 0
-        ok = True
+        checked = covered = 0
+        first = None
         for s in range(samples):
             n = rng.randint(2, q) if q > 2 else 2
             nodes = rng.sample(range(q), n)
@@ -157,20 +172,17 @@ def suite_thm7_identity(params):
                 ext_ok = code.extend_u(u).same_code(egrs(spec))
                 case_ok = ident and ext_ok
                 if case_ok and q ** k <= budget:
-                    dual = code.dual()
-                    rep = covering_radius(dual, budget)
+                    rep = covering_radius(code.dual(), budget)
                     case_ok = (rep.rho == k
                                and rep.leader_weight(u) == rep.rho)
                     covered += 1
                 checked += 1
-                if not case_ok:
-                    ok = False
-                    if counterexample is None:
-                        counterexample = _grs_spec_dict(
-                            ctx, nodes, mult, k, u=u)
-        cases.append({"q": q, "checked": checked,
-                      "covering_checked": covered, "ok": ok})
-    return cases, counterexample
+                if not case_ok and first is None:
+                    first = _spec(ctx, {"type": "grs", "nodes": nodes,
+                                        "multipliers": mult, "k": k}, u=u)
+        cases.add({"q": q, "checked": checked, "covering_checked": covered,
+                   "ok": first is None}, first)
+    return cases.result()
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +194,7 @@ def suite_thm12_identity(params):
     qs = params.get("qs", [4, 5, 7, 8])
     seed = params.get("seed", 7)
     rng = random.Random(seed)
-    cases = []
-    counterexample = None
+    cases = _Cases()
     for q in qs:
         ctx = _ctx_for_q(q)
         node_sets = []
@@ -201,7 +212,7 @@ def suite_thm12_identity(params):
                 for wi, ai in zip(w, nodes)])
             sum_ok = power_sum == node_sum
             checked = 0
-            ok = sum_ok
+            first = None
             for k in range(3, n):
                 e_code = egrs(GrsSpec.make(ctx, nodes, 1, k))
                 gki = egrs_generator(a, 1, k)
@@ -213,17 +224,14 @@ def suite_thm12_identity(params):
                     rl = roth_lempel(a, k, dv)
                     match = e_code.extend_u(u).same_code(rl)
                     checked += 1
-                    if not (ident and match):
-                        ok = False
-                        if counterexample is None:
-                            counterexample = {
-                                "field": serialize.field_to_dict(ctx),
-                                "code": {"type": "roth-lempel",
-                                         "nodes": list(nodes), "k": k,
-                                         "delta": dv}}
-            cases.append({"q": q, "nodes": list(nodes), "checked": checked,
-                          "sum_identity": sum_ok, "ok": ok})
-    return cases, counterexample
+                    if not (ident and match) and first is None:
+                        first = _spec(ctx, {"type": "roth-lempel",
+                                            "nodes": nodes, "k": k,
+                                            "delta": dv})
+            cases.add({"q": q, "nodes": nodes, "checked": checked,
+                       "sum_identity": sum_ok,
+                       "ok": sum_ok and first is None}, first)
+    return cases.result()
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +242,7 @@ def suite_thm12_identity(params):
 def suite_thm14_consistency(params):
     qs = params.get("qs", [4, 5])
     budget = params.get("budget", DEFAULT_BUDGET)
-    cases = []
-    counterexample = None
+    cases = _Cases()
     for q in qs:
         ctx = _ctx_for_q(q)
         for n in range(3, q + 1):
@@ -245,9 +252,9 @@ def suite_thm14_consistency(params):
                 target = egrs_dual_code(a, k)
                 rep = covering_radius(target, budget)
                 if rep.rho != k:
-                    cases.append({"q": q, "n": n, "k": k, "rho": rep.rho,
-                                  "assumption_holds": False, "checked": 0,
-                                  "ok": True})
+                    cases.add({"q": q, "n": n, "k": k, "rho": rep.rho,
+                               "assumption_holds": False, "checked": 0,
+                               "ok": True})
                     continue
                 cands = []
                 for dv in range(q):
@@ -256,65 +263,54 @@ def suite_thm14_consistency(params):
                               for pv in range(q) if pv not in nodes]
                 deep = rep.leader_weights(
                     [target._vec(c.vector) for c in cands]) == rep.rho
-                bad = [(c, b) for c, b in zip(cands, deep.tolist())
-                       if c.valid != b]
-                if bad and counterexample is None:
-                    cand, brute = bad[0]
-                    counterexample = {
-                        "field": serialize.field_to_dict(ctx),
-                        "kind": cand.kind, "nodes": nodes, "k": k,
-                        "delta": cand.delta.value,
-                        "pi": None if cand.pi is None else cand.pi.value,
-                        "set_verdict": cand.valid, "brute_force": brute}
-                cases.append({"q": q, "n": n, "k": k, "rho": rep.rho,
-                              "assumption_holds": True,
-                              "checked": len(cands), "ok": not bad})
-    return cases, counterexample
+                bad = [_spec(ctx, kind=c.kind, nodes=nodes, k=k,
+                             delta=c.delta.value,
+                             pi=None if c.pi is None else c.pi.value,
+                             set_verdict=c.valid, brute_force=b)
+                       for c, b in zip(cands, deep.tolist()) if c.valid != b]
+                cases.add({"q": q, "n": n, "k": k, "rho": rep.rho,
+                           "assumption_holds": True, "checked": len(cands),
+                           "ok": not bad}, bad[0] if bad else None)
+    return cases.result()
 
 
 # ---------------------------------------------------------------------------
 # examples-1-2-3: the three worked covering-radius instances.
 # ---------------------------------------------------------------------------
 
+# (example, q, k, [n, k, d] and radius of the dual of the coefficient-
+# extended code on all of GF(q))
+_EXAMPLES = (("1", 4, 3, [5, 2, 4], 3),
+             ("2", 8, 3, [9, 6, 4], 3),
+             ("3", 8, 4, [9, 5, 5], 3))
+
+
 def suite_examples_1_2_3(params):
     budget = params.get("budget", DEFAULT_BUDGET)
-    cases = []
-    counterexample = None
-
-    def run_example(name, q, k, want_params, want_rho):
-        nonlocal counterexample
+    cases = _Cases()
+    for name, q, k, want_params, want_rho in _EXAMPLES:
         ctx = _ctx_for_q(q)
-        a = ctx.vector(range(q))
-        dual = egrs_dual_code(a, k)
+        dual = egrs_dual_code(ctx.vector(range(q)), k)
         rep = covering_radius(dual, budget)
-        got = (dual.n, dual.k, dual.min_distance(budget))
-        ok = got == want_params and rep.rho == want_rho
-        if not ok and counterexample is None:
-            counterexample = {
-                "field": serialize.field_to_dict(ctx),
-                "code": {"type": "dual",
-                         "inner": {"type": "egrs",
-                                   "nodes": list(range(q)),
-                                   "multipliers": [1] * q, "k": k}},
-                "got_params": list(got), "got_rho": rep.rho}
-        cases.append({"example": name, "q": q, "k": k,
-                      "params": list(got), "rho": rep.rho, "ok": ok})
-
-    run_example("1", 4, 3, (5, 2, 4), 3)
-    run_example("2", 8, 3, (9, 6, 4), 3)
-    run_example("3", 8, 4, (9, 5, 5), 3)
+        got = [dual.n, dual.k, dual.min_distance(budget)]
+        cases.add({"example": name, "q": q, "k": k, "params": got,
+                   "rho": rep.rho,
+                   "ok": got == want_params and rep.rho == want_rho},
+                  _spec(ctx, {"type": "dual",
+                              "inner": {"type": "egrs",
+                                        "nodes": list(range(q)),
+                                        "multipliers": [1] * q, "k": k}},
+                        got_params=got, got_rho=rep.rho))
 
     ctx8 = _ctx_for_q(8)
     all8 = ctx8.vector(range(8))
     no_delta = all(not nk_delta_set_check(all8, 3, d) for d in range(8))
     pair_sets = (nk_delta_set_check(all8, 2, 0)
                  and nk_delta_set_check(_ctx_for_q(4).vector(range(4)), 2, 0))
-    cases.append({"example": "3-set-scan", "no_(8,3,delta)-set": no_delta,
-                  "pair-zero-sets": pair_sets,
-                  "ok": no_delta and pair_sets})
-    if not (no_delta and pair_sets) and counterexample is None:
-        counterexample = {"set_scan_failed": True}
-    return cases, counterexample
+    cases.add({"example": "3-set-scan", "no_(8,3,delta)-set": no_delta,
+               "pair-zero-sets": pair_sets, "ok": no_delta and pair_sets},
+              {"set_scan_failed": True})
+    return cases.result()
 
 
 # ---------------------------------------------------------------------------
@@ -325,22 +321,18 @@ def suite_examples_1_2_3(params):
 def suite_prs_conjecture(params):
     qs = params.get("qs", [4, 5, 7, 8])
     budget = params.get("budget", DEFAULT_BUDGET)
-    cases = []
-    counterexample = None
+    cases = _Cases()
     # k = q - 2 adds a pair only at q = 5: q = 4 gives k = 2 again
     pairs = [(q, 2) for q in qs] + ([(5, 3)] if 5 in qs else [])
     for q, k in pairs:
         ctx = _ctx_for_q(q)
         want = q - k + 1 if q % 2 == 0 else q - k
         rep = covering_radius(prs(ctx, k), budget)
-        ok = rep.rho == want
-        if not ok and counterexample is None:
-            counterexample = {"field": serialize.field_to_dict(ctx),
-                              "code": {"type": "prs", "k": k},
-                              "got_rho": rep.rho, "want_rho": want}
-        cases.append({"q": q, "k": k, "rho": rep.rho, "want": want,
-                      "ok": ok})
-    return cases, counterexample
+        cases.add({"q": q, "k": k, "rho": rep.rho, "want": want,
+                   "ok": rep.rho == want},
+                  _spec(ctx, {"type": "prs", "k": k}, got_rho=rep.rho,
+                        want_rho=want))
+    return cases.result()
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +343,7 @@ def suite_prs_conjecture(params):
 def suite_cyclic_cu(params):
     ms = params.get("ms", [2, 3])
     budget = params.get("budget", DEFAULT_BUDGET)
-    cases = []
-    counterexample = None
+    cases = _Cases()
     for m in ms:
         q = 2 ** m
         for u in range(1, q // 2 + 1):
@@ -360,16 +351,16 @@ def suite_cyclic_cu(params):
             d = code.min_distance(budget)
             ok = ((code.n, code.k, d) == (q + 1, 2 * u - 1, q - 2 * u + 3)
                   and code.is_mds(budget))
-            case = {"q": q, "u": u, "params": [code.n, code.k, d], "ok": ok}
+            case = {"q": q, "u": u, "params": [code.n, code.k, d]}
             if u in (2, q // 2):
                 facts = cu_extension_facts(m, u, budget)
                 want_rho = 3 if u == 2 else q - 1
                 want_ext = (q + 2, 3, q) if u == 2 else (q + 2, q - 1, 4)
-                fact_ok = (facts.ext_params == want_ext and facts.ext_mds
-                           and facts.rho_dual == want_rho
-                           and facts.one_is_deep_hole)
+                ok = (ok and facts.ext_params == want_ext and facts.ext_mds
+                      and facts.rho_dual == want_rho
+                      and facts.one_is_deep_hole)
                 if u == 2:
-                    fact_ok = fact_ok and facts.weight_formula_ok
+                    ok = ok and facts.weight_formula_ok
                     case["weight_counts"] = {
                         "A0": facts.weight_counts[0],
                         f"A{q}": facts.weight_counts[q],
@@ -377,14 +368,10 @@ def suite_cyclic_cu(params):
                 case["ext_params"] = list(facts.ext_params)
                 case["rho_dual"] = facts.rho_dual
                 case["one_is_deep_hole"] = facts.one_is_deep_hole
-                ok = ok and fact_ok
-                case["ok"] = ok
-            if not ok and counterexample is None:
-                counterexample = {
-                    "field": serialize.field_to_dict(field_new(2, m)),
-                    "code": {"type": "cyclic", "u": u}, "case": case}
-            cases.append(case)
-    return cases, counterexample
+            case["ok"] = ok
+            cases.add(case, _spec(field_new(2, m), {"type": "cyclic", "u": u},
+                                  case=case))
+    return cases.result()
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +397,11 @@ def _small_codes():
                        egrs(GrsSpec.make(ctx, nodes, 1, k)), k == n)
 
 
-def _small_code_cases(budget):
-    """criteria-agreement and extension-kinds in one pass over the small
-    codes, each with one all-u array: both parts' cases and each part's
-    first disagreement."""
-    agree, kinds = [], []
-    agree_bad = kinds_bad = None
+def _small_code_cases(cases, budget):
+    """The criteria-agreement cases and then the extension-kinds cases of
+    the small codes, recorded into `cases`; one all-u array per code serves
+    both parts."""
+    kinds = []
     for name, code, extension_kind in _small_codes():
         ctx, n, k = code.ctx, code.n, code.k
         q = ctx.q
@@ -428,41 +414,46 @@ def _small_code_cases(budget):
         bad = dh != syndrome_criteria(code.parity, us, rep.rho, budget)
         if applicable:
             bad |= dh != deep_holes_via_mds(code, us, budget)
-        checked = int(bad.argmax()) + 1 if bad.any() else len(us)
-        if bad.any() and agree_bad is None:
-            agree_bad = {"q": q, "code": name, "u": us[checked - 1].tolist()}
-        agree.append({"q": q, "code": name, "rho": rep.rho,
-                      "minor_test_applicable": bool(applicable),
-                      "checked": checked, "ok": not bad.any()})
-        if not extension_kind:
-            continue
+        hit = bool(bad.any())
+        checked = int(bad.argmax()) + 1 if hit else len(us)
+        cases.add({"part": "criteria-agreement", "q": q, "code": name,
+                   "rho": rep.rho, "minor_test_applicable": bool(applicable),
+                   "checked": checked, "ok": not hit},
+                  {"criteria_disagreement": {
+                      "q": q, "code": name, "u": us[checked - 1].tolist()}}
+                  if hit else None)
+        if extension_kind:
+            kinds.append((name, code, us))
+
+    for name, code, us in kinds:
+        q, n, k = code.ctx.q, code.n, code.k
         # the fibers of u -> G u^T, from one batched product; extend_u
         # takes <u, row> by scalar ops
-        gs = kernels.mat_vecs(code.generator._rows, n, ctx, us)
+        gs = kernels.mat_vecs(code.generator._rows, n, code.ctx, us)
         fibers = {}
         for u, g in zip(map(tuple, us.tolist()), map(tuple, gs.tolist())):
             fibers.setdefault(g, []).append(u)
-        ok = all(len(v) == q ** (n - k) for v in fibers.values())
+        mismatch = None
         for g, fiber in sorted(fibers.items()):
             target = extend_g(code.generator, g)
             if not all(code.extend_u(u).same_code(target) for u in fiber):
-                if kinds_bad is None:
-                    kinds_bad = {"q": q, "code": name, "g": list(g)}
-                ok = False
+                mismatch = {"q": q, "code": name, "g": list(g)}
                 break
-        if not ok and kinds_bad is None:
-            kinds_bad = {"q": q, "code": name, "fibers": "size"}
-        kinds.append({"q": q, "code": name, "fibers": len(fibers),
-                      "fiber_size": q ** (n - k), "ok": ok})
-    return agree, agree_bad, kinds, kinds_bad
+        else:
+            if any(len(v) != q ** (n - k) for v in fibers.values()):
+                mismatch = {"q": q, "code": name, "fibers": "size"}
+        cases.add({"part": "extension-kinds", "q": q, "code": name,
+                   "fibers": len(fibers), "fiber_size": q ** (n - k),
+                   "ok": mismatch is None},
+                  {"extension_kind_mismatch": mismatch}
+                  if mismatch else None)
 
 
 def suite_dp_vs_bruteforce(params):
     seed = params.get("seed", 7)
     budget = params.get("budget", DEFAULT_BUDGET)
     rng = random.Random(seed)
-    cases = []
-    counterexample = None
+    cases = _Cases()
 
     # DP set ops == explicit enumeration
     for q in (4, 5, 7, 8, 9, 11):
@@ -479,50 +470,33 @@ def suite_dp_vs_bruteforce(params):
                     for m in range(len(vals) + 1)]
             for m, bf_sums in enumerate(sums):
                 checked += 1
-                if {e.value for e in subset_sums(s, m)} != bf_sums:
-                    ok = False
+                ok &= {e.value for e in subset_sums(s, m)} == bf_sums
             outside = [x for x in range(q) if x not in vals]
             for pv in outside[:2]:
                 for m in range(len(vals) + 1):
                     dp = {e.value for e in t_set(s, pv, m)}
                     bf = {e.value for e in t_set_bruteforce(s, pv, m)}
                     checked += 1
-                    if dp != bf:
-                        ok = False
+                    ok &= dp == bf
             for dv in range(q):
                 for m in range(1, min(4, len(vals))):
                     checked += 1
-                    if nk_delta_set_check(s, m, dv) != (dv not in sums[m]):
-                        ok = False
-        if not ok and counterexample is None:
-            counterexample = {"dp_mismatch_q": q}
-        cases.append({"part": "dp-vs-enumeration", "q": q,
-                      "checked": checked, "ok": ok})
+                    ok &= nk_delta_set_check(s, m, dv) == (dv not in sums[m])
+        cases.add({"part": "dp-vs-enumeration", "q": q, "checked": checked,
+                   "ok": ok}, {"dp_mismatch_q": q})
 
     # every element is a k-fold distinct sum in the stated k range
     for q in (5, 7, 8, 9, 11):
-        ctx = _ctx_for_q(q)
-        s = ctx.vector(range(q))
-        ok = True
+        s = _ctx_for_q(q).vector(range(q))
         ks = list(range((q - 1) // 2, q - 2))
-        for k in ks:
-            got = {e.value for e in subset_sums(s, k)}
-            if got != set(range(q)):
-                ok = False
-                if counterexample is None:
-                    counterexample = {"all-sums_failed": {"q": q, "k": k}}
-        cases.append({"part": "all-sums", "q": q, "ks": ks, "ok": ok})
+        short = [k for k in ks
+                 if {e.value for e in subset_sums(s, k)} != set(range(q))]
+        cases.add({"part": "all-sums", "q": q, "ks": ks, "ok": not short},
+                  {"all-sums_failed": {"q": q, "k": short[0]}}
+                  if short else None)
 
-    agree, agree_bad, kinds, kinds_bad = _small_code_cases(budget)
-    cases.extend({"part": "criteria-agreement", **c} for c in agree)
-    cases.extend({"part": "extension-kinds", **c} for c in kinds)
-    if counterexample is None and agree_bad is not None:
-        counterexample = {"criteria_disagreement": agree_bad}
-    if counterexample is None and kinds_bad is not None:
-        counterexample = {"extension_kind_mismatch": kinds_bad}
-
-    return cases, counterexample
-
+    _small_code_cases(cases, budget)
+    return cases.result()
 
 SUITES = {
     "thm6-exhaustive": suite_thm6_exhaustive,

@@ -231,12 +231,27 @@ MUTANTS = [
      "<= n - k).any()", "< n - k).any()",
      ["tests/test_covering.py"]),
     ("thm6 fails a case only with the first counterexample", "suites.py",
-     "if bad.size:\n                                ok = False\n"
-     "                                if counterexample is None:",
-     "if bad.size and counterexample is None:\n"
-     "                                ok = False\n"
-     "                                if True:",
+     "if bad.size and first is None:",
+     "if bad.size and first is None and cases.counterexample is None:",
      ["tests/test_covering.py"]),
+    # the one recorder of every suite's cases and counterexample
+    ("recorder keeps the last counterexample", "suites.py",
+     'if not case["ok"] and self.counterexample is None:',
+     'if not case["ok"]:',
+     ["tests/test_suites.py"]),
+    ("recorder takes a passing case's counterexample", "suites.py",
+     'if not case["ok"] and self.counterexample is None:',
+     "if self.counterexample is None:",
+     ["tests/test_suites.py"]),
+    ("recorder keeps the first failing case's counterexample, even none",
+     "suites.py",
+     'if not case["ok"] and self.counterexample is None:',
+     'if not case["ok"] and all(c["ok"] for c in self.cases[:-1]):',
+     ["tests/test_suites.py"]),
+    ("spec builder drops the extension by u", "suites.py",
+     "if u is not None:\n        code = ",
+     "if False:\n        code = ",
+     ["tests/test_suites.py"]),
     ("suite vectors u run the last entry slowest", "suites.py",
      "coset_blocks(np.eye(n, dtype=np.int64),",
      "coset_blocks(np.eye(n, dtype=np.int64)[::-1],",

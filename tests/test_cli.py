@@ -499,6 +499,29 @@ class TestVerify:
         assert (rc, out) == (3, "") and "budget" in err.lower()
         assert run(capsys, argv + ["--budget", "27"])[0] == 0
 
+    def test_an_explicit_budget_reaches_the_suite(self, capsys):
+        # thm7-identity's own budget is 8192; a --budget equal to the
+        # library default 2^24 was dropped, so only 5 of the 7 codes over
+        # GF(9) had their dual's radius checked
+        argv = ["verify", "thm7-identity", "--qs", "9", "--samples", "2",
+                "--json"]
+        for budget in (2 ** 24 - 1, 2 ** 24):
+            rc, out, _ = run(capsys, argv + ["--budget", str(budget)])
+            report = json.loads(out)
+            assert rc == 0 and report["params"]["budget"] == budget
+            assert report["cases"][0]["covering_checked"] == 7
+        report = json.loads(run(capsys, argv)[1])
+        assert "budget" not in report["params"]
+        assert report["cases"][0]["covering_checked"] == 5
+
+    @pytest.mark.parametrize("suite, flag", [
+        ("thm7-identity", "--samples"), ("thm6-exhaustive", "--max-n")])
+    def test_negative_count_exits_2(self, capsys, suite, flag):
+        # --samples -1 ran no sample and passed
+        rc, out, err = run(capsys, ["verify", suite, flag, "-1"])
+        assert (rc, out) == (2, "")
+        assert "negative" in err
+
     def test_build_outputs_byte_stable(self, capsys, spec_file):
         path = spec_file(EX1_SPEC)
         _, out1, _ = run(capsys, ["build", path, "--json"])

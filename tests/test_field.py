@@ -243,6 +243,20 @@ class TestInterning:
         assert type(e.value) is int and e.value == v
         assert big.elem(v) is e
 
+    def test_encode_takes_integers_only(self):
+        # a float was truncated (2.7 read as 2) where arithmetic refuses it
+        for v in (2.7, 2.0, "2"):
+            for build in (gf5.encode, gf5.elem, lambda v: gf5.vector([v]),
+                          lambda v: Matrix(gf5, [[v]])):
+                with pytest.raises(TypeError):
+                    build(v)
+            with pytest.raises(TypeError):
+                gf5.one + v
+        for v, want in ((np.int64(7), 2), (np.uint8(4), 4), (True, 1),
+                        (False, 0), (-1, 4), (gf5.elem(3), 3)):
+            got = gf5.encode(v)
+            assert got == want and type(got) is int
+
     def test_shared_elements_are_immutable(self):
         e = gf9.elem(4)
         for attr, value in (("value", 5), ("ctx", gf5)):

@@ -174,7 +174,11 @@ def test_the_suite_keeps_the_first_disagreement(monkeypatch):
         return out
 
     monkeypatch.setattr(suites, "syndrome_criteria", flipped)
-    cases, first_bad, _, _ = suites._small_code_cases(kernels.DEFAULT_BUDGET)
+    rep = suites.run_suite("dp-vs-bruteforce", {})
+    cases = [c for c in rep["cases"] if c["part"] == "criteria-agreement"]
+    assert not rep["passed"]
+    assert [c for c in rep["cases"] if not c["ok"]] == cases
+    first_bad = rep["counterexample"]["criteria_disagreement"]
     middles = []
     for case in cases:
         n = int(re.match(r"[a-z-]+\[(\d+),", case["code"]).group(1))

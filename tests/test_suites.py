@@ -80,6 +80,40 @@ def test_thm12_reports_a_wrong_roth_lempel_code(monkeypatch):
     assert extended.extend_u(thm12_u(a, 3, 0)).same_code(code)
 
 
+def test_a_failing_case_without_a_counterexample_leaves_it_to_later_ones(
+        monkeypatch):
+    # over GF(4) the last dual weight is off by one, so the one case there
+    # fails its sum identity alone and offers no code; over GF(5) every
+    # Roth-Lempel code is built with delta + 1, and the report carries the
+    # first of those
+    real_weights, real_rl = suites.grs_dual_weights, suites.roth_lempel
+
+    def bumped(a, v):
+        w = real_weights(a, v)
+        return w if a[0].ctx.q != 4 else (*w[:-1], w[-1] + 1)
+
+    def shifted(a, k, delta):
+        return real_rl(a, k, delta if a[0].ctx.q != 5 else delta + 1)
+
+    monkeypatch.setattr(suites, "grs_dual_weights", bumped)
+    monkeypatch.setattr(suites, "roth_lempel", shifted)
+    rep = suites.run_suite("thm12-identity", {"qs": [4, 5]})
+    assert not rep["passed"]
+    assert [(c["q"], c["sum_identity"], c["ok"]) for c in rep["cases"]] == [
+        (4, False, False), (5, True, False), (5, True, False),
+        (5, True, False)]
+    cx = rep["counterexample"]
+    assert cx["field"]["p"] == 5
+    assert cx["code"] == {"type": "roth-lempel", "nodes": [0, 1, 2, 3],
+                          "k": 3, "delta": 0}
+
+    # with the GF(4) fault alone no case offers a code to replay
+    monkeypatch.setattr(suites, "roth_lempel", real_rl)
+    rep = suites.run_suite("thm12-identity", {"qs": [4, 5]})
+    assert [c["ok"] for c in rep["cases"]] == [False, True, True, True]
+    assert rep["counterexample"] is None
+
+
 def test_thm14_reports_a_flipped_deep_hole_verdict(monkeypatch):
     # over GF(5) every leader weight reads as a deep hole's iff it is not
     real = CoveringReport.leader_weights
