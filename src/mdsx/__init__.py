@@ -10,7 +10,7 @@ from .field import (
     minimal_poly_over_base,
     quadratic_extension,
 )
-from .matrix import Matrix, first_dependent_columns
+from .matrix import Matrix, all_k_columns_independent, first_dependent_columns
 from .code import (
     LinearCode,
     code_from_generator,

@@ -180,6 +180,15 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """argparse type of a budget: an integer >= 1 (a budget of 0 or less
+    admits no work at all)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not positive")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mdsx",
@@ -190,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("spec", help="JSON code-spec file")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET,
                        help="enumeration budget (syndromes or codewords)")
         p.add_argument("--json", action="store_true",
                        help="suppress the stderr summary line")
@@ -257,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_count, default=None)
     p.add_argument("--samples", type=_count, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_positive, default=None,
                    help="enumeration budget (default: each suite's own)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

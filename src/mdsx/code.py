@@ -22,7 +22,7 @@ from .errors import (
 from .field import FieldCtx
 from .kernels import DEFAULT_BUDGET
 from .matrix import Matrix, _box_rows, _kernel, _of, _with_col, \
-    first_dependent_columns
+    all_k_columns_independent, first_dependent_columns
 
 
 class LinearCode:
@@ -113,20 +113,23 @@ class LinearCode:
         return next(w for w in range(1, self.n + 1) if counts[w])
 
     def _min_distance_by_supports(self, budget) -> int:
-        """d from ranks of column subsets.  When the C(n, k) subsets of one
-        layer cost less than both the q^k codewords and the budget, test
-        the MDS layer first: every k columns of the generator, or every
-        n-k of the parity check, whichever has fewer rows, are independent
-        iff d = n-k+1.  If they are not, scan the codewords when the budget
-        allows; otherwise d is the smallest w such that some w columns of
-        the parity check are dependent.  Every subset visited counts
-        against the budget."""
+        """d from column subsets.  When the C(n, k) subsets of one layer
+        cost less than both the q^k codewords and the budget, test the MDS
+        layer first: every k columns of the generator, or every n-k of the
+        parity check, whichever has fewer rows, are independent iff
+        d = n-k+1.  `all_k_columns_independent` decides that layer from the
+        square minors of the systematic part, one Laplace step per minor.
+        If it fails, scan the codewords when the budget allows; otherwise d
+        is the smallest w such that some w columns of the parity check are
+        dependent, each layer's subsets eliminated by
+        `first_dependent_columns`.  Every subset of a layer counts against
+        the budget."""
         n, k = self.n, self.k
         total = self.ctx.q ** k
         spent = 0
         if comb(n, k) < min(total, budget):
             m = self.generator if k <= n - k else self.parity
-            if first_dependent_columns(m, m.rows, budget) is None:
+            if all_k_columns_independent(m, budget):
                 return n - k + 1
             if total <= budget:
                 return self._min_distance_by_codewords(budget)

@@ -53,10 +53,14 @@ push block can meet one orbit on two supports, so it keeps an upper bound
 and counts the uncovered representatives when that bound says done and at
 the end of the layer.
 
-Column-subset facts (MDS layers, the minor and column-span deep-hole
-criteria, the support search for d) come from one engine, `subset_ranks`:
-it stacks the column subsets of one or many small matrices into a
-(b, r, w) array and eliminates them all at once.
+Column-subset facts (the minor and column-span deep-hole criteria, the
+support search for d, first dependent columns) come from one engine,
+`subset_ranks`: it stacks the column subsets of one or many small
+matrices into a (b, r, w) array and eliminates them all at once.  The MDS
+layer does not: `_minors_nonzero` checks every square minor of the
+systematic part A of [I_k | A], from the smaller ones by Laplace
+expansion, which decides all C(n, k) k-column subsets with no
+elimination.
 
 The lexicographically first vectors of a weight per syndrome (deep-hole
 representatives) come from `lex_first_weight_vectors`: a depth-first
@@ -71,11 +75,11 @@ widened to int64 or compared whole.
 
 Everything here is deterministic; three bounds cap memory only, past one
 unit of work: _BLOCK_ROWS rows per block (fold, push, pull, expansion),
-_CHUNK_BYTES bytes of int64 per subset chunk or lex-search batch, and as
-many entries, _CHUNK_BYTES // 8, per chunk of the leader array that its
-readers compare (a bool temporary of 128 KB, where np.bincount would copy
-the whole array to int64, 8 bytes per syndrome), and
-_SCALE_TABLE_ENTRIES entries per packed scaling table of the sweep.
+_CHUNK_BYTES bytes of int64 per subset chunk, minor-table chunk or
+lex-search batch, and as many entries, _CHUNK_BYTES // 8, per chunk of the
+leader array that its readers compare (a bool temporary of 128 KB, where
+np.bincount would copy the whole array to int64, 8 bytes per syndrome),
+and _SCALE_TABLE_ENTRIES entries per packed scaling table of the sweep.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ from .field import _dtype_for, field_new
 
 DEFAULT_BUDGET = 1 << 24
 _BLOCK_ROWS = 1 << 14  # rows of a fold, push, pull or expansion block
-_CHUNK_BYTES = 1 << 20  # int64 bytes of a subset chunk or lex-search batch
+_CHUNK_BYTES = 1 << 20  # int64 bytes of a subset, minor or lex-search chunk
 _SCALE_TABLE_ENTRIES = 1 << 16  # int64: 512 KB
 
 
@@ -347,6 +351,85 @@ def _ranks(A, ctx):
         A[:, :, c + 1:] = add(A[:, :, c + 1:],
                               exp[lf[:, :, None] + prow[:, None, :]])
     return rank
+
+
+# ---------------------------------------------------------------------------
+# Square minors of a systematic part
+# ---------------------------------------------------------------------------
+
+def _colex(ranks, i: int, binom):
+    """The sorted i-subsets s of colex ranks `ranks`, rank(s) =
+    sum_j C(s_j, j+1), as a (len(ranks), i) int64 array, and beside each,
+    for every t, the colex rank of s without s_t: the later elements move
+    down one place, to sum_{j<t} C(s_j, j+1) + sum_{j>t} C(s_j, j).
+    Unranking takes the largest s_j with C(s_j, j+1) <= what is left, top
+    element first; binom[a, b] = C(a, b)."""
+    left = np.array(ranks, dtype=np.int64)
+    subsets = np.empty((left.size, i), np.int64)
+    for j in range(i - 1, -1, -1):
+        subsets[:, j] = np.searchsorted(binom[:, j + 1], left, "right") - 1
+        left -= binom[subsets[:, j], j + 1]
+    own = binom[subsets, np.arange(1, i + 1)]
+    shifted = binom[subsets, np.arange(i)]
+    before = own.cumsum(axis=1) - own
+    after = shifted[:, ::-1].cumsum(axis=1)[:, ::-1] - shifted
+    return subsets, before + after
+
+
+def _minors_nonzero(A, ctx) -> bool:
+    """Whether every square submatrix of A, a (k, m) array of encodings,
+    is nonsingular.
+
+    The i x i minors D_i[R, C], for the i-subsets R of rows and C of
+    columns indexed by colex rank, come from the (i-1) x (i-1) ones by
+    Laplace expansion along the first row r_0 of R:
+    D_i[R, C] = sum_t (-1)^t A[r_0, c_t] D_{i-1}[R - r_0, C - c_t], one
+    gather, log-sum and add per t, starting from D_1 = A.  Each product
+    is exp[log a + log d], which the two periods of exp and the zeros past
+    them make exact, zeros included; the sign goes on A's entries through
+    the field's negation, never as a log(-1) added to that sum, which
+    could run past the zeros.
+
+    A table is filled in blocks of row subsets times column subsets, each
+    unranked where it is used: a block's int64 temporaries, and the
+    subsets and ranks of its rows and of its columns, stay within
+    _CHUNK_BYTES bytes (at least one row and one column).  The check stops at the first block
+    that holds a zero minor.  Tables keep `_dtype_for(q)` entries, and the
+    two live ones hold at most 2 C(k + m, k) of them, the count of the
+    minors of all sizes.
+    """
+    k, m = A.shape
+    if not A.all():
+        return False
+    log, exp, add = ctx._arrays
+    # (-1)^t A[r, c] as logs, for even and odd t
+    signed = (log[A], log[[[ctx.neg_i(int(a)) for a in row]
+                           for row in A.tolist()]])
+    top = min(k, m)
+    binom = np.array([[comb(a, b) for b in range(top + 1)]
+                      for a in range(max(k, m))], dtype=np.int64)
+    prev = A
+    for i in range(2, top + 1):
+        table = np.empty((comb(k, i), comb(m, i)), A.dtype)
+        width = min(table.shape[1], max(1, _CHUNK_BYTES // (8 * i)))
+        height = max(1, _CHUNK_BYTES // (8 * max(width, i)))
+        for c0 in range(0, table.shape[1], width):
+            cols, without = _colex(
+                range(c0, min(c0 + width, table.shape[1])), i, binom)
+            for r0 in range(0, table.shape[0], height):
+                rows, rest = _colex(
+                    range(r0, min(r0 + height, table.shape[0])), i, binom)
+                first, below = rows[:, :1], rest[:, :1]
+                acc = np.zeros((len(rows), len(cols)), A.dtype)
+                for t in range(i):
+                    lg = signed[t % 2][first, cols[:, t]]
+                    lg += log[prev[below, without[:, t]]]
+                    acc = add(acc, exp[lg])
+                if not acc.all():
+                    return False
+                table[r0:r0 + len(rows), c0:c0 + len(cols)] = acc
+        prev = table
+    return True
 
 
 # ---------------------------------------------------------------------------

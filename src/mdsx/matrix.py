@@ -7,6 +7,7 @@ matrices are immutable values.
 from __future__ import annotations
 
 from functools import reduce
+from math import comb
 
 import numpy as np
 
@@ -14,11 +15,12 @@ from . import kernels
 from .errors import (
     BadDims,
     BadK,
+    BudgetExceeded,
     ContextMismatch,
     InconsistentSystem,
     NotSquare,
 )
-from .field import FieldCtx, FieldElement
+from .field import FieldCtx, FieldElement, _dtype_for
 from .kernels import DEFAULT_BUDGET
 
 
@@ -308,3 +310,33 @@ def first_dependent_columns(m: Matrix, k: int, budget=DEFAULT_BUDGET):
             return tuple(int(j) for j in subsets[hits[0]])
     return None
 
+
+def all_k_columns_independent(m: Matrix, budget=DEFAULT_BUDGET) -> bool:
+    """Whether every k = m.rows columns of m are independent, the answer of
+    first_dependent_columns(m, k) is None, from the square minors of the
+    systematic part instead of one elimination per column subset.
+
+    Every k columns are independent iff rref(m) = [I_k | A] with every
+    square submatrix of A nonsingular (MacWilliams and Sloane, ch. 11,
+    Thm. 8): the unit columns outside the rows R together with the columns
+    C of A have determinant +-det A[R, C], and these pairs (R, C) are all
+    C(n, k) column subsets.  A rank below k, pivots that are not the first
+    k columns (which are then dependent) or a zero entry of A answer at
+    once; `kernels._minors_nonzero` settles the larger minors.  The C(n, k)
+    subsets count against the budget, before anything is built.
+    """
+    k, n = m.rows, m.cols
+    if k > n:
+        raise BadK(f"k = {k} out of range for {k}x{n}")
+    if k == 0:
+        return True
+    if comb(n, k) > budget:
+        raise BudgetExceeded(f"{comb(n, k)} column subsets exceed budget "
+                             f"{budget}")
+    red, pivots = m.rref()
+    if len(pivots) < k:
+        return False
+    if pivots[-1] != k - 1:
+        return False
+    A = np.array(red._rows, dtype=_dtype_for(m.ctx.q)).reshape(k, n)[:, k:]
+    return kernels._minors_nonzero(A, m.ctx)

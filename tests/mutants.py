@@ -198,6 +198,17 @@ MUTANTS = [
     ("MDS layer skipped", "code.py",
      "if comb(n, k) < min(total, budget):", "if False:",
      ["tests/test_subsets.py"]),
+    # the MDS layer's minor table
+    ("minor-table sign dropped", "kernels.py",
+     "lg = signed[t % 2][first, cols[:, t]]",
+     "lg = signed[0][first, cols[:, t]]",
+     ["tests/test_subsets.py"]),
+    ("size-1 entry check skipped", "kernels.py",
+     "    if not A.all():\n        return False\n", "",
+     ["tests/test_subsets.py"]),
+    ("pivot-prefix check skipped", "matrix.py",
+     "    if pivots[-1] != k - 1:\n        return False\n", "",
+     ["tests/test_subsets.py"]),
     # elimination and the field's log array
     ("det keeps its sign on a row swap", "matrix.py",
      "            swaps += pivot != pr\n", "",

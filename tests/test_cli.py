@@ -522,6 +522,23 @@ class TestVerify:
         assert (rc, out) == (2, "")
         assert "negative" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize("suite", ["thm7-identity", "thm6-exhaustive"])
+    def test_verify_budget_below_one_exits_2(self, capsys, suite, budget):
+        # thm7-identity took -1 and 0, skipped every covering check and
+        # passed; thm6-exhaustive refused them as a budget overrun (exit 3)
+        rc, out, err = run(capsys, ["verify", suite, "--budget", budget,
+                                    "--json"])
+        assert (rc, out) == (2, "")
+        assert "not positive" in err
+
+    def test_budget_one_is_a_budget(self, capsys):
+        # the smallest budget passes the parser and reaches the suite,
+        # which refuses its first enumeration
+        rc, out, err = run(capsys, ["verify", "thm6-exhaustive", "--budget",
+                                    "1", "--json"])
+        assert (rc, out) == (3, "") and "budget" in err.lower()
+
     def test_build_outputs_byte_stable(self, capsys, spec_file):
         path = spec_file(EX1_SPEC)
         _, out1, _ = run(capsys, ["build", path, "--json"])
@@ -540,6 +557,17 @@ class TestVerify:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("budget", ["0", "-1", "-16777216", "x"])
+    @pytest.mark.parametrize("command", ["build", "mindist", "weights",
+                                         "dual", "covering", "deep-holes"])
+    def test_budget_below_one_exits_2(self, capsys, spec_file, command,
+                                      budget):
+        # a budget of 0 or less was taken and refused as an overrun (exit 3)
+        rc, out, err = run(capsys, [command, spec_file(GRS_SPEC), "--budget",
+                                    budget])
+        assert (rc, out) == (2, "")
+        assert "--budget" in err
+
     def test_no_command(self, capsys):
         assert main([]) == 2
 

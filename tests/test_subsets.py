@@ -1,6 +1,7 @@
 """The batched column-subset engine against one elimination per subset,
 and its callers (first dependent columns, the routes of min_distance, the
-minor and column-span deep-hole criteria) against brute force."""
+minor and column-span deep-hole criteria) against brute force; the MDS
+layer's minor table against the subset engine."""
 
 import json
 import random
@@ -10,7 +11,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -25,9 +26,13 @@ from mdsx.covering import (
     full_radius_witness,
     syndrome_criteria,
 )
-from mdsx.errors import BudgetExceeded
+from mdsx.errors import BadK, BudgetExceeded
 from mdsx.field import FieldCtx, field_new
-from mdsx.matrix import Matrix, first_dependent_columns
+from mdsx.matrix import (
+    Matrix,
+    all_k_columns_independent,
+    first_dependent_columns,
+)
 
 FIELDS = [field_new(p, m) for p, m in
           ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
@@ -108,6 +113,134 @@ def test_first_dependent_columns_matches_lex_first_loop(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_CHUNK_BYTES", size)
             assert first_dependent_columns(m, k) == want
+
+
+# ---------------------------------------------------------------------------
+# The MDS layer: square minors of the systematic part against the subsets
+# ---------------------------------------------------------------------------
+
+LAYER_FIELDS = [field_new(p, m) for p, m in
+                ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2))]
+
+
+def _minor(ctx, rows, k, R, C):
+    """det A[R, C] of A in rows = [I_k | A], by the boxed reference."""
+    return helpers.ref_det(Matrix(ctx, [[rows[a][k + b] for b in C]
+                                        for a in R])).value
+
+
+def _zero_one_minor(draw, ctx, rows, k):
+    """Move one entry of A in rows = [I_k | A] onto the one value that
+    zeroes a drawn i x i minor of A through it: the minor is affine in
+    that entry, with the complementary minor of the MDS code's A, which is
+    nonzero, as its slope.  Draws where the move zeroes a second minor
+    too are rejected, so exactly one minor of A is 0."""
+    m = len(rows[0]) - k
+    i = draw(st.integers(1, min(k, m)))
+    R = sorted(draw(st.permutations(range(k)))[:i])
+    C = sorted(draw(st.permutations(range(m)))[:i])
+    r, c = R[0], k + C[0]
+    for x in range(ctx.q):
+        rows[r][c] = x
+        if not _minor(ctx, rows, k, R, C):
+            break
+    else:
+        raise AssertionError("no value zeroes the minor")
+    zero = [(S, T) for j in range(1, min(k, m) + 1)
+            for S in combinations(range(k), j)
+            for T in combinations(range(m), j)
+            if not _minor(ctx, rows, k, S, T)]
+    assume(zero == [(tuple(R), tuple(C))])
+
+
+@st.composite
+def layer_matrices(draw):
+    """k x n matrices for the MDS-layer twin, 1 <= k <= n - 1, so k = 1
+    and k = n - 1 among them: reduced generators [I | A] of GRS and
+    extended GRS codes (MDS), the same with one minor of A zeroed,
+    rank-deficient matrices, and RREF matrices whose pivots are not the
+    first k columns.  Some have a row added to another, so they arrive
+    unreduced."""
+    ctx = draw(st.sampled_from(LAYER_FIELDS))
+    kind = draw(st.sampled_from(("mds", "one-minor", "one-minor",
+                                 "deficient", "pivots")))
+    n = draw(st.sampled_from(range(2, 9)))
+    if kind in ("mds", "one-minor"):
+        n = min(n, ctx.q + 1)
+    k = draw(st.sampled_from(range(1, n)))
+    if kind in ("mds", "one-minor"):
+        nodes = draw(st.permutations(range(ctx.q)))[:min(n, ctx.q)]
+        mult = [draw(st.integers(1, ctx.q - 1)) for _ in nodes]
+        spec = GrsSpec.make(ctx, nodes, mult, k)
+        code = grs(spec) if n <= ctx.q else egrs(spec)
+        rows = code.generator.to_int_rows()
+        if kind == "one-minor":
+            _zero_one_minor(draw, ctx, rows, k)
+    elif kind == "deficient":
+        rows = _matrix_rows(draw, ctx, k, n)
+        c = draw(st.integers(0, ctx.q - 1))
+        rows[-1] = [ctx.mul_i(c, x) for x in rows[0]] if k > 1 else [0] * n
+    else:
+        pivots = sorted(draw(st.permutations(range(n)))[:k])
+        if pivots == list(range(k)):
+            pivots[-1] = n - 1
+        rows = [[0] * n for _ in range(k)]
+        for i, p in enumerate(pivots):
+            rows[i][p] = 1
+            for j in range(p + 1, n):
+                if j not in pivots:
+                    rows[i][j] = draw(st.integers(0, ctx.q - 1))
+    if k > 1 and draw(st.booleans()):
+        c = draw(st.integers(1, ctx.q - 1))
+        rows[1] = [ctx.add_i(a, ctx.mul_i(c, b))
+                   for a, b in zip(rows[1], rows[0])]
+    return Matrix(ctx, rows, cols=n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(layer_matrices())
+def test_all_k_columns_independent_matches_first_dependent_columns(m):
+    want = first_dependent_columns(m, m.rows) is None
+    for size in CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            # one row subset per chunk at the smallest sizes
+            mp.setattr(kernels, "_CHUNK_BYTES", size)
+            assert all_k_columns_independent(m) == want
+
+
+def test_all_k_columns_independent_edges():
+    gf = field_new(3, 1)
+    assert all_k_columns_independent(Matrix(gf, [], cols=4))
+    # A = [[1, 1], [1, 2]] has det 1 but permanent 0, and [[1, 1], [1, 1]]
+    # det 0 but permanent 2: over GF(3) only the minors' signs decide
+    for a, want in (([1, 2], True), ([1, 1], False)):
+        m = Matrix(gf, [[1, 0, 1, 1], [0, 1, *a]])
+        assert all_k_columns_independent(m) is want
+        assert (first_dependent_columns(m, 2) is None) is want
+    assert all_k_columns_independent(Matrix(gf, [[2, 1], [1, 1]]))
+    assert not all_k_columns_independent(Matrix(gf, [[1, 2], [2, 1]]))
+    with pytest.raises(BadK):
+        all_k_columns_independent(Matrix(gf, [[1], [2]]))
+    with pytest.raises(BadK):
+        first_dependent_columns(Matrix(gf, [[1], [2]]), 2)
+
+
+def test_mds_layer_refuses_past_the_budget_before_building_anything(
+        monkeypatch):
+    gf = field_new(2, 1)
+    small = Matrix(gf, [[1, 0, 1, 1], [0, 1, 1, 0]])
+    assert not all_k_columns_independent(small, budget=comb(4, 2))
+
+    def never(*args):
+        raise AssertionError("the layer test built something")
+
+    monkeypatch.setattr(Matrix, "rref", never)
+    monkeypatch.setattr(kernels, "_minors_nonzero", never)
+    with pytest.raises(BudgetExceeded):
+        all_k_columns_independent(small, budget=comb(4, 2) - 1)
+    big = Matrix(gf, [[1] * 40 for _ in range(20)])  # C(40, 20) > 10^11
+    with pytest.raises(BudgetExceeded):
+        all_k_columns_independent(big)
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +331,27 @@ def _code(pm, rows):
 
 
 def _route(monkeypatch):
-    """Record the column-subset tests (rows, k) and codeword scans that
-    min_distance makes."""
+    """Record the calls that min_distance makes: ("mds", rows) for the MDS
+    layer test, (rows, w) for the dependent-column search of one layer
+    and "scan" for the codeword scan."""
     calls = []
     fdc, scan = code_module.first_dependent_columns, kernels.weight_counts
+    layer = code_module.all_k_columns_independent
 
     def subsets(m, k, budget):
         calls.append((m.rows, k))
         return fdc(m, k, budget)
+
+    def mds_layer(m, budget):
+        calls.append(("mds", m.rows))
+        return layer(m, budget)
 
     def weights(*args, **kw):
         calls.append("scan")
         return scan(*args, **kw)
 
     monkeypatch.setattr(code_module, "first_dependent_columns", subsets)
+    monkeypatch.setattr(code_module, "all_k_columns_independent", mds_layer)
     monkeypatch.setattr(kernels, "weight_counts", weights)
     return calls
 
@@ -230,14 +370,15 @@ UNIT53 = ((2, 1), [[1, 0, 0, 0, 0], [0, 1, 0, 1, 1], [0, 0, 1, 1, 1]])
 @pytest.mark.parametrize("spec, budget, route, d", [
     # C(5, 3) = 10 >= q^k = 8: the codeword scan first
     (UNIT53, None, ["scan"], 1),
-    # C(n, k) < q^k: the cheaper layer first: G's 2 rows, H's 2 rows
-    (GRS52, None, [(2, 2)], 4),
-    (GRS53, None, [(2, 2)], 3),
+    # C(n, k) < q^k: the MDS layer first, on the side with fewer rows:
+    # G's 2 rows, H's 2 rows
+    (GRS52, None, [("mds", 2)], 4),
+    (GRS53, None, [("mds", 2)], 3),
     # not MDS: the codeword scan when it fits the budget
-    (LIGHT52, None, [(2, 2), "scan"], 2),
-    # not MDS and q^k = 64 over the budget: H's layers bottom-up, 20 + 6 +
-    # 15 subsets within the budget of 63
-    (LIGHT63, 63, [(3, 3), (3, 1), (3, 2)], 2),
+    (LIGHT52, None, [("mds", 2), "scan"], 2),
+    # not MDS and q^k = 64 over the budget: the MDS layer on H, then H's
+    # layers bottom-up, 20 + 6 + 15 subsets within the budget of 63
+    (LIGHT63, 63, [("mds", 3), (3, 1), (3, 2)], 2),
     # C(5, 3) = 10 >= budget 7 < q^k = 8: no layer test, bottom-up at once
     (UNIT53, 7, [(2, 1)], 1),
 ], ids=["scan", "layer-G", "layer-H", "layer-then-scan",
