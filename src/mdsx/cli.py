@@ -15,7 +15,7 @@ import time
 
 from . import serialize, suites
 from .covering import covering_radius
-from .constructions import nk_delta_set_check, t_set
+from .constructions import subset_sums, t_set
 from .errors import BudgetExceeded, MdsxError, ParseError
 from .field import field_new
 from .kernels import DEFAULT_BUDGET
@@ -131,15 +131,15 @@ def cmd_set_check(args) -> int:
                                                           args.pi)):
         raise ParseError(f"--delta and --pi must lie in [0, {ctx.q})")
     deltas = [args.delta] if args.delta is not None else list(range(ctx.q))
+    # delta passes iff it avoids the k-subset sums of s, or in the pole
+    # form the reciprocal k-products of (pi - a_i); either set is built once
     if args.pi is not None:
-        # pole form: delta passes iff it avoids the reciprocal k-products
-        # of (pi - a_i)
         forbidden = t_set(s, args.pi, args.k)
-        verdicts = {str(d): ctx.elem(d) not in forbidden for d in deltas}
         what = f"delta avoids reciprocal {args.k}-products at pi={args.pi}"
     else:
-        verdicts = {str(d): nk_delta_set_check(s, args.k, d) for d in deltas}
+        forbidden = subset_sums(s, args.k)
         what = f"no-{args.k}-subset-sums"
+    verdicts = {str(d): ctx.elem(d) not in forbidden for d in deltas}
     payload = {"q": ctx.q, "elements": vals, "k": args.k,
                "pi": args.pi, "verdicts": verdicts}
     good = [d for d, v in verdicts.items() if v]
@@ -181,8 +181,8 @@ def _count(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    """argparse type of a budget: an integer >= 1 (a budget of 0 or less
-    admits no work at all)."""
+    """argparse type of a budget or of a field's p and m: an integer >= 1
+    (a budget of 0 or less admits no work at all)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is not positive")
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("set-check",
                        help="no-k-subset-sums-to-delta test")
-    p.add_argument("--field", nargs=2, type=int, required=True,
+    p.add_argument("--field", nargs=2, type=_positive, required=True,
                    metavar=("P", "M"))
     p.add_argument("--elements", help="comma-separated encodings "
                                       "(default: the whole field)")

@@ -5,8 +5,10 @@ vector read as a base-p number (for a quadratic extension of GF(q0), as a
 base-q0 number).  Construction is deterministic: the modulus is the
 lexicographically smallest monic irreducible of the right degree
 (coefficients read low-to-high as a base-p integer) and the primitive element
-is the smallest encoding of multiplicative order q-1.  Both factories share
-one numpy table build from the base-p digits, `FieldCtx._build_tables`,
+is the smallest encoding of multiplicative order q-1.  Both factories build
+a field one way, over the scalar operations of GF(p) or of the base field:
+the modulus search `_first_irreducible`, the product modulo it `_mul_mod`,
+and one numpy table build from the base-p digits, `FieldCtx._build_tables`,
 which also builds the kernels' arrays; digits add by XOR or by `_odd_add`.
 """
 
@@ -82,50 +84,60 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Raw polynomial helpers over GF(p), coefficients as ints, lowest degree first.
-# Only used while constructing a context; all later arithmetic is table-driven.
+# Polynomials on encodings, lowest degree first, over a coefficient field
+# given by its scalar add, sub and mul: they give every field its modulus and
+# its construction-time product; all later arithmetic is table-driven.
 # ---------------------------------------------------------------------------
 
-def _ptrim(cs):
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _pmul(a, b, p):
+def _convolve(a, b, add, mul):
+    """The product of the coefficient lists a and b (untrimmed)."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = add(out[i + j], mul(x, y))
+    return out
 
 
-def _pmod(a, mod, p):
-    # mod is monic
+def _rem(a, mod, sub, mul):
+    """The remainder of a modulo the monic polynomial mod, as deg(mod)
+    coefficients."""
     a = list(a)
-    dm = len(mod) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
+    d = len(mod) - 1
+    # subtracting lead * x^(top - d) * mod clears a[top], as mod[d] = 1,
+    # and leaves every entry above the next step's top unread
+    for top in range(len(a) - 1, d - 1, -1):
+        lead = a[top]
         if lead:
-            shift = len(a) - 1 - dm
-            for i, c in enumerate(mod):
-                a[shift + i] = (a[shift + i] - lead * c) % p
-        a.pop()
-    return _ptrim(a)
+            for i in range(d):
+                a[top - d + i] = sub(a[top - d + i], mul(lead, mod[i]))
+    return (a + [0] * d)[:d]
 
 
-def _irreducible_over_prime(mod, p) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(mod)/2."""
-    deg = len(mod) - 1
-    for d in range(1, deg // 2 + 1):
-        for enc in range(p ** d):
-            cand = _int_to_digits(enc, p, d) + [1]
-            if not _pmod(mod, cand, p):
-                return False
-    return True
+def _first_irreducible(q0, d, sub, mul):
+    """The monic polynomial of degree d over GF(q0) with no monic factor of
+    degree 1..d/2 whose lower coefficients, read as a base-q0 number, are
+    smallest."""
+    def monic(enc, e):
+        return _int_to_digits(enc, q0, e) + [1]
+    factors = [monic(g, e)
+               for e in range(1, d // 2 + 1) for g in range(q0 ** e)]
+    return next(f for f in (monic(enc, d) for enc in range(q0 ** d))
+                if all(any(_rem(f, g, sub, mul)) for g in factors))
+
+
+def _mul_mod(q0, mod, add, sub, mul):
+    """The product of two encodings, read as base-q0 digit vectors, modulo
+    the monic polynomial mod."""
+    d = len(mod) - 1
+
+    def raw_mul(a, b):
+        prod = _convolve(_int_to_digits(a, q0, d), _int_to_digits(b, q0, d),
+                         add, mul)
+        return _digits_to_int(_rem(prod, mod, sub, mul), q0)
+    return raw_mul
 
 
 def _int_to_digits(v: int, base: int, width: int) -> list[int]:
@@ -469,22 +481,6 @@ class FieldElement:
 # Context factories
 # ---------------------------------------------------------------------------
 
-def _make_ground_raw_mul(p, m, modulus):
-    if m == 1:
-        def raw_mul(a, b):
-            return (a * b) % p
-        return raw_mul
-
-    def raw_mul(a, b):
-        da = _int_to_digits(a, p, m)
-        db = _int_to_digits(b, p, m)
-        prod = _pmul(da, db, p)
-        red = _pmod(prod, modulus, p)
-        return _digits_to_int(red, p)
-
-    return raw_mul
-
-
 _field_registry: dict[tuple[int, int], FieldCtx] = {}
 
 
@@ -502,15 +498,11 @@ def field_new(p: int, m: int) -> FieldCtx:
         ctx = _field_registry.get((p, m))
         if ctx is not None:
             return ctx
-        modulus = None
-        for enc in range(q):
-            cand = _int_to_digits(enc, p, m) + [1]
-            if m == 1 or _irreducible_over_prime(cand, p):
-                modulus = cand
-                break
-        assert modulus is not None
+        add, sub, mul = (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
+                         lambda a, b: a * b % p)
+        modulus = _first_irreducible(p, m, sub, mul)
         ctx = FieldCtx(p, m, q, modulus, None,
-                       _make_ground_raw_mul(p, m, modulus))
+                       _mul_mod(p, modulus, add, sub, mul))
         _field_registry[(p, m)] = ctx
         return ctx
 
@@ -528,27 +520,8 @@ def quadratic_extension(base: FieldCtx) -> FieldCtx:
         if base._quad_ext is not None:
             return base._quad_ext
 
-        modulus = None
-        for enc in range(q0 * q0):
-            c0, c1 = enc % q0, enc // q0
-            # y^2 + c1*y + c0 is irreducible over GF(q0) iff it has no root
-            if all(base.add_i(base.add_i(base.mul_i(e, e), base.mul_i(c1, e)), c0)
-                   for e in range(q0)):
-                modulus = (c0, c1, 1)
-                break
-        assert modulus is not None
-        s = base.neg_i(modulus[1])  # y^2 = s*y + t
-        t = base.neg_i(modulus[0])
-
-        def raw_mul(x, y):
-            a, b = x % q0, x // q0
-            c, d = y % q0, y // q0
-            bd = base.mul_i(b, d)
-            lo = base.add_i(base.mul_i(a, c), base.mul_i(bd, t))
-            hi = base.add_i(base.add_i(base.mul_i(a, d), base.mul_i(b, c)),
-                            base.mul_i(bd, s))
-            return lo + hi * q0
-
+        modulus = _first_irreducible(q0, 2, base.sub_i, base.mul_i)
+        raw_mul = _mul_mod(q0, modulus, base.add_i, base.sub_i, base.mul_i)
         ext = FieldCtx(base.p, 2 * base.m, q0 * q0, modulus, base, raw_mul)
         base._quad_ext = ext
         return ext
@@ -631,14 +604,10 @@ class Poly:
             c = self.ctx.elem(other)
             return Poly(self.ctx, [a * c for a in self.coeffs])
         other = self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.ctx)
-        out = [self.ctx.zero] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.value:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return Poly(self.ctx, out)
+        ctx = self.ctx
+        return Poly(ctx, _convolve([a.value for a in self.coeffs],
+                                   [b.value for b in other.coeffs],
+                                   ctx.add_i, ctx.mul_i))
 
     __rmul__ = __mul__
 

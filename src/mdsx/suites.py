@@ -44,7 +44,7 @@ from .constructions import (
     thm12_u,
     thm14_vector,
 )
-from .errors import UnknownSuite
+from .errors import BadU, UnknownSuite
 from .field import _prime_factors, field_new
 from .kernels import DEFAULT_BUDGET
 
@@ -345,6 +345,8 @@ def suite_cyclic_cu(params):
     budget = params.get("budget", DEFAULT_BUDGET)
     cases = _Cases()
     for m in ms:
+        if m < 2:
+            raise BadU(f"need m >= 2, got {m}")
         q = 2 ** m
         for u in range(1, q // 2 + 1):
             code = cyclic_cu(m, u)

@@ -61,6 +61,17 @@ MUTANTS = [
     ("neg table off by one", "field.py",
      "padded[log + (q - 1) // 2]", "padded[log + (q - 1) // 2 + 1]",
      ["tests/test_field.py"]),
+    # the one extension-field construction
+    ("_rem skips the top coefficient", "field.py",
+     "for top in range(len(a) - 1, d - 1, -1):",
+     "for top in range(len(a) - 2, d - 1, -1):",
+     ["tests/test_field.py"]),
+    ("_first_irreducible tries only linear factors", "field.py",
+     "for e in range(1, d // 2 + 1)", "for e in range(1, 2)",
+     ["tests/test_field.py"]),
+    ("_convolve drops its last term", "field.py",
+     "mul(x, y))\n    return out\n", "mul(x, y))\n    return out[:-1]\n",
+     ["tests/test_field.py"]),
     # enumeration and the coset-leader sweep
     ("digit rows pack their high digit first", "kernels.py",
      "radix = p ** np.arange(r * m, dtype=np.int64)\n",

@@ -9,7 +9,7 @@ import pytest
 
 from mdsx import kernels
 from mdsx.cli import main
-from mdsx.constructions import GrsSpec, grs
+from mdsx.constructions import GrsSpec, grs, subset_sums
 from mdsx.errors import InvalidSpec
 from mdsx.serialize import code_from_spec
 
@@ -349,6 +349,21 @@ class TestOtherCommands:
         assert verdicts == {"0": True, "1": False, "2": False,
                             "3": False, "4": True}
 
+    def test_set_check_builds_the_subset_sums_once(self, capsys,
+                                                   monkeypatch):
+        # the sums do not depend on delta: one DP for the whole scan
+        from mdsx import cli
+        calls = []
+
+        def counted(s, k):
+            calls.append(k)
+            return subset_sums(s, k)
+        monkeypatch.setattr(cli, "subset_sums", counted)
+        rc, out, _ = run(capsys, ["set-check", "--field", "2", "3",
+                                  "--k", "3"])
+        assert rc == 0 and len(json.loads(out)["verdicts"]) == 8
+        assert calls == [3]
+
     def test_generator_shorthand_spec(self, capsys, spec_file):
         spec = {"field": {"p": 5, "m": 1},
                 "generator": {"rows": 2, "cols": 4,
@@ -414,6 +429,18 @@ class TestVerify:
         assert "no case" in err
         with pytest.raises(UnknownSuite):
             run_suite(argv[0], params)
+
+    @pytest.mark.parametrize("m", ["-1", "0", "1"])
+    def test_cyclic_degree_below_two_exits_2(self, capsys, m):
+        # --ms -1 crashed on 2 ** m with a TypeError (exit 1), and --ms 0
+        # was refused as a run with no case
+        from mdsx.errors import BadU
+        from mdsx.suites import run_suite
+        rc, out, err = run(capsys, ["verify", "cyclic-cu", "--ms", m])
+        assert (rc, out) == (2, "")
+        assert f"need m >= 2, got {m}" in err
+        with pytest.raises(BadU):
+            run_suite("cyclic-cu", {"ms": [int(m)]})
 
     def test_field_derived_from_any_prime_power_q(self):
         from mdsx.suites import run_suite
@@ -592,6 +619,15 @@ class TestUsage:
                                     "--k", "1", *flag])
         assert (rc, out) == (2, "")
         assert "[0, 8)" in err
+
+    @pytest.mark.parametrize("field", [["2", "0"], ["2", "-1"], ["0", "1"]],
+                             ids=["m-zero", "m-negative", "p-zero"])
+    def test_set_check_field_below_one_exits_2(self, capsys, field):
+        # field_new's ValueError escaped main as a traceback (exit 1)
+        rc, out, err = run(capsys, ["set-check", "--field", *field,
+                                    "--k", "1"])
+        assert (rc, out) == (2, "")
+        assert "--field" in err and "not positive" in err
 
     def test_missing_file(self, capsys):
         rc, _, err = run(capsys, ["build", "/nonexistent/path.json"])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import helpers
 
-from mdsx import matrix
+from mdsx import field, matrix
 from mdsx.constructions import GrsSpec, grs
 from mdsx.errors import (
     ContextMismatch,
@@ -187,6 +188,48 @@ class TestTableTwin:
                              ids=[f"gf{p ** m}" for p, m in TWIN_EXTENSIONS])
     def test_quadratic_extension(self, pm):
         _assert_tables_match_twin(quadratic_extension(field_new(*pm)))
+
+
+# sha256 of the repr of the (modulus, primitive) rows of `_known_answers`
+KNOWN_ANSWERS_SHA256 = (
+    "22397eba9f42c3828755d6c850e0d913e61ef4f3357717a5b0c5b1bbde2b52c9")
+
+
+def _known_answers():
+    """(p, m, modulus, primitive) of every GF(p^m) with m >= 2, then
+    (q0, modulus, primitive) of every quadratic extension of a GF(q0), all
+    up to the size limit.  Each field leaves the registry once read, so
+    the largest fields are not all kept alive at once."""
+    kept = dict(field._field_registry)
+    rows = []
+
+    def read(key, ctx):
+        rows.append((*key, ctx.modulus, ctx.primitive.value))
+        field._field_registry.clear()
+        field._field_registry.update(kept)
+
+    primes = [p for p in range(2, 257) if all(p % f for f in range(2, p))]
+    for p in primes:
+        for m in range(2, 17):
+            if p ** m <= field.SIZE_LIMIT:
+                read((p, m), field_new(p, m))
+    for p in primes:
+        for m in range(1, 9):
+            if p ** (2 * m) <= field.SIZE_LIMIT:
+                read((p ** m,), quadratic_extension(field_new(p, m)))
+    return rows
+
+
+def test_known_moduli_and_primitive_elements():
+    # the first monic irreducible in encoding order and the smallest
+    # encoding of order q - 1, for all 163 extension fields the two
+    # factories build; print `_known_answers()` to see the rows
+    rows = _known_answers()
+    assert len(rows) == 163
+    assert rows[:3] == [(2, 2, (1, 1, 1), 2), (2, 3, (1, 1, 0, 1), 2),
+                        (2, 4, (1, 1, 0, 0, 1), 2)]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == KNOWN_ANSWERS_SHA256
 
 
 class TestInterning:
