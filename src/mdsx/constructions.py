@@ -105,9 +105,14 @@ def grs_generator(a, v, k: int) -> Matrix:
     return _rows(GrsSpec(a, v, k))
 
 
+def _unit_extended(spec: GrsSpec) -> Matrix:
+    """The spec's grs_generator with the (0,...,0,1)^T column appended."""
+    return _with_col(_rows(spec), [0] * (spec.k - 1) + [1])
+
+
 def egrs_generator(a, v, k: int) -> Matrix:
     """The k x n evaluation matrix with an appended (0,...,0,1)^T column."""
-    return _with_col(grs_generator(a, v, k), [0] * (k - 1) + [1])
+    return _unit_extended(GrsSpec(a, v, k))
 
 
 def grs(spec: GrsSpec) -> LinearCode:
@@ -115,8 +120,7 @@ def grs(spec: GrsSpec) -> LinearCode:
 
 
 def egrs(spec: GrsSpec) -> LinearCode:
-    return code_from_generator(
-        _with_col(_rows(spec), [0] * (spec.k - 1) + [1]))
+    return code_from_generator(_unit_extended(spec))
 
 
 def grs_dual_weights(a, v) -> tuple:
@@ -154,9 +158,9 @@ def roth_lempel(a, k: int, delta) -> LinearCode:
     spec = GrsSpec(a, 1, k)
     if not 4 <= k + 1 <= spec.n:
         raise BadDims(f"need 4 <= k+1 <= n, got k = {k}, n = {spec.n}")
-    g = _with_col(_rows(spec), [0] * (k - 1) + [1])
     delta = spec.ctx.encode(delta)
-    return code_from_generator(_with_col(g, [0] * (k - 2) + [1, delta]))
+    return code_from_generator(
+        _with_col(_unit_extended(spec), [0] * (k - 2) + [1, delta]))
 
 
 # ---------------------------------------------------------------------------

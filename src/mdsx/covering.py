@@ -13,6 +13,8 @@ codewords.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from . import kernels
@@ -178,7 +180,11 @@ def syndrome_criteria(h: Matrix, us, rho: int, budget=DEFAULT_BUDGET):
     rank([h_S | s]) = rank(h_S); one stack holds h_S (beside a zero
     column) and every [h_S | s], and its C(n, rho-1) subsets per matrix
     count against the budget."""
-    if not isinstance(rho, int) or rho < 0 or rho > h.cols:
+    try:
+        rho = operator.index(rho)
+    except TypeError:
+        raise BadRho(f"rho = {rho!r} is not an integer") from None
+    if not 0 <= rho <= h.cols:
         raise BadRho(f"rho = {rho} out of range")
     n = h.cols
     s = kernels.mat_vecs(h._rows, n, h.ctx, _rows_of_length(us, n, h.ctx.q))

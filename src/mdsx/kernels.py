@@ -48,10 +48,8 @@ each digit alone, so the multiples of a packed syndrome are the sums of its
 digit blocks' multiples, read from one packed block table per sweep,
 (q^a, q-1) int64 within 2^16 entries; a one-digit table fits up to
 q = 256, and larger fields unpack each fresh syndrome into digits, scale
-them and repack.  A pull counts exactly, one orbit per representative; a
-push block can meet one orbit on two supports, so it keeps an upper bound
-and counts the uncovered representatives when that bound says done and at
-the end of the layer.
+them and repack.  Both routes yield the syndromes they settle, and every
+layer ends by counting the uncovered representatives.
 
 Column-subset facts (the minor and column-span deep-hole criteria, the
 support search for d, first dependent columns) come from one engine,
@@ -68,10 +66,12 @@ search over prefixes that tests all completions of a prefix with its last
 few nonzero entries in one batch, cut from one lexicographic table that
 keeps each completion vector beside its syndrome.
 
-The finished leader array, one uint8 per syndrome, is read in place by
-`leader_counts` (how many syndromes hold each weight) and
-`leader_positions` (where one weight sits), chunk by chunk: it is never
-widened to int64 or compared whole.
+The leader array, one uint8 per syndrome, is read in place, chunk by
+chunk, apart from lookups at given indices: by the sweep's layer count and
+its pull, and, finished, by `leader_counts` (how many syndromes hold each
+weight) and `leader_positions` (where one weight sits).  It is never
+widened to int64 or compared whole, so the sweep needs the array plus
+temporaries within the bounds below.
 
 Everything here is deterministic; three bounds cap memory only, past one
 unit of work: _BLOCK_ROWS rows per block (fold, push, pull, expansion),
@@ -487,51 +487,55 @@ def _pull_is_cheaper(n: int, q: int, w: int, left: int) -> bool:
     return left * (q - 1) < comb(n, w) * (q - 1) ** (w - 1)
 
 
-def _pushed(w: int, n: int, table, add):
-    """Yield, in blocks, the unpacked syndromes of the weight-w error
-    vectors whose first nonzero entry is 1, support by support in
-    lexicographic order.
+def _pushed(w: int, leader, syndromes):
+    """Yield, in blocks, the packed syndromes not yet settled of the
+    weight-w error vectors whose first nonzero entry is 1, support by
+    support in lexicographic order.
 
     As many supports as fit in _BLOCK_ROWS rows, or else one, make a
     (b, w) chunk: it gathers each position's multiples for all b at once,
     and one `_fold` over that batch of b sums them, within the same bound.
     """
-    per_support = (table.shape[1] - 1) ** (w - 1)
+    n, table = syndromes.n, syndromes.table
+    per_support = (syndromes.q - 1) ** (w - 1)
     for S in _subset_chunks(n, w, max(1, _BLOCK_ROWS // per_support)):
         # position 0 takes c = 1 only, the others every c != 0
         rest = table[S[:, 1:], 1:].swapaxes(0, 1)
-        yield from _fold([table[S[:, 0], 1:2], *rest], add)
+        for block in _fold([table[S[:, 0], 1:2], *rest], syndromes.add):
+            syn = syndromes.pack(block)
+            yield syn[leader[syn] == 0xFF]
 
 
-def _pulled(w: int, leader, slices, steps, add, pack, unpack):
+def _pulled(w: int, leader, slices, syndromes):
     """Yield, in batches, the uncovered orbit representatives whose leader
     weight is w: those with a neighbour s + c*h_j of leader weight w-1.
 
-    `slices` hold one representative per orbit; steps[j] are the q-1
-    syndromes c*h_j.  A batch of up to _BLOCK_ROWS // (q-1) representatives
-    goes column by column: at column j it tests the q-1 neighbours of the
-    representatives still open, marks those with a hit and drops them, and
-    it stops once none is open, so a representative settled at column j
-    costs (j+1)(q-1) tests, not n(q-1).
+    `slices` hold one representative per orbit, read chunk by chunk
+    (`_positions`).  A batch of up to _BLOCK_ROWS // (q-1) representatives
+    goes column by column: at column j it tests the q-1 neighbours c*h_j of
+    the representatives still open, marks those with a hit and drops them,
+    and it stops once none is open, so a representative settled at column
+    j costs (j+1)(q-1) tests, not n(q-1).
     """
+    steps = syndromes.table[:, 1:]
     n, q1 = steps.shape[:2]
     per = max(1, _BLOCK_ROWS // q1)
     for part in slices:
-        reps = np.flatnonzero(leader[part] == 0xFF) + part.start
-        for i in range(0, reps.size, per):
-            s = reps[i:i + per]
-            hit = np.zeros(s.size, dtype=bool)
-            open_ = np.arange(s.size)
-            digits = unpack(s)
-            for j in range(n):
-                near = leader[pack(_outer_sum([digits[None], steps[j:j + 1]],
-                                              add)[0])]
-                found = (near.reshape(open_.size, q1) == w - 1).any(axis=1)
-                hit[open_[found]] = True
-                open_, digits = open_[~found], digits[~found]
-                if not open_.size:
-                    break
-            yield s[hit]
+        for reps in _positions(leader[part], 0xFF, part.start):
+            for i in range(0, reps.size, per):
+                s = reps[i:i + per]
+                hit = np.zeros(s.size, dtype=bool)
+                open_ = np.arange(s.size)
+                digits = syndromes.unpack(s)
+                for j in range(n):
+                    near = leader[syndromes.pack(_outer_sum(
+                        [digits[None], steps[j:j + 1]], syndromes.add)[0])]
+                    found = (near.reshape(open_.size, q1) == w - 1).any(axis=1)
+                    hit[open_[found]] = True
+                    open_, digits = open_[~found], digits[~found]
+                    if not open_.size:
+                        break
+                yield s[hit]
 
 
 def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
@@ -555,15 +559,14 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
     Before layer w, with `left` orbits still uncovered, the sweep pushes
     if C(n, w)(q-1)^(w-1) <= left*(q-1), and pulls otherwise: a pull stops
     at each orbit's first hit, so it is priced at one column per orbit.
-    Layer 1 pushes unless q^r - 1 < n.
+    Layer 1 pushes unless q^r - 1 < n.  Either route yields syndromes of
+    leader weight w not yet settled, and the sweep settles them; each
+    layer ends by counting the uncovered orbit representatives.
 
-    Push enumerates the weight-w error vectors whose first nonzero entry is
-    1, stacked supports at a time (`_pushed`), and settles the syndromes it
-    meets uncovered.  Each adds at most its q-1 multiples, and an orbit met
-    twice in one block adds them once, so the count only has an upper
-    bound; the sweep counts the uncovered representatives (below) whenever
-    that bound reaches q^r, for the mid-layer exit, and at the end of the
-    layer.
+    Push (`_pushed`) enumerates the weight-w error vectors whose first
+    nonzero entry is 1, stacked supports at a time, and yields the
+    syndromes it meets uncovered; a block can meet one orbit twice, and the
+    orbit is settled once.
 
     Pull (`_pulled`) takes one representative per uncovered orbit, the
     packed s in [q^t, 2q^t) whose top nonzero digit is 1, and settles s at
@@ -574,8 +577,9 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
     w-1, as by the triangle inequality it is at least w-1.  Conversely, a
     vector of weight w-1 with syndrome s + c*h_j, minus c*e_j, gives s a
     vector of weight at most w, and s, uncovered after layers 0..w-1,
-    weighs at least w.  The representatives are distinct orbits, so the
-    covered count stays exact.
+    weighs at least w.  Settling s writes only s into the slices (its
+    other multiples lead with c != 1), and never weight w-1, so the
+    representatives read chunk by chunk are those of the layer's start.
     On the last layer of a full-radius MDS code, w = r, the first column
     always hits: any r columns of H that include j are a basis, and in it
     s has a nonzero coefficient at j, or it would weigh at most r-1.
@@ -584,6 +588,10 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
     weight-w syndrome has a lighter vector, so has e = e1 + c*e_j of weight
     w+1, through a lighter vector in the coset of e1.  A full-rank H never
     stops there, as its leader weights take every value 0..rho.
+
+    Memory: the leader array, q^r bytes, plus temporaries bounded by
+    _BLOCK_ROWS rows (blocks, batches) and _CHUNK_BYTES bytes (chunks of
+    the leader array and their representatives).
     """
     q = ctx.q
     r = len(H_int)
@@ -596,8 +604,6 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
     if total == 1:
         return leader, 0, syndromes
 
-    table, add = syndromes.table, syndromes.add
-    pack, unpack = syndromes.pack, syndromes.unpack
     scale = _packed_multiples(ctx, r)
     # expansion batches keep the block table route's (batch, q-1) arrays
     # within _BLOCK_ROWS entries, and the digit route's (batch, q, r) ones
@@ -605,39 +611,22 @@ def coset_leader_weights(H_int, n: int, ctx, budget=DEFAULT_BUDGET):
     batch = max(1, _BLOCK_ROWS // (q - 1))
     # one representative per orbit: top nonzero digit 1, at position t
     slices = [slice(q ** t, 2 * q ** t) for t in range(r)]
-
-    def settle(fresh, w):
-        for i in range(0, fresh.size, batch):
-            part = fresh[i:i + batch]
-            # a pushed block can meet one orbit twice: skip a batch that an
-            # earlier one settled
-            if (leader[part] == 0xFF).any():
-                leader[scale(part)] = w
-
-    def recount():
-        return total - (q - 1) * sum(
-            np.count_nonzero(leader[part] == 0xFF) for part in slices)
-
     covered = 1
     for w in range(1, n + 1):
         before = covered
         if _pull_is_cheaper(n, q, w, (total - covered) // (q - 1)):
-            for found in _pulled(w, leader, slices, table[:, 1:], add, pack,
-                                 unpack):
-                settle(found, w)
-                covered += (q - 1) * found.size
+            route = _pulled(w, leader, slices, syndromes)
         else:
-            bound = covered
-            for block in _pushed(w, n, table, add):
-                syn = pack(block)
-                fresh = syn[leader[syn] == 0xFF]
-                settle(fresh, w)
-                bound += (q - 1) * fresh.size
-                if bound >= total:
-                    bound = recount()
-                    if bound == total:
-                        return leader, w, syndromes
-            covered = recount()
+            route = _pushed(w, leader, syndromes)
+        for fresh in route:
+            for i in range(0, fresh.size, batch):
+                cut = fresh[i:i + batch]
+                # a pushed block can meet one orbit twice: skip a batch
+                # that an earlier one settled
+                if (leader[cut] == 0xFF).any():
+                    leader[scale(cut)] = w
+        covered = total - (q - 1) * sum(_count(leader[part], 0xFF)
+                                        for part in slices)
         if covered == total:
             return leader, w, syndromes
         if covered == before:
@@ -652,6 +641,19 @@ def _leader_chunks(leader):
     size = max(1, _CHUNK_BYTES // 8)
     for start in range(0, leader.size, size):
         yield start, leader[start:start + size]
+
+
+def _count(leader, value: int) -> int:
+    """How many entries of the leader array equal `value`."""
+    return sum(np.count_nonzero(chunk == value)
+               for _, chunk in _leader_chunks(leader))
+
+
+def _positions(leader, value: int, offset: int):
+    """Yield, chunk by chunk, the ascending indices plus `offset` of the
+    entries of the leader array equal to `value`."""
+    for start, chunk in _leader_chunks(leader):
+        yield np.flatnonzero(chunk == value) + (start + offset)
 
 
 def leader_counts(leader, top: int):
@@ -671,12 +673,10 @@ def leader_positions(leader, value: int):
     `value`: counted chunk by chunk, then found chunk by chunk into an
     array of that size, so no bool array of the whole leader array is
     built."""
-    out = np.empty(sum(np.count_nonzero(chunk == value)
-                       for _, chunk in _leader_chunks(leader)), np.intp)
+    out = np.empty(_count(leader, value), np.intp)
     at = 0
-    for start, chunk in _leader_chunks(leader):
-        found = np.flatnonzero(chunk == value)
-        out[at:at + found.size] = found + start
+    for found in _positions(leader, value, 0):
+        out[at:at + found.size] = found
         at += found.size
     return out
 

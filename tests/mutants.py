@@ -106,8 +106,8 @@ MUTANTS = [
      "                open_, digits = open_[~found], digits[~found]\n", "",
      ["tests/test_kernels.py"]),
     ("pull tests only the first column", "kernels.py",
-     "            for j in range(n):\n                near = ",
-     "            for j in range(1):\n                near = ",
+     "                for j in range(n):\n                    near = ",
+     "                for j in range(1):\n                    near = ",
      ["tests/test_kernels.py"]),
     ("pull is priced at n(q-1) per orbit", "kernels.py",
      "return left * (q - 1) < comb(", "return left * n * (q - 1) < comb(",
@@ -115,12 +115,13 @@ MUTANTS = [
     ("orbit representatives drop the end of [q^t, 2q^t)", "kernels.py",
      "slice(q ** t, 2 * q ** t)", "slice(q ** t, 2 * q ** t - 1)",
      ["tests/test_kernels.py"]),
-    ("push exits on its upper bound, not a recount", "kernels.py",
-     "                    bound = recount()\n",
-     "                    return leader, w\n",
+    ("layer recount reads only the first chunk of a slice", "kernels.py",
+     "_count(leader[part], 0xFF)",
+     "_count(leader[part][:_CHUNK_BYTES // 8], 0xFF)",
      ["tests/test_kernels.py"]),
-    ("push layer ends on its upper bound, not a recount", "kernels.py",
-     "            covered = recount()\n", "            covered = bound\n",
+    ("pull reads only the first chunk of a slice", "kernels.py",
+     "_positions(leader[part], 0xFF, part.start)",
+     "_positions(leader[part][:_CHUNK_BYTES // 8], 0xFF, part.start)",
      ["tests/test_kernels.py"]),
     ("push chunk drops its last support", "kernels.py",
      "_BLOCK_ROWS // per_support)):\n",
@@ -165,6 +166,9 @@ MUTANTS = [
     ("leader reader drops its last chunk", "kernels.py",
      "    for start in range(0, leader.size, size):\n",
      "    for start in range(0, leader.size - size, size):\n",
+     ["tests/test_kernels.py"]),
+    ("_positions drops its chunk offset", "kernels.py",
+     "== value) + (start + offset)", "== value) + offset",
      ["tests/test_kernels.py"]),
     ("leader histogram counts from value 1", "kernels.py",
      "        for v in range(top + 1):\n",
@@ -302,6 +306,9 @@ MUTANTS = [
     ("subset DP reuses an element", "constructions.py",
      "        for c in range(m, 0, -1):\n",
      "        for c in range(1, m + 1):\n",
+     ["tests/test_constructions.py"]),
+    ("unit column at the first row", "constructions.py",
+     "[0] * (spec.k - 1) + [1]", "[1] + [0] * (spec.k - 1)",
      ["tests/test_constructions.py"]),
     ("Roth-Lempel column reversed", "constructions.py",
      "[1, delta]", "[delta, 1]",

@@ -393,6 +393,18 @@ class TestDeepHoleCriteria:
         with pytest.raises(BadRho):
             syndrome_criteria(DUAL42.parity, [THM7_U], -1)
 
+    def test_syndrome_criteria_read_a_numpy_integer_radius(self):
+        # GRS[5,2]/GF(5) has rho 3: np.int64(3) is that radius, 3.0 is not
+        # an integer at all
+        c = grs(GrsSpec.make(gf5, range(5), 1, 2))
+        assert covering_radius(c).rho == 3
+        us = list(product(range(5), repeat=5))[::97]
+        want = syndrome_criteria(c.parity, us, 3).tolist()
+        assert any(want) and not all(want)
+        assert syndrome_criteria(c.parity, us, np.int64(3)).tolist() == want
+        with pytest.raises(BadRho, match="not an integer"):
+            syndrome_criteria(c.parity, us, 3.0)
+
     def test_exhaustive_agreement_gf3_full_radius(self):
         # all three criteria agree on every vector for a full-radius code
         c = grs(GrsSpec.make(gf3, [0, 1, 2], 1, 1))

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations, product
 from unittest import mock
 
@@ -150,7 +151,9 @@ def test_each_route_alone_matches_brute_force(q, pull, monkeypatch):
     # every layer takes one route (weight 1 pulls from syndrome 0);
     # 16-row blocks stack a few supports and fold the larger ones alone,
     # and cut the pull into batches of a few representatives; 1-row blocks
-    # fold every support alone and pull one representative per batch
+    # fold every support alone and pull one representative per batch;
+    # 3-entry chunks of the leader array split every representative slice
+    # past the first two, for the layer count and the pull alike
     monkeypatch.setattr(kernels, "_pull_is_cheaper", lambda *args: pull)
     routes = []
     _recording_routes(monkeypatch, routes)
@@ -158,8 +161,11 @@ def test_each_route_alone_matches_brute_force(q, pull, monkeypatch):
         code = _fresh(code)
         H = code.parity.to_int_rows()
         want = helpers.brute_coset_leaders(code)
-        for rows in (1 << 14, 16, 1):
+        for rows, chunk in ((1 << 14, kernels._CHUNK_BYTES),
+                            (16, kernels._CHUNK_BYTES),
+                            (1, kernels._CHUNK_BYTES), (16, 8 * 3)):
             monkeypatch.setattr(kernels, "_BLOCK_ROWS", rows)
+            monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk)
             routes.clear()
             leader, rho, _ = kernels.coset_leader_weights(H, code.n,
                                                           code.ctx)
@@ -524,7 +530,7 @@ def test_rank_deficient_sweep_stops_after_an_empty_layer(pm, layers,
 
 
 @pytest.mark.parametrize("pm, k, digest", [
-    # characteristic 2, deficient radius: the sweep stops mid-layer
+    # characteristic 2, deficient radius: the last layer is pulled
     ((2, 4), 12,
      "5cd20403e613205d260c45ecc5acbbb1a670259c4321ecd7b1580d06493c86f5"),
     # odd q: sums of base-p digit rows, prime and not
@@ -574,6 +580,29 @@ def test_leader_readers_at_the_real_chunk_size(chunks, extra):
         helpers.leader_counts_whole(leader, 5).tolist()
     assert kernels.leader_positions(leader, 5).tolist() == \
         helpers.leader_positions_whole(leader, 5).tolist()
+
+
+def test_sweep_peak_stays_within_twice_the_leader_array():
+    # C is the dual of the span of a random 20 x 40 binary matrix: 2^20
+    # syndromes, rho 7, pushed to weight 5 and pulled at 6 and 7.  Over
+    # GF(2) the top slice of representatives is half the array, 8 bytes
+    # per uncovered entry if read whole; read chunk by chunk, the sweep's
+    # temporaries stay within the chunk and block bounds
+    gf2 = field_new(2, 1)
+    rng = random.Random(3)
+    rows = [[rng.randrange(2) for _ in range(40)] for _ in range(20)]
+    code = code_from_generator(Matrix(gf2, rows)).dual()
+    H = code.parity.to_int_rows()
+    with mock.patch.object(kernels, "_CHUNK_BYTES", 2 ** 14), \
+            mock.patch.object(kernels, "_BLOCK_ROWS", 2 ** 12):
+        tracemalloc.start()
+        try:
+            leader, rho, _ = kernels.coset_leader_weights(H, 40, gf2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert rho == 7
+    assert peak < 2 * leader.nbytes == 2 ** 21
 
 
 ORBIT_FIELDS = {2: field_new(2, 1), 3: field_new(3, 1), 4: field_new(2, 2),
