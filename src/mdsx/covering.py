@@ -87,7 +87,7 @@ class CoveringReport:
         lexicographically first minimum-weight vector (desk scale: the
         vectors the search tests count against the budget)."""
         return _box_rows(self.code.ctx,
-                         self._representative_ints(limit, budget))
+                         self._representative_ints(limit, budget).T)
 
     def _representative_ints(self, limit, budget):
         """representatives as a (count, n) array of encodings, one row per
@@ -239,16 +239,17 @@ def _extension_test(code: LinearCode, budget=DEFAULT_BUDGET):
     the returned map takes an array of rows u (encodings in [0, q), not
     checked) to their verdicts."""
     n, k = code.n, code.k
-    light = [np.zeros((0, n), dtype=np.int64)]
+    # (n, count) light codewords, entries first like the orbit blocks
+    light = [np.zeros((n, 0), dtype=np.int64)]
     for block in kernels.orbit_blocks(code.generator._rows, n, code.ctx,
                                       budget):
         wt = kernels.row_weights(block)
-        light.append(block[(wt > 0) & (wt <= n - k + 1)])
-    light = np.concatenate(light)
+        light.append(block[:, (wt > 0) & (wt <= n - k + 1)])
+    light = np.concatenate(light, axis=1)
     if k == 0 or (kernels.row_weights(light) <= n - k).any():
         return lambda us: np.zeros(len(us), dtype=bool)
     return lambda us: \
-        (kernels.mat_vecs(light, n, code.ctx, us) != 0).all(axis=1)
+        (kernels.mat_vecs(light.T, n, code.ctx, us) != 0).all(axis=1)
 
 
 def full_radius_witness(code: LinearCode, budget=DEFAULT_BUDGET):
@@ -266,4 +267,4 @@ def full_radius_witness(code: LinearCode, budget=DEFAULT_BUDGET):
         stop_after_first=True, budget=budget)
     if not deep_holes_via_mds(code, vec, budget)[0]:
         raise InvariantViolation("deep-hole witness failed the minor check")
-    return _box_rows(code.ctx, vec)[0]
+    return _box_rows(code.ctx, vec.T)[0]

@@ -1,6 +1,6 @@
 """Vectorized kernels for the exhaustive searches.
 
-Every sum of one row from each of a list of tables comes from one
+Every sum of one term from each of a list of tables comes from one
 blocked fold, `_fold`, which takes a batch of such lists at once: the
 codeword scans, the push blocks and pull batches of the coset-leader
 sweep all read it.  There is one codeword scan, `coset_blocks`: it
@@ -16,6 +16,24 @@ histograms wt(x) over the orbits (the weight enumerator and d).  Every
 kernel takes the code length n explicitly, so a generator or check with
 no rows still has its length.
 
+Layout: every block a fold builds from entry-valued parts is a
+C-contiguous (entries, rows) array, entries first: a codeword block is
+(n, rows), a syndrome block of the odd-q sweep (r*m, rows) base-p digits,
+and the map's table of multiples (r*m, n, q).  Characteristic-2 syndromes
+are packed ints with no entry axis.  numpy's inner loop runs along the
+last axis, so every add, offset and weight count runs along up to
+_BLOCK_ROWS rows, not along the n entries of one codeword or the r*m
+digits of one syndrome: one offset XOR on a 16,384-row block of GF(16)^17
+takes 84 us rows first and 10 us entries first.  Each part is built
+contiguous, as a ufunc's output follows its inputs' memory order (a
+transposed view is no faster than rows first), and codeword weights are
+summed along the rows in a dtype that holds n.  The public functions that
+take or return vectors keep rows and transpose at that edge.  `mat_vecs`
+alone keeps (vectors, rows of M): a column's term for one vector is then
+one contiguous row of its table, gathered whole, where entries first
+every entry of it is gathered alone (entries first ran 1.3-2x slower on
+60 rows of M x 59,049 vectors over GF(9), n = 5 and 10).
+
 The kernels read each field's numpy arrays, `ctx._arrays` = (log, exp,
 add), which the field builds with its tables: log(0) points past two
 periods of exp into zeros, so no product needs a modulo or a zero test,
@@ -27,7 +45,7 @@ indices: the sweep builds one per parity check and hands it back, and a
 covering report keeps it for every lookup and lex search.  In
 characteristic 2 the encoding makes XOR field addition on packed
 syndromes too, so the map packs before it sums; for odd q = p^m, m >= 2,
-the terms are rows of base-p digits summed by GF(p)'s add, never packed
+the terms are columns of base-p digits summed by GF(p)'s add, never packed
 GF(p^m) encodings, and each sum is packed or turned back into entries
 once.
 
@@ -105,38 +123,45 @@ def _multiples(ctx, vectors):
 
 
 def _outer_sum(parts, add):
-    """Every sum of one row from each part, the first part slowest, for
-    each index of the leading batch axis: (b, rows_i, ...) parts give a
-    (b, prod rows_i, ...) array."""
-    acc = parts[0]
-    for nxt in parts[1:]:
-        acc = add(acc[:, :, None], nxt[:, None]).reshape(
-            acc.shape[0], -1, *acc.shape[2:])
+    """Every sum of one column from each part, the first part slowest, for
+    each index of the batch axis: (..., b, rows_i) parts give a
+    (..., b, prod rows_i) array.  The axis before the batch axis, if any,
+    is the entry axis (none for packed syndromes).  Parts and sum are
+    C-contiguous, and the sum grows from the last part back, each earlier
+    part taking the slower place, so numpy's inner loop runs along the
+    rows summed so far, not along the few rows of one part."""
+    acc = parts[-1]
+    for prev in reversed(parts[:-1]):
+        acc = add(prev[..., :, None], acc[..., None, :]).reshape(
+            *acc.shape[:-1], -1)
     return acc
 
 
 def _fold(parts, add):
-    """Yield, in index order and in blocks, every sum of one row from each
-    part, the batch varying slowest, then the first part.
+    """Yield, in index order and in blocks, every sum of one column from
+    each part, the batch varying slowest, then the first part: each block
+    a C-contiguous (..., rows) array, entries first.
 
-    Parts are (b, rows, ...) arrays: a batch of b lists of parts, of
-    packed syndromes or of rows of digits.  The trailing parts whose row
-    counts times b multiply to at most _BLOCK_ROWS rows (at least the last
-    part) are summed once into a block; each sum of the leading parts is
-    then added to its batch's block as an offset.
+    Parts are C-contiguous (..., b, rows) arrays, entries first: a batch of
+    b lists of parts, of packed syndromes or of columns of entries or
+    digits.  The trailing parts whose row counts times b multiply to at
+    most _BLOCK_ROWS rows (at least the last part) are summed once into a
+    block; each sum of the leading parts is then added to its batch's
+    block as an offset, one entry per row of the block.
     """
     split = len(parts) - 1
-    rows = parts[split].shape[0] * parts[split].shape[1]
-    while split > 0 and rows * parts[split - 1].shape[1] <= _BLOCK_ROWS:
+    rows = parts[split].shape[-2] * parts[split].shape[-1]
+    while split > 0 and rows * parts[split - 1].shape[-1] <= _BLOCK_ROWS:
         split -= 1
-        rows *= parts[split].shape[1]
+        rows *= parts[split].shape[-1]
     block = _outer_sum(parts[split:], add)
     if split == 0:
-        yield block.reshape(-1, *block.shape[2:])
+        yield block.reshape(*block.shape[:-2], -1)
         return
-    for sums, offsets in zip(block, _outer_sum(parts[:split], add)):
-        for offset in offsets:
-            yield add(sums, offset)
+    lead = _outer_sum(parts[:split], add)
+    for sums, offsets in zip(block.swapaxes(0, -2), lead.swapaxes(0, -2)):
+        for offset in offsets.T:
+            yield add(sums, offset[..., None])
 
 
 def _terms(M_int, n: int, ctx):
@@ -156,21 +181,32 @@ def _terms(M_int, n: int, ctx):
             lambda s: s.reshape(*s.shape[:-1], r, m) @ unit)
 
 
-def _column_sums(table, add, vectors):
-    """sum_j table[j, v_j] by `add`, column by column, for every row v of
-    `vectors` (encodings)."""
+def _column_sums(table, add, vectors, axis: int):
+    """sum_j table[j] at v_j by `add`, column by column, for every row v of
+    `vectors` (encodings).  table[j] holds column j's term for every field
+    element along `axis`, and the sums hold one term per vector there:
+    (q, E) terms at axis 0 give (len(vectors), E) sums, (E, q) terms at
+    axis -1 give (E, len(vectors)).  np.take gathers these faster than
+    fancy indexing: about 2x for rows of terms, and up to 3x for columns
+    of the few digits of a syndrome (past about 20 entries a column,
+    fancy indexing wins)."""
     vectors = np.asarray(vectors, dtype=np.int64)
-    acc = np.zeros((vectors.shape[0], *table.shape[2:]), table.dtype)
+    shape = list(table.shape[1:])
+    shape[axis] = len(vectors)
+    acc = np.zeros(shape, table.dtype)
     for j in range(len(table)):
-        acc = add(acc, table[j, vectors[:, j]])
+        acc = add(acc, table[j].take(vectors[:, j], axis=axis))
     return acc
 
 
 class SyndromeMap:
-    """Syndromes of the c * e_j under H (r rows, n columns) as table[j, c],
-    the add that sums them, the map from sums to packed syndromes (entry i
-    times q^i) and its inverse.  Odd q sums the m base-p digits of
-    `_terms`: digit j of entry i packs as p^(mi+j)."""
+    """Syndromes of the c * e_j under H (r rows, n columns) as
+    table[..., j, c], entries first: an (r*m, n, q) array of the digits of
+    `_terms` for odd q = p^m, m >= 2 (digit j of entry i at mi+j), of the
+    entries for prime q, and for p = 2 an (n, q) array of packed syndromes
+    (entry i times q^i).  Beside it the add that sums them and the maps
+    from (..., count) sums to packed syndromes and back; odd q packs digit
+    j of entry i as p^(mi+j)."""
 
     __slots__ = ("n", "q", "r", "table", "add", "pack", "unpack")
 
@@ -186,14 +222,17 @@ class SyndromeMap:
             self.table = table.astype(np.int64) @ radix[::m]
             self.pack = self.unpack = np.asarray
         else:
-            self.table = table
-            self.pack = lambda s: s.astype(np.int64) @ radix
+            self.table = np.ascontiguousarray(table.transpose(2, 0, 1))
+            # einsum sums along the columns; matmul's int64 loop would
+            # stride down each column instead
+            self.pack = lambda s: np.einsum("i,i...->...", radix, s)
             self.unpack = lambda s: \
-                (s[:, None] // radix % p).astype(table.dtype)
+                (s // radix[:, None] % p).astype(table.dtype)
 
     def packed(self, vectors):
         """Packed syndrome H v^T of every row v of `vectors` (encodings)."""
-        return self.pack(_column_sums(self.table, self.add, vectors))
+        return self.pack(_column_sums(self.table.swapaxes(0, -2), self.add,
+                                      vectors, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -202,23 +241,27 @@ class SyndromeMap:
 
 def coset_blocks(G_int, n: int, ctx, offset, budget=DEFAULT_BUDGET):
     """Yield offset + c for every codeword c of length n, the first row's
-    coefficient slowest, in blocks of at most max(_BLOCK_ROWS, q) rows;
-    with no rows, the offset alone.  q^k counts against the budget first."""
+    coefficient slowest, in (n, rows) blocks, entries first, of at most
+    max(_BLOCK_ROWS, q) rows; with no rows, the offset alone.  q^k counts
+    against the budget first."""
     k = len(G_int)
     if ctx.q ** k > budget:
         raise BudgetExceeded(f"q^k = {ctx.q ** k} exceeds budget {budget}")
-    offset = np.asarray(offset, dtype=_dtype_for(ctx.q)).reshape(1, 1, n)
+    offset = np.asarray(offset, dtype=_dtype_for(ctx.q)).reshape(n, 1, 1)
     rows = np.array(G_int, dtype=np.int64).reshape(k, n)
-    yield from _fold([offset, *_multiples(ctx, rows)[:, None]],
-                     ctx._arrays[2])
+    # (k, n, 1, q): the multiples of each row, entries first, copied
+    # contiguous so that every sum the fold builds from them is too
+    multiples = np.ascontiguousarray(
+        _multiples(ctx, rows).transpose(0, 2, 1)[:, :, None])
+    yield from _fold([offset, *multiples], ctx._arrays[2])
 
 
 def orbit_blocks(G_int, n: int, ctx, budget=DEFAULT_BUDGET):
-    """Yield blocks holding one codeword of length n per scalar orbit of
-    the nonzero messages: those whose last nonzero coefficient, at the
-    leading row i, is 1, that is row i plus the span of rows 0..i-1; no
-    rows give none.  The q^k codewords the orbits stand for count against
-    the budget, before any block is built."""
+    """Yield (n, rows) blocks, entries first, holding one codeword of length
+    n per scalar orbit of the nonzero messages: those whose last nonzero
+    coefficient, at the leading row i, is 1, that is row i plus the span of
+    rows 0..i-1; no rows give none.  The q^k codewords the orbits stand for
+    count against the budget, before any block is built."""
     k = len(G_int)
     if ctx.q ** k > budget:
         raise BudgetExceeded(f"q^k = {ctx.q ** k} exceeds budget {budget}")
@@ -227,13 +270,16 @@ def orbit_blocks(G_int, n: int, ctx, budget=DEFAULT_BUDGET):
 
 
 def row_weights(block):
-    """Nonzero entries of each row of a 2-d array, as int32 (n can reach
-    q + 1 = 65,537, past any 8- or 16-bit count)."""
-    return np.einsum("ij->i", block != 0, dtype=np.int32)
+    """Nonzero entries of each codeword of an (n, rows) block, entries
+    first: the n rows of nonzero flags, read as uint8, are added along the
+    rows, in the smallest dtype that holds n (which can reach q + 1 =
+    65,537, past any 16-bit count)."""
+    return np.add.reduce((block != 0).view(np.uint8), axis=0,
+                         dtype=np.min_scalar_type(len(block)))
 
 
 def _histogram(blocks, n: int):
-    """Counts of rows of each weight 0..n over `blocks`."""
+    """Counts of codewords of each weight 0..n over the (n, rows) `blocks`."""
     counts = np.zeros(n + 1, dtype=np.int64)
     for block in blocks:
         counts += np.bincount(row_weights(block), minlength=n + 1)
@@ -267,7 +313,9 @@ def mat_vecs(M_int, n: int, ctx, vectors):
     """M v^T for every row v of `vectors`, as a (len(vectors), rows)
     array of encodings: the terms of `_terms`, summed by `_column_sums`."""
     table, add, entries = _terms(M_int, n, ctx)
-    return entries(_column_sums(table, add, vectors))
+    # rows of M stay the last axis, so that np.take gathers each term as
+    # one contiguous row of the table (see the module docstring)
+    return entries(_column_sums(table, add, vectors, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +502,9 @@ def _packed_multiples(ctx, r: int):
     A = q^a, c*s = sum_j M[block_j(s), c-1] * A^j, where block_j(s) is the
     j-th group of a digits of s and M[v, c-1] is packed c*v for every
     a-digit v: ceil(r/a) gathers and adds.  M is the outer sum of the
-    one-digit table shifted to each digit of the block.  For q > 256 the
-    map unpacks each s into digits, scales them by `_multiples` and
-    repacks.
+    one-digit table shifted to each digit of the block, built with v first,
+    as each gather reads whole rows of it.  For q > 256 the map unpacks
+    each s into digits, scales them by `_multiples` and repacks.
     """
     q = ctx.q
     a = _block_width(q, r)
@@ -465,8 +513,11 @@ def _packed_multiples(ctx, r: int):
         return lambda s: \
             _multiples(ctx, s[:, None] // radix % q)[:, 1:] @ radix
     one = _multiples(ctx, np.arange(q)[:, None])[:, 1:, 0].astype(np.int64)
-    M = _outer_sum([one[None] * q ** i for i in reversed(range(a))],
-                   np.add)[0]
+    # each digit in turn takes the faster place; an entries-first outer sum
+    # would need a second copy of the table to put v first
+    M = np.zeros((1, q - 1), dtype=np.int64)
+    for i in reversed(range(a)):
+        M = (M[:, None] + one * q ** i).reshape(-1, q - 1)
     A = q ** a
 
     def scale(s):
@@ -494,14 +545,19 @@ def _pushed(w: int, leader, syndromes):
 
     As many supports as fit in _BLOCK_ROWS rows, or else one, make a
     (b, w) chunk: it gathers each position's multiples for all b at once,
-    and one `_fold` over that batch of b sums them, within the same bound.
+    a contiguous (..., b, q-1) part, entries first, and one `_fold` over
+    that batch of b sums them, within the same bound.
     """
     n, table = syndromes.n, syndromes.table
     per_support = (syndromes.q - 1) ** (w - 1)
     for S in _subset_chunks(n, w, max(1, _BLOCK_ROWS // per_support)):
-        # position 0 takes c = 1 only, the others every c != 0
-        rest = table[S[:, 1:], 1:].swapaxes(0, 1)
-        for block in _fold([table[S[:, 0], 1:2], *rest], syndromes.add):
+        # position 0 takes c = 1 only, the others every c != 0; each
+        # gathered part is copied contiguous, as a ufunc's output follows
+        # its inputs' memory order
+        parts = [np.ascontiguousarray(table[..., S[:, 0], 1:2])] + \
+            [np.ascontiguousarray(table[..., S[:, i], 1:])
+             for i in range(1, w)]
+        for block in _fold(parts, syndromes.add):
             syn = syndromes.pack(block)
             yield syn[leader[syn] == 0xFF]
 
@@ -517,8 +573,8 @@ def _pulled(w: int, leader, slices, syndromes):
     and it stops once none is open, so a representative settled at column
     j costs (j+1)(q-1) tests, not n(q-1).
     """
-    steps = syndromes.table[:, 1:]
-    n, q1 = steps.shape[:2]
+    steps = syndromes.table[..., 1:]
+    n, q1 = steps.shape[-2:]
     per = max(1, _BLOCK_ROWS // q1)
     for part in slices:
         for reps in _positions(leader[part], 0xFF, part.start):
@@ -528,11 +584,15 @@ def _pulled(w: int, leader, slices, syndromes):
                 open_ = np.arange(s.size)
                 digits = syndromes.unpack(s)
                 for j in range(n):
-                    near = leader[syndromes.pack(_outer_sum(
-                        [digits[None], steps[j:j + 1]], syndromes.add)[0])]
-                    found = (near.reshape(open_.size, q1) == w - 1).any(axis=1)
+                    # the step slowest, so the sums run along the open
+                    # representatives, not along the q-1 steps
+                    step = np.ascontiguousarray(steps[..., j, None, :])
+                    sums = _outer_sum([step, digits[..., None, :]],
+                                      syndromes.add)
+                    near = leader[syndromes.pack(sums[..., 0, :])]
+                    found = (near.reshape(q1, open_.size) == w - 1).any(axis=0)
                     hit[open_[found]] = True
-                    open_, digits = open_[~found], digits[~found]
+                    open_, digits = open_[~found], digits[..., ~found]
                     if not open_.size:
                         break
                 yield s[hit]
@@ -702,12 +762,13 @@ def lex_first_weight_vectors(syndromes, weight: int, targets,
     The batches come from one table per call, summed from the map's table
     of multiples.  T(pos, j), the weight-j vectors on positions pos..n-1 in
     lexicographic order, is [T(pos+1, j); c*e_pos + T(pos+1, j-1) for c =
-    1..q-1], so it is the first C(n-pos, j)(q-1)^j rows of T(0, j).  The
-    table keeps each vector beside its syndrome, n entries of
-    `_dtype_for(q)` (n bytes up to q = 256, next to 8 bytes of syndrome, or
-    r*m digits for odd q); a hit goes straight into its target's row: its
-    table row, zero before pos, with the prefix written in.  The vectors of
-    every batch count against the budget as tested.
+    1..q-1], so it is the first C(n-pos, j)(q-1)^j vectors of T(0, j).  The
+    table keeps each vector, n entries of `_dtype_for(q)` in a row (n bytes
+    up to q = 256), beside its syndrome, 8 bytes packed, or for odd q r*m
+    digits in a column, entries first like the map's table; a hit goes
+    straight into its target's row: its table row, zero before pos, with
+    the prefix written in.  The vectors of every batch count against the
+    budget as tested.
     """
     n, q = syndromes.n, syndromes.q
     table, add, pack = syndromes.table, syndromes.add, syndromes.pack
@@ -721,15 +782,16 @@ def lex_first_weight_vectors(syndromes, weight: int, targets,
     while b < weight and 8 * comb(n, b + 1) * (q - 1) ** (b + 1) \
             <= _CHUNK_BYTES:
         b += 1
-    zero = np.zeros(table.shape[2:], table.dtype)
-    levels = [zero[None]] + [table[:0, 0]] * b
+    zero = np.zeros(table.shape[:-2], table.dtype)
+    levels = [zero[..., None]] + [table[..., 0, :0]] * b
     vectors = [np.zeros((1, n), _dtype_for(q))] + \
         [np.zeros((0, n), _dtype_for(q))] * b
     for pos in range(n - 1, -1, -1):
         for j in range(min(b, n - pos), 0, -1):
-            heavier = add(table[pos, 1:, None], levels[j - 1][None])
+            heavier = add(table[..., pos, 1:, None],
+                          levels[j - 1][..., None, :])
             levels[j] = np.concatenate(
-                [levels[j], heavier.reshape(-1, *zero.shape)])
+                [levels[j], heavier.reshape(*zero.shape, -1)], axis=-1)
             placed = np.tile(vectors[j - 1], (q - 1, 1))
             placed[:, pos] = np.repeat(np.arange(1, q), len(vectors[j - 1]))
             vectors[j] = np.concatenate([vectors[j], placed])
@@ -747,7 +809,7 @@ def lex_first_weight_vectors(syndromes, weight: int, targets,
             tested += rows
             if tested > budget:
                 raise BudgetExceeded(f"more than {budget} vectors tested")
-            syn = pack(add(acc, batch[:rows]))
+            syn = pack(add(acc[..., None], batch[..., :rows]))
             hits = np.flatnonzero(wanted[syn])
             if not hits.size:
                 return
@@ -764,7 +826,8 @@ def lex_first_weight_vectors(syndromes, weight: int, targets,
         if n - pos - 1 >= left:
             rec(pos + 1, acc, left, prefix + [0])
         for c in range(1, q):
-            rec(pos + 1, add(acc, table[pos, c]), left - 1, prefix + [c])
+            rec(pos + 1, add(acc, table[..., pos, c]), left - 1,
+                prefix + [c])
 
     rec(0, zero, weight, [])
     if remaining:

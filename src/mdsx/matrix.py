@@ -43,22 +43,23 @@ def _box(ctx: FieldCtx, values) -> tuple:
     return tuple(map(ctx._elems.__getitem__, values))
 
 
-def _box_rows(ctx: FieldCtx, rows) -> list[tuple]:
-    """_box of every row of a 2-d array of encodings, in chunks of as many
-    rows as hold _BLOCK_ROWS entries (at least one row), so that each
-    temporary stays within _BLOCK_ROWS pointers: the values present in a
-    chunk are boxed once into an object array, one slot each, and one
-    gather of it through the slot of each encoding, cut into columns, is
-    zipped into row tuples.  Only a bool and an index array are sized by
-    the largest value present, never by q, so a one-row call over
-    GF(2^16) boxes a few elements, not 65,536."""
-    count, n = rows.shape
+def _box_rows(ctx: FieldCtx, entries) -> list[tuple]:
+    """_box of every vector of an (n, count) array of encodings, entries
+    first, as count row tuples, in chunks of as many vectors as hold
+    _BLOCK_ROWS entries (at least one), so that each temporary stays
+    within _BLOCK_ROWS pointers: the values present in a chunk are boxed
+    once into an object array, one slot each, and one gather of it through
+    the slot of each encoding, one row per entry, is zipped into row
+    tuples.  Only a bool and an index array are sized by the largest value
+    present, never by q, so a one-vector call over GF(2^16) boxes a few
+    elements, not 65,536."""
+    n, count = entries.shape
     if not n:
         return [()] * count
     out = []
     per = max(1, kernels._BLOCK_ROWS // n)
     for start in range(0, count, per):
-        chunk = rows[start:start + per]
+        chunk = entries[:, start:start + per]
         seen = np.zeros(int(chunk.max()) + 1, dtype=bool)
         seen[chunk] = True
         present = np.flatnonzero(seen)
@@ -66,7 +67,7 @@ def _box_rows(ctx: FieldCtx, rows) -> list[tuple]:
         slot[present] = np.arange(present.size)
         elems = np.empty(present.size, dtype=object)
         elems[:] = [ctx._elems[v] for v in present.tolist()]
-        out += zip(*elems[slot[chunk.T]])
+        out += zip(*elems[slot[chunk]])
     return out
 
 

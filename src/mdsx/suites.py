@@ -98,10 +98,12 @@ class _Cases:
 # ---------------------------------------------------------------------------
 
 def _all_vectors(ctx, n: int, budget):
-    """GF(q)^n in itertools.product order, as the full code's codewords:
+    """GF(q)^n in itertools.product order, as the full code's codewords, in
+    blocks of rows, each the transpose of an entries-first scan block:
     q^n against the budget."""
-    return kernels.coset_blocks(np.eye(n, dtype=np.int64), n, ctx, [0] * n,
-                                budget)
+    for block in kernels.coset_blocks(np.eye(n, dtype=np.int64), n, ctx,
+                                      [0] * n, budget):
+        yield block.T
 
 
 def suite_thm6_exhaustive(params):

@@ -448,6 +448,7 @@ def extensions_mds_all_codewords(code, us, budget=DEFAULT_BUDGET):
     light = []
     for block in kernels.coset_blocks(code.generator._rows, n, code.ctx,
                                       [0] * n, budget):
+        block = block.T
         wt = np.count_nonzero(block, axis=1)
         light.append(block[(wt > 0) & (wt <= n - k + 1)])
     light = np.concatenate(light)

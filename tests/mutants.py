@@ -78,10 +78,11 @@ MUTANTS = [
      "radix = p ** np.arange(r * m, dtype=np.int64)[::-1]\n",
      ["tests/test_kernels.py"]),
     ("_fold without its offset", "kernels.py",
-     "            yield add(sums, offset)", "            yield sums",
+     "            yield add(sums, offset[..., None])",
+     "            yield sums",
      ["tests/test_kernels.py"]),
     ("_fold ignores its row bound", "kernels.py",
-     "    while split > 0 and rows * parts[split - 1].shape[1] "
+     "    while split > 0 and rows * parts[split - 1].shape[-1] "
      "<= _BLOCK_ROWS:\n", "    while split > 0:\n",
      ["tests/test_kernels.py"]),
     ("sweep writes only c = 1", "kernels.py",
@@ -97,17 +98,18 @@ MUTANTS = [
      "* A ** j\n", "* A ** (j - 1)\n",
      ["tests/test_kernels.py"]),
     ("block table puts its low digit first", "kernels.py",
-     "for i in reversed(range(a))]", "for i in range(a)]",
+     "for i in reversed(range(a)):", "for i in range(a):",
      ["tests/test_kernels.py"]),
     ("pull reads leader weight w - 2", "kernels.py",
-     "== w - 1).any(axis=1)", "== w - 2).any(axis=1)",
+     "== w - 1).any(axis=0)", "== w - 2).any(axis=0)",
      ["tests/test_kernels.py"]),
     ("pull keeps testing representatives that already hit", "kernels.py",
-     "                open_, digits = open_[~found], digits[~found]\n", "",
+     "                open_, digits = open_[~found], digits[..., ~found]\n",
+     "",
      ["tests/test_kernels.py"]),
     ("pull tests only the first column", "kernels.py",
-     "                for j in range(n):\n                    near = ",
-     "                for j in range(1):\n                    near = ",
+     "                for j in range(n):\n                    # the step",
+     "                for j in range(1):\n                    # the step",
      ["tests/test_kernels.py"]),
     ("pull is priced at n(q-1) per orbit", "kernels.py",
      "return left * (q - 1) < comb(", "return left * n * (q - 1) < comb(",
@@ -132,14 +134,17 @@ MUTANTS = [
      "    for w in range(1, n):\n        before = covered",
      ["tests/test_kernels.py"]),
     ("coset scan drops its offset", "kernels.py",
-     "_fold([offset, *_multiples(", "_fold([0 * offset, *_multiples(",
+     "_fold([offset, *multiples],", "_fold([0 * offset, *multiples],",
      ["tests/test_kernels.py"]),
     ("codewords in reversed row order", "code.py",
      "kernels.coset_blocks(self.generator._rows,",
      "kernels.coset_blocks(self.generator._rows[::-1],",
      ["tests/test_kernels.py"]),
     ("row weights summed in uint8", "kernels.py",
-     "block != 0, dtype=np.int32)", "block != 0, dtype=np.uint8)",
+     "dtype=np.min_scalar_type(len(block)))", "dtype=np.uint8)",
+     ["tests/test_kernels.py"]),
+    ("entries-first weight sum in uint8 at n = 256", "kernels.py",
+     "np.min_scalar_type(len(block)))", "np.min_scalar_type(len(block) - 1))",
      ["tests/test_kernels.py"]),
     ("orbit histogram drops the q - 1 factor", "kernels.py",
      "    counts *= ctx.q - 1\n", "",
@@ -182,8 +187,8 @@ MUTANTS = [
      "if tested > budget:", "if False:",
      ["tests/test_kernels.py"]),
     ("lex table puts the zero branch last", "kernels.py",
-     "[levels[j], heavier.reshape(-1, *zero.shape)]",
-     "[heavier.reshape(-1, *zero.shape), levels[j]]",
+     "[levels[j], heavier.reshape(*zero.shape, -1)]",
+     "[heavier.reshape(*zero.shape, -1), levels[j]]",
      ["tests/test_kernels.py"]),
     ("hit's vector drops its prefix", "kernels.py",
      "            out[at, :pos] = prefix\n", "",
@@ -203,8 +208,8 @@ MUTANTS = [
      "        v = int(v)\n", "",
      ["tests/test_field.py"]),
     ("_box_rows keeps only its last chunk", "matrix.py",
-     "        out += zip(*elems[slot[chunk.T]])\n",
-     "        out = list(zip(*elems[slot[chunk.T]]))\n",
+     "        out += zip(*elems[slot[chunk]])\n",
+     "        out = list(zip(*elems[slot[chunk]]))\n",
      ["tests/test_matrix.py"]),
     # the column-subset engine
     ("_ranks ignores used rows", "kernels.py",

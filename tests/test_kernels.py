@@ -178,7 +178,8 @@ def test_each_route_alone_matches_brute_force(q, pull, monkeypatch):
 def _recording_pull_visits(monkeypatch, visits):
     """Record [w, left, tested] for every layer the sweep pulls: the
     uncovered orbits it starts from and the neighbours it tests, the rows
-    of every `_outer_sum` made while `_pulled` runs."""
+    of every `_outer_sum` made while `_pulled` runs, its batch times its
+    columns."""
     real_pulled, real_outer = kernels._pulled, kernels._outer_sum
     pulling = []
 
@@ -192,7 +193,7 @@ def _recording_pull_visits(monkeypatch, visits):
     def outer(parts, add):
         out = real_outer(parts, add)
         if pulling:
-            visits[-1][2] += out.shape[0] * out.shape[1]
+            visits[-1][2] += out.shape[-2] * out.shape[-1]
         return out
     monkeypatch.setattr(kernels, "_pulled", pulled)
     monkeypatch.setattr(kernels, "_outer_sum", outer)
@@ -490,17 +491,22 @@ def test_mat_vecs_matches_scalar_rows(ctx, n, rows, count, zeros, seed):
 @pytest.mark.parametrize("rows", [1, 5, 18, 36])
 def test_fold_sums_each_batch_in_order_within_the_row_bound(rows,
                                                            monkeypatch):
-    # a batch of 3 lists of parts of 2, 3 and 2 rows of two GF(3) digits:
-    # 36 sums in all, 12 per batch, 6 of the trailing two parts
+    # a batch of 3 lists of parts of 2, 3 and 2 columns of two GF(3)
+    # digits, entries first: 36 sums in all, 12 per batch, 6 of the
+    # trailing two parts; every block is a contiguous (2, rows) array
     monkeypatch.setattr(kernels, "_BLOCK_ROWS", rows)
     rng = np.random.default_rng(rows)
     parts = [rng.integers(0, 3, (3, r, 2)).astype(np.uint8)
              for r in (2, 3, 2)]
     want = [(x + y + z) % 3 for i in range(3)
             for x, y, z in product(*(part[i] for part in parts))]
-    blocks = list(kernels._fold(parts, field_new(3, 1)._arrays[2]))
-    assert max(len(b) for b in blocks) <= max(rows, 2)
-    assert np.concatenate(blocks).tolist() == np.array(want).tolist()
+    blocks = list(kernels._fold(
+        [np.ascontiguousarray(part.transpose(2, 0, 1)) for part in parts],
+        field_new(3, 1)._arrays[2]))
+    assert all(b.shape[0] == 2 and b.flags.c_contiguous for b in blocks)
+    assert max(b.shape[1] for b in blocks) <= max(rows, 2)
+    assert np.concatenate(blocks, axis=1).T.tolist() \
+        == np.array(want).tolist()
 
 
 @pytest.mark.parametrize("pm", [(2, 1), (3, 1), (2, 2)])
@@ -613,18 +619,27 @@ def _full_scan_counts(G, n, ctx):
     """Weight histogram of every message's codeword, by the full scan."""
     counts = [0] * (n + 1)
     for block in kernels.coset_blocks(G, n, ctx, [0] * n):
-        for w in np.count_nonzero(block, axis=1).tolist():
+        for w in np.count_nonzero(block, axis=0).tolist():
             counts[w] += 1
     return counts
+
+
+def _product_order(G, offset, ctx, k):
+    """offset + sum_i c_i G[i] over the first k rows, for every message c
+    in itertools.product order (c_0 slowest), by scalar field ops."""
+    words = []
+    for coeffs in product(range(ctx.q), repeat=k):
+        word = list(offset)
+        for c, row in zip(coeffs, G):
+            word = [ctx.add_i(x, ctx.mul_i(c, g)) for x, g in zip(word, row)]
+        words.append(word)
+    return words
 
 
 def _message_counts(G, n, ctx):
     """The same histogram, one message at a time with scalar field ops."""
     counts = [0] * (n + 1)
-    for coeffs in product(range(ctx.q), repeat=len(G)):
-        word = [0] * n
-        for c, row in zip(coeffs, G):
-            word = [ctx.add_i(x, ctx.mul_i(c, g)) for x, g in zip(word, row)]
+    for word in _product_order(G, [0] * n, ctx, len(G)):
         counts[sum(1 for x in word if x)] += 1
     return counts
 
@@ -655,15 +670,18 @@ def orbit_generators(draw):
        st.sampled_from([0, 1, 17, 255, 256, 300]),
        st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2 ** 32 - 1))
 @example(np.uint8, 2, 300, 1.0, 0)  # 300 nonzero entries pass 8 bits
+@example(np.uint8, 3, 256, 1.0, 0)  # 256 nonzero entries, one past 8 bits
+@example(np.uint8, 1, 65537, 1.0, 0)  # n = q + 1 over GF(2^16): 16 bits
 def test_row_weights_match_count_nonzero(dtype, rows, cols, density, seed):
+    # an entries-first block: `cols` entries of each of `rows` codewords
     rng = np.random.default_rng(seed)
     info = np.iinfo(dtype)
-    block = rng.integers(info.min, info.max, (rows, cols), dtype=dtype,
+    block = rng.integers(info.min, info.max, (cols, rows), dtype=dtype,
                          endpoint=True)
-    block[rng.random((rows, cols)) >= density] = 0
+    block[rng.random((cols, rows)) >= density] = 0
     got = kernels.row_weights(block)
-    assert got.dtype == np.int32
-    assert got.tolist() == np.count_nonzero(block, axis=1).tolist()
+    assert got.dtype.kind == "u" and np.iinfo(got.dtype).max >= cols
+    assert got.tolist() == np.count_nonzero(block, axis=0).tolist()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -679,7 +697,33 @@ def test_orbit_histogram_matches_full_scan_and_messages(case):
             blocks = list(kernels.orbit_blocks(G, n, ctx))
             assert kernels.weight_counts(G, n, ctx) == want
         # one codeword per orbit of the q^k - 1 nonzero messages
-        assert sum(b.shape[0] for b in blocks) == (q ** k - 1) // (q - 1)
+        assert sum(b.shape[1] for b in blocks) == (q ** k - 1) // (q - 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(orbit_generators(), st.data())
+def test_scan_blocks_read_back_as_rows_in_product_order(case, data):
+    # both scans' entries-first blocks, read back as rows, run in
+    # itertools.product order of the messages, the first row slowest: the
+    # coset scan over every message, the orbit scan over row i plus the
+    # span of rows 0..i-1, i ascending; 1-row blocks make every part but
+    # the last an offset, 36 rows hold some scans whole
+    ctx, G, n = case
+    offset = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=n,
+                                max_size=n))
+    cosets = _product_order(G, offset, ctx, len(G))
+    orbits = [w for i in range(len(G))
+              for w in _product_order(G, G[i], ctx, i)]
+    for rows in (1, 5, 18, 36):
+        with mock.patch.object(kernels, "_BLOCK_ROWS", rows):
+            for blocks, want in ((kernels.coset_blocks(G, n, ctx, offset),
+                                  cosets),
+                                 (kernels.orbit_blocks(G, n, ctx), orbits)):
+                blocks = list(blocks)
+                assert all(b.shape[0] == n and b.flags.c_contiguous
+                           for b in blocks)
+                got = [row for b in blocks for row in b.T.tolist()]
+                assert got == want
 
 
 def test_orbit_scan_counts_q_to_the_k_against_the_budget(monkeypatch):
@@ -780,13 +824,14 @@ def test_coset_scan_is_the_span_plus_its_offset(code, data):
         with mock.patch.object(kernels, "_BLOCK_ROWS", rows):
             blocks = list(kernels.coset_blocks(code.generator._rows, n, ctx,
                                                offset))
-        assert np.concatenate(blocks).tolist() == want
+        assert np.concatenate(blocks, axis=1).T.tolist() == want
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(span_codes(), st.data())
 def test_scan_blocks_stay_within_the_row_bound(code, data):
-    # a fold part holds q rows, so a block holds at most max(bound, q)
+    # a fold part holds q rows, so a block holds at most max(bound, q);
+    # every block is a contiguous (n, rows) array, entries first
     ctx, n, G = code.ctx, code.n, code.generator._rows
     offset = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=n,
                                 max_size=n))
@@ -794,7 +839,9 @@ def test_scan_blocks_stay_within_the_row_bound(code, data):
         with mock.patch.object(kernels, "_BLOCK_ROWS", rows):
             for blocks in (kernels.coset_blocks(G, n, ctx, offset),
                            kernels.orbit_blocks(G, n, ctx)):
-                assert all(len(b) <= max(rows, ctx.q) for b in blocks)
+                for b in blocks:
+                    assert b.shape[0] == n and b.flags.c_contiguous
+                    assert b.shape[1] <= max(rows, ctx.q)
 
 
 def test_full_binary_scan_streams_bounded_blocks():
@@ -802,12 +849,12 @@ def test_full_binary_scan_streams_bounded_blocks():
     ctx = field_new(2, 1)
     G = full_code(ctx, 15).generator._rows
     blocks = list(kernels.coset_blocks(G, 15, ctx, [0] * 15))
-    assert max(map(len, blocks)) <= kernels._BLOCK_ROWS
-    assert np.concatenate(blocks).tolist() \
+    assert max(b.shape[1] for b in blocks) <= kernels._BLOCK_ROWS
+    assert np.concatenate(blocks, axis=1).T.tolist() \
         == [list(v) for v in product(range(2), repeat=15)]
     orbits = list(kernels.orbit_blocks(G, 15, ctx))
-    assert max(map(len, orbits)) <= kernels._BLOCK_ROWS
-    assert sum(map(len, orbits)) == 2 ** 15 - 1
+    assert max(b.shape[1] for b in orbits) <= kernels._BLOCK_ROWS
+    assert sum(b.shape[1] for b in orbits) == 2 ** 15 - 1
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

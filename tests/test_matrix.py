@@ -202,11 +202,12 @@ class TestZeroRowMatrices:
 def test_box_rows_is_box_of_each_row(pm, shape):
     # the same interned elements, one tuple per row, for no rows, for rows
     # of no entries and across several chunks too, as by the map of the
-    # element lookup over every entry
+    # element lookup over every entry; _box_rows reads the rows entries
+    # first, as the codeword scans yield them
     ctx = field_new(*pm)
     rows = np.random.default_rng(3).integers(0, ctx.q, shape).astype(
         _dtype_for(ctx.q))
-    got = _box_rows(ctx, rows)
+    got = _box_rows(ctx, np.ascontiguousarray(rows.T))
     want = [_box(ctx, r) for r in rows.tolist()]
     assert got == want == helpers.box_rows_by_map(ctx, rows)
     assert all(type(r) is tuple for r in got)
